@@ -28,8 +28,6 @@
 #include "common/run_metadata.hpp"
 #include "common/str_util.hpp"
 #include "common/table.hpp"
-#include "dft/davidson.hpp"
-#include "dft/linalg.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 
@@ -67,38 +65,6 @@ api::JobRequest job_for_site(const char* site, bool smoke) {
     return job;
   }
   return api::PlanJob{};  // engine.alloc and anything engine-level
-}
-
-/// The davidson site lives outside the Engine's job kinds: drive the
-/// dense overload directly and report in the same outcome vocabulary.
-SweepRow sweep_davidson() {
-  SweepRow row;
-  row.site = "solver.davidson";
-  row.cls = FaultClass::kSolver;
-  dft::RealMatrix m(32, 32);
-  for (std::size_t i = 0; i < 32; ++i) {
-    m(i, i) = static_cast<double>(i) + 1.0;
-    for (std::size_t j = 0; j < i; ++j) {
-      m(i, j) = m(j, i) = 0.05 / static_cast<double>(i + j + 1);
-    }
-  }
-  dft::DavidsonConfig config;
-  config.wanted = 3;
-  bool pass = true;
-  for (const bool capped : {true, false}) {
-    fault_install(FaultSpec::parse(capped ? "solver.davidson=1.0@1"
-                                          : "solver.davidson=1.0"));
-    DegradationScope notes;
-    const dft::DavidsonResult result = dft::davidson(m, config);
-    const std::vector<std::string> taken = notes.take();
-    const bool ok = result.converged && !taken.empty();
-    (capped ? row.capped_outcome : row.uncapped_outcome) =
-        ok ? "ok+" + taken.front() : "FAIL";
-    pass = pass && ok;
-  }
-  fault_clear();
-  row.pass = pass;
-  return row;
 }
 
 /// net.accept lives at the service boundary, not inside an Engine job:
@@ -222,10 +188,6 @@ int main(int argc, char** argv) try {
   constexpr unsigned kMaxAttempts = 3;
   std::vector<SweepRow> rows;
   for (const FaultSite& site : fault_sites()) {
-    if (std::strcmp(site.name, "solver.davidson") == 0) {
-      rows.push_back(sweep_davidson());
-      continue;
-    }
     if (std::strcmp(site.name, "net.accept") == 0) {
       rows.push_back(sweep_net_accept());
       continue;

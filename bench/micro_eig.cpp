@@ -1,25 +1,20 @@
-// Eigensolver microbenchmark: two-stage SYEVD (syevd: band reduction,
-// bulge chase, divide-and-conquer) against the one-stage blocked solver
-// (syevd_onestage) and the serial reference (syevd_naive), plus the
-// partial-spectrum solver (syevd_partial, lowest n/8 pairs) against the
-// two-stage full solve, across problem sizes and pool widths. Results go
-// to BENCH_eig.json for cross-commit tracking; docs/PERF.md quotes a
-// snapshot.
+// Eigensolver microbenchmark: the full-spectrum SYEVD (syevd: band
+// reduction, bulge chase, divide-and-conquer) against the serial
+// reference (syevd_naive), plus the partial-spectrum solver
+// (syevd_partial, lowest n/8 pairs) against the full solve, across
+// problem sizes and pool widths. Results go to BENCH_eig.json for
+// cross-commit tracking; docs/PERF.md quotes a snapshot.
 //
 // Every configuration is warmed up once and reported as the median of
-// five runs; the one-stage and two-stage timings are interleaved within
-// each rep (1,2,1,2,...) so slow turbo/thermal drift cannot bias their
-// ratio, which is the number the smoke gate and the PERF.md table quote.
+// five runs.
 //
 // Modes:
 //   bench_micro_eig            full sweep: n in {64..1024}, threads {1,2,4,8}
 //   bench_micro_eig --smoke    n in {128, 256}; exits nonzero if the
-//                              two-stage solver is slower than the
-//                              reference at n=128, the partial solver is
-//                              slower than the two-stage full solve, the
-//                              two-stage solver is slower than the
-//                              one-stage solver at n=256 single-thread,
-//                              or the fused fft3d is slower than the
+//                              spectra disagree, syevd is slower than
+//                              the reference at n=128, the partial
+//                              solver is slower than the full solve, or
+//                              the fused fft3d is slower than the
 //                              unfused baseline (the verify.sh
 //                              --bench-smoke gate; also wired into the
 //                              ctest kernel tier)
@@ -77,16 +72,14 @@ double median(std::vector<double> v) {
 
 struct ThreadSample {
   std::size_t threads = 0;
-  double onestage_ms = 0.0;
-  double ms = 0.0;                  ///< two-stage syevd
-  double speedup = 0.0;             ///< naive_ms / ms
-  double speedup_vs_onestage = 0.0; ///< onestage_ms / ms
+  double ms = 0.0;       ///< syevd
+  double speedup = 0.0;  ///< naive_ms / ms
 };
 
 struct PartialSample {
   std::size_t threads = 0;
   double ms = 0.0;
-  double speedup_vs_full = 0.0;  ///< two-stage full ms / partial ms
+  double speedup_vs_full = 0.0;  ///< full ms / partial ms
 };
 
 struct SizeSample {
@@ -95,7 +88,7 @@ struct SizeSample {
   double naive_ms = 0.0;
   std::vector<ThreadSample> blocked;
   std::vector<PartialSample> partial;
-  double max_eigenvalue_diff = 0.0;  ///< two-stage vs naive, sanity check
+  double max_eigenvalue_diff = 0.0;  ///< syevd vs naive, sanity check
   double max_partial_diff = 0.0;     ///< partial vs naive on the window
 };
 
@@ -118,7 +111,7 @@ int main(int argc, char** argv) try {
   const std::size_t original_threads = pool.threads();
 
   std::printf(
-      "SYEVD microbenchmark: two-stage vs one-stage vs serial reference%s\n\n",
+      "SYEVD microbenchmark: syevd and syevd_partial vs serial reference%s\n\n",
       smoke ? " (smoke)" : "");
 
   std::vector<SizeSample> samples;
@@ -131,7 +124,7 @@ int main(int argc, char** argv) try {
     // against it. The timed naive runs come after the sweep - seconds
     // of serial QL right before the single-thread comparison loop heats
     // the core and deflates sustained turbo, which biased the recorded
-    // one-stage/two-stage times (though not their ratio) by ~10%.
+    // solver times by ~10%.
     pool.resize(1);
     const dft::EigenResult naive = dft::syevd_naive(m);
 
@@ -140,19 +133,14 @@ int main(int argc, char** argv) try {
     sample.partial_m = std::max<std::size_t>(1, n / 8);
     for (const std::size_t threads : thread_sweep) {
       pool.resize(threads);
-      dft::EigenResult onestage = dft::syevd_onestage(m);  // warmup
-      dft::EigenResult blocked = dft::syevd(m);            // warmup
+      dft::EigenResult blocked = dft::syevd(m);  // warmup
       ThreadSample ts;
       ts.threads = threads;
-      std::vector<double> t_one(kReps);
-      std::vector<double> t_two(kReps);
-      for (int r = 0; r < kReps; ++r) {  // interleaved: fair ratio
-        t_one[r] = time_ms([&] { onestage = dft::syevd_onestage(m); });
-        t_two[r] = time_ms([&] { blocked = dft::syevd(m); });
+      std::vector<double> t_full(kReps);
+      for (int r = 0; r < kReps; ++r) {
+        t_full[r] = time_ms([&] { blocked = dft::syevd(m); });
       }
-      ts.onestage_ms = median(t_one);
-      ts.ms = median(t_two);
-      ts.speedup_vs_onestage = ts.ms > 0.0 ? ts.onestage_ms / ts.ms : 0.0;
+      ts.ms = median(t_full);
       for (std::size_t i = 0; i < n; ++i) {
         sample.max_eigenvalue_diff =
             std::max(sample.max_eigenvalue_diff,
@@ -234,9 +222,8 @@ int main(int argc, char** argv) try {
   }
   pool.resize(original_threads);
 
-  TextTable table({"n", "naive", "threads", "one-stage", "two-stage",
-                   "vs naive", "vs one-stage", "partial(m=n/8)", "vs full",
-                   "max |dlambda|"});
+  TextTable table({"n", "naive", "threads", "syevd", "vs naive",
+                   "partial(m=n/8)", "vs full", "max |dlambda|"});
   for (const SizeSample& s : samples) {
     for (std::size_t i = 0; i < s.blocked.size(); ++i) {
       const ThreadSample& t = s.blocked[i];
@@ -244,10 +231,8 @@ int main(int argc, char** argv) try {
       table.add_row({strformat("%zu", s.n),
                      strformat("%.1f ms", s.naive_ms),
                      strformat("%zu", t.threads),
-                     strformat("%.1f ms", t.onestage_ms),
                      strformat("%.1f ms", t.ms),
                      strformat("%.2fx", t.speedup),
-                     strformat("%.2fx", t.speedup_vs_onestage),
                      strformat("%.1f ms", p.ms),
                      strformat("%.2fx", p.speedup_vs_full),
                      strformat("%.1e", std::max(s.max_eigenvalue_diff,
@@ -273,10 +258,8 @@ int main(int argc, char** argv) try {
     for (const ThreadSample& t : s.blocked) {
       Json run = Json::object();
       run.set("threads", t.threads);
-      run.set("onestage_ms", t.onestage_ms);
       run.set("ms", t.ms);
       run.set("speedup", t.speedup);
-      run.set("speedup_vs_onestage", t.speedup_vs_onestage);
       runs.push_back(std::move(run));
     }
     entry.set("blocked", std::move(runs));
@@ -312,7 +295,7 @@ int main(int argc, char** argv) try {
 
   for (const SizeSample& s : samples) {
     if (s.max_eigenvalue_diff > 1e-8) {
-      std::fprintf(stderr, "FAIL: two-stage/naive spectra disagree at n=%zu\n",
+      std::fprintf(stderr, "FAIL: syevd/naive spectra disagree at n=%zu\n",
                    s.n);
       return 1;
     }
@@ -325,8 +308,8 @@ int main(int argc, char** argv) try {
     }
   }
   if (smoke) {
-    // Gate 1: at n=128 the two-stage path must not lose to the serial
-    // reference at any swept thread count's best.
+    // Gate 1: at n=128 syevd must not lose to the serial reference at
+    // any swept thread count's best.
     const SizeSample& s128 = samples[0];
     double best = s128.blocked[0].ms;
     for (const ThreadSample& t : s128.blocked) best = std::min(best, t.ms);
@@ -349,19 +332,7 @@ int main(int argc, char** argv) try {
                    s128.partial_m, best_partial, best);
       return 1;
     }
-    // Gate 3: at n=256 single-thread the two-stage solver must beat the
-    // one-stage solver it replaced (interleaved medians, so machine
-    // drift cannot manufacture a pass or a fail).
-    const SizeSample& s256 = samples[1];
-    const ThreadSample& t256 = s256.blocked[0];
-    if (t256.ms > t256.onestage_ms) {
-      std::fprintf(stderr,
-                   "FAIL: two-stage syevd slower than one-stage at n=256 "
-                   "single-thread (%.1f ms vs %.1f ms)\n",
-                   t256.ms, t256.onestage_ms);
-      return 1;
-    }
-    // Gate 4: the fused 3D FFT must not lose to the unfused baseline.
+    // Gate 3: the fused 3D FFT must not lose to the unfused baseline.
     // Best-of-reps with 5% headroom: the true margin is a few percent,
     // so a strict median comparison would flake on a loaded machine.
     if (fft_fused_min > 1.05 * fft_unfused_min) {
@@ -372,12 +343,11 @@ int main(int argc, char** argv) try {
       return 1;
     }
     std::printf(
-        "smoke OK: two-stage %.1f ms <= naive %.1f ms at n=128, "
-        "partial(m=%zu) %.1f ms <= full %.1f ms, two-stage %.1f ms <= "
-        "one-stage %.1f ms at n=256 1T, fused fft3d %.1f ms <= unfused "
-        "%.1f ms\n",
-        best, s128.naive_ms, s128.partial_m, best_partial, best, t256.ms,
-        t256.onestage_ms, fft_fused_ms, fft_unfused_ms);
+        "smoke OK: syevd %.1f ms <= naive %.1f ms at n=128, "
+        "partial(m=%zu) %.1f ms <= full %.1f ms, fused fft3d %.1f ms <= "
+        "unfused %.1f ms\n",
+        best, s128.naive_ms, s128.partial_m, best_partial, best,
+        fft_fused_ms, fft_unfused_ms);
   }
   return 0;
 } catch (const NdftError& error) {

@@ -82,10 +82,9 @@ fi
 echo "ndft_run --json smoke: OK ($SMOKE_JSON)"
 
 if [ "$BENCH_SMOKE" -eq 1 ]; then
-  # The bench exits nonzero if the two-stage eigensolver loses to the
-  # reference at n=128 or to the one-stage solver at n=256, the partial
-  # solver loses to the full solve, the fused fft3d loses to the unfused
-  # baseline, or the spectra disagree.
+  # The bench exits nonzero if the eigensolver loses to the reference at
+  # n=128, the partial solver loses to the full solve, the fused fft3d
+  # loses to the unfused baseline, or the spectra disagree.
   (cd "$BUILD_DIR" && ./bench_micro_eig --smoke)
   echo "bench smoke: OK ($BUILD_DIR/BENCH_eig.json)"
   # The co-design loop must close: record a real LR-TDDFT trace, replay

@@ -122,10 +122,10 @@ class JobHandle {
   /// Requests cancellation. A still-queued job becomes terminal
   /// kCancelled immediately. A running job is cancelled cooperatively:
   /// the request is accepted (returns true) and the job stops at its
-  /// next stage boundary — SCF iteration, per-k solve, Davidson sweep,
-  /// sim event batch — with status kCancelled; a job that finishes
-  /// before reaching one keeps its result. Returns false once the job
-  /// is already terminal.
+  /// next stage boundary — SCF iteration, per-k solve, sim event
+  /// batch — with status kCancelled; a job that finishes before
+  /// reaching one keeps its result. Returns false once the job is
+  /// already terminal.
   bool cancel();
 
   /// Blocks until the job reaches a terminal state and returns its result.

@@ -4,10 +4,10 @@
 // A CancelToken wraps shared state carrying a cancel flag and an optional
 // deadline. The running side installs a CancelScope (thread-local, same
 // pattern as TraceScope) and the pipeline calls cancel_point() at its
-// stage boundaries — SCF iterations, per-k solves, Davidson sweeps, sim
-// event batches. When the token is cancelled or past its deadline, the
-// next cancel_point() throws CancelledError / DeadlineExceededError,
-// which the Engine maps to the kCancelled / kDeadlineExceeded statuses.
+// stage boundaries — SCF iterations, per-k solves, sim event batches.
+// When the token is cancelled or past its deadline, the next
+// cancel_point() throws CancelledError / DeadlineExceededError, which the
+// Engine maps to the kCancelled / kDeadlineExceeded statuses.
 //
 // cancel_point() off any scope (direct library use, tests, pool workers)
 // is a thread-local null check — effectively free — so the checks can

@@ -23,9 +23,6 @@ const std::vector<FaultSite>& catalog() {
       {"solver.syevd_partial",
        "partial eigensolver non-convergence (degrades to the full solver)",
        FaultClass::kSolver},
-      {"solver.davidson",
-       "Davidson non-convergence (degrades to a dense partial solve)",
-       FaultClass::kSolver},
       {"trace.recorder",
        "kernel trace recorder failure (degrades to an untraced run)",
        FaultClass::kTrace},

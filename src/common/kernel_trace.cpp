@@ -266,13 +266,6 @@ void TraceRegion::set_io(Bytes input_bytes, Bytes output_bytes) noexcept {
   state_->event.output_bytes = output_bytes;
 }
 
-void trace_add_work(Flops flops, Bytes bytes) noexcept {
-  if (tl_region != nullptr) {
-    tl_region->event.flops += flops;
-    tl_region->event.bytes += bytes;
-  }
-}
-
 void trace_set_system(std::size_t atoms, std::size_t basis_size,
                       std::size_t grid_points) noexcept {
   if (tl_recorder != nullptr) {

@@ -1,9 +1,9 @@
 #pragma once
 // Unified kernel-dispatch/trace layer: the hot kernels (fft3d, gemm,
-// syevd/heev, Davidson applies) and the pipeline stage boundaries
-// (SCF / LR-TDDFT / EPM) all report through here, so one real run emits
-// an ordered stream of kernel events — class, analytic flop/byte counts,
-// grid/matrix dimensions and the measured host wall time. The stream is
+// syevd/heev) and the pipeline stage boundaries (SCF / LR-TDDFT / EPM)
+// all report through here, so one real run emits an ordered stream of
+// kernel events — class, analytic flop/byte counts, grid/matrix
+// dimensions and the measured host wall time. The stream is
 // the measured counterpart of the analytic dft::Workload: it feeds the
 // co-design loop (Workload::from_trace + runtime::calibrate_cpu), closing
 // the gap between the DFT numerics and the NDP scheduler.
@@ -144,7 +144,7 @@ class TraceStage {
 /// their chunking under parallel_for would otherwise make the event
 /// stream depend on the pool width. The region's flop/byte counts are
 /// supplied explicitly by the pipeline (deterministic analytic tallies)
-/// via add_work()/trace_add_work; the region measures its own wall time.
+/// via add_work(); the region measures its own wall time.
 class TraceRegion {
  public:
   TraceRegion(KernelClass cls, std::string name);
@@ -164,12 +164,6 @@ class TraceRegion {
  private:
   State* state_ = nullptr;  ///< null when the thread is not recording
 };
-
-/// Folds work into the innermost open TraceRegion on the calling thread
-/// (no-op otherwise). Lets callbacks executed inside a region (e.g. the
-/// Davidson apply functor) account work they perform outside the traced
-/// kernel entry points.
-void trace_add_work(Flops flops, Bytes bytes) noexcept;
 
 /// Stamps the traced system's dimensions on the calling thread's recorder
 /// (no-op when the thread is not recording). The pipelines call this with

@@ -282,29 +282,26 @@ void tql2(std::vector<double>& d, std::vector<double>& e, RealMatrix& z) {
   }
 }
 
-// ------------------------------------------------- blocked eigensolver
+// ------------------------------------- blocked Householder reduction
 //
-// LAPACK-shaped two-phase path on full symmetric storage. Reduction
-// processes panels of kEigBlock columns: each column's reflector is
-// generated after folding in the panel's previous reflectors (dlatrd
-// recurrence, with the dominant trailing matrix-vector product running on
-// the thread pool), and the trailing matrix is updated once per panel
-// with a single rank-2k GEMM on the blocked kernel. The tridiagonal
-// eigenproblem reuses the tql2 recurrence for d/e, but buffers each QL
-// sweep's Givens rotations and applies them to the *transposed*
-// eigenvector matrix, where a rotation touches two contiguous rows: the
-// sweep vectorises and splits across the pool by column ranges. The
+// Direct full -> tridiagonal reduction on full symmetric storage (the
+// partial solver's reduction). Panels of kEigBlock columns: each column's
+// reflector is generated after folding in the panel's previous reflectors
+// (dlatrd recurrence, with the dominant trailing matrix-vector product
+// running on the thread pool), and the trailing matrix is updated once
+// per panel with a single rank-2k GEMM on the blocked kernel. The
 // back-transformation accumulates each panel into a compact-WY factor
-// (I - V T V^T) and applies it with three GEMMs. Every stage either runs
-// serially or partitions disjoint outputs with a fixed per-element
-// operation order, so results are bitwise identical for any thread count.
+// (I - V T V^T) and applies it with three GEMMs; the two-stage path reuses
+// it for its band reflectors. Every stage either runs serially or
+// partitions disjoint outputs with a fixed per-element operation order,
+// so results are bitwise identical for any thread count.
 
 constexpr std::size_t kEigBlock = 32;  ///< reduction/back-transform panel
 
 /// The eigensolver issues many short-lived stages (per-column gemv, panel
 /// copies); waking the pool costs more than such a stage is worth, so
-/// these dispatch only above ~1M flops per call. The chunky stages (QL
-/// rotation batches, GEMM) keep the default grain policy.
+/// these dispatch only above ~1M flops per call. The chunky stages (GEMM,
+/// the chase-rotation replay) keep the default grain policy.
 constexpr std::size_t kEigDispatchWork = std::size_t{1} << 20;
 
 std::size_t eig_grain(std::size_t work_per_index) {
@@ -439,136 +436,10 @@ void blocked_tridiagonalize(RealMatrix& a, std::vector<double>& d,
   if (n >= 2) e[n - 1] = a(n - 1, n - 2);
 }
 
-/// One Givens rotation of a QL sweep, mixing eigenvector-matrix columns
-/// (col, col + 1).
-struct GivensRotation {
-  std::size_t col;
-  double c;
-  double s;
-};
-
-/// Deferred application of QL rotations to the transposed eigenvector
-/// matrix (zt(j, k) = Z(k, j)). The d/e recurrence never reads zt, so
-/// rotations accumulate in a log and hit the matrix in large batches: one
-/// pool dispatch applies tens of sweeps, amortising the dispatch cost
-/// that per-sweep application would pay ~2n times per solve. Within a
-/// batch every column sees the rotations in recorded order — exactly the
-/// serial order — so results stay bitwise identical for any thread count
-/// and any batch boundary.
-class RotationLog {
- public:
-  explicit RotationLog(RealMatrix& zt) : zt_(&zt) {
-    pending_.reserve(kFlushThreshold + zt.rows());
-  }
-
-  void push(std::size_t col, double c, double s) {
-    pending_.push_back({col, c, s});
-  }
-
-  /// Called between sweeps; applies the log once it is worth a dispatch.
-  void maybe_flush() {
-    if (pending_.size() >= kFlushThreshold) flush();
-  }
-
-  void flush() {
-    if (pending_.empty()) return;
-    RealMatrix& zt = *zt_;
-    // Wide column bands: every band re-reads the whole rotation log, so
-    // narrow bands multiply the per-rotation fixed cost. 128 columns keep
-    // that amortised while still splitting across the pool.
-    const std::size_t band = std::max<std::size_t>(
-        128, parallel_grain(6 * pending_.size()));
-    parallel_for(0, zt.cols(), band,
-                 [&](std::size_t lo, std::size_t hi) {
-                   for (const GivensRotation& rot : pending_) {
-                     double* upper = zt.row(rot.col);
-                     double* lower = zt.row(rot.col + 1);
-                     for (std::size_t k = lo; k < hi; ++k) {
-                       const double f = lower[k];
-                       const double g = upper[k];
-                       lower[k] = rot.s * g + rot.c * f;
-                       upper[k] = rot.c * g - rot.s * f;
-                     }
-                   }
-                 });
-    pending_.clear();
-  }
-
- private:
-  /// Rotations per batch: big enough that one dispatch carries real work
-  /// (~6 * threshold * n flops), small enough to stay cache-resident.
-  static constexpr std::size_t kFlushThreshold = 16384;
-
-  std::vector<GivensRotation> pending_;
-  RealMatrix* zt_;
-};
-
-/// Implicit-shift QL with the same d/e recurrence as tql2, but with the
-/// rotations routed through a RotationLog instead of being applied to the
-/// eigenvector matrix one sweep at a time. The rotation sequence depends
-/// only on d/e, so it is identical for any thread count.
-void tridiag_ql(std::vector<double>& d, std::vector<double>& e,
-                RealMatrix& zt) {
-  const std::size_t n = d.size();
-  if (n <= 1) return;
-  for (std::size_t i = 1; i < n; ++i) e[i - 1] = e[i];
-  e[n - 1] = 0.0;
-  RotationLog log(zt);
-
-  for (std::size_t l = 0; l < n; ++l) {
-    unsigned iter = 0;
-    std::size_t m;
-    do {
-      for (m = l; m + 1 < n; ++m) {
-        const double dd = std::fabs(d[m]) + std::fabs(d[m + 1]);
-        if (std::fabs(e[m]) <= std::numeric_limits<double>::epsilon() * dd) {
-          break;
-        }
-      }
-      if (m != l) {
-        NDFT_REQUIRE(iter++ < 50, "QL iteration failed to converge");
-        double g = (d[l + 1] - d[l]) / (2.0 * e[l]);
-        double r = pythag(g, 1.0);
-        g = d[m] - d[l] + e[l] / (g + sign_of(r, g));
-        double s = 1.0;
-        double c = 1.0;
-        double p = 0.0;
-        bool underflow = false;
-        for (std::size_t ii = m; ii-- > l;) {
-          const std::size_t i = ii;
-          double f = s * e[i];
-          const double b = c * e[i];
-          e[i + 1] = r = pythag(f, g);
-          if (r == 0.0) {
-            d[i + 1] -= p;
-            e[m] = 0.0;
-            underflow = true;
-            break;
-          }
-          s = f / r;
-          c = g / r;
-          g = d[i + 1] - p;
-          r = (d[i] - g) * s + 2.0 * c * b;
-          p = s * r;
-          d[i + 1] = g + p;
-          g = c * r - b;
-          log.push(i, c, s);
-        }
-        log.maybe_flush();
-        if (underflow) continue;
-        d[l] -= p;
-        e[l] = g;
-        e[m] = 0.0;
-      }
-    } while (m != l);
-  }
-  log.flush();
-}
-
 /// z := Q z with Q = H_0 H_1 ... read from reflectors stored in the
 /// columns of `a`. Reflector j spans rows j+offset..n-1 with its unit
-/// head stored explicitly at a(j+offset, j): offset 1 matches the
-/// one-stage tridiagonalization, offset b the full->band reduction.
+/// head stored explicitly at a(j+offset, j): offset 1 matches
+/// blocked_tridiagonalize, offset b the full->band reduction.
 /// Panels are applied in reverse order as compact-WY updates (dlarft
 /// forward factor, then three GEMMs per panel restricted to the rows the
 /// panel touches).
@@ -645,13 +516,6 @@ void apply_q_panels(const RealMatrix& a, const std::vector<double>& tau,
   }
 }
 
-/// One-stage back-transform: the tridiagonalization's reflectors have
-/// their unit heads one row below the diagonal.
-void apply_q_blocked(const RealMatrix& a, const std::vector<double>& tau,
-                     RealMatrix& z) {
-  apply_q_panels(a, tau, z, 1);
-}
-
 // ------------------------------------------- two-stage reduction (SBR)
 //
 // The two-stage path reduces full -> band -> tridiagonal. Stage one runs
@@ -659,12 +523,12 @@ void apply_q_blocked(const RealMatrix& a, const std::vector<double>& tau,
 // transposed copy (contiguous rows), and the trailing square absorbs the
 // whole panel at once through the symmetric compact-WY update
 // A <- A - Z V^T - V Z^T with Z = Y - (1/2) V S, Y = A V T,
-// S = T^T (V^T Y) - pure level-3 GEMM, unlike the one-stage path whose
-// per-column matrix-vector product is level-2 memory-bound. Stage two
-// chases the band to tridiagonal form with Givens rotations (Schwarz /
+// S = T^T (V^T Y) - pure level-3 GEMM, unlike blocked_tridiagonalize
+// whose per-column matrix-vector product is level-2 memory-bound. Stage
+// two chases the band to tridiagonal form with Givens rotations (Schwarz /
 // dsbtrd lineage) recorded into a log; the eigenvector back-transform
 // replays that log reversed and transposed, then pushes through the same
-// compact-WY panels as the one-stage solver (offset b instead of 1).
+// compact-WY panels as blocked_tridiagonalize (offset b instead of 1).
 
 constexpr std::size_t kBandWidth = 64;  ///< stage-one bandwidth, large n
 
@@ -678,12 +542,15 @@ std::size_t band_width(std::size_t n) {
   return n < 384 ? 48 : kBandWidth;
 }
 
-/// Problems below this size stay on the one-stage path: the chase and its
-/// reversed-rotation back-transform only pay for themselves once the
-/// trailing updates are big enough to run at level-3 GEMM rate.
-constexpr std::size_t kTwoStageMin = 160;
+/// One Givens rotation of the bulge chase, acting on planes
+/// (col, col + 1).
+struct GivensRotation {
+  std::size_t col;
+  double c;
+  double s;
+};
 
-/// Blocked full -> band reduction (bandwidth kBandWidth, lower-triangle
+/// Blocked full -> band reduction (bandwidth band_width(n), lower-triangle
 /// convention). On return the band of `a` holds the banded matrix;
 /// strictly below it, column j holds reflector j's tail (rows j+b+1..n),
 /// whose unit head lives at a(j+b, j) *conceptually* - that slot holds the
@@ -1742,13 +1609,14 @@ void tridiag_dc(std::vector<double>& d, std::vector<double>& e,
 
 // ---------------------------------------------- partial tridiagonal stage
 //
-// The partial-spectrum path replaces the QL stage: bisection (Sturm
-// counts) finds the lowest m eigenvalues of the tridiagonal matrix, and
-// inverse iteration builds just those m eigenvectors. Both stages process
-// independent eigenvalue indices (clusters of close eigenvalues are one
-// index group), so they split across the pool with disjoint writes and a
-// fixed per-index operation order — bitwise identical for any thread
-// count, like every other stage of the solver.
+// The partial-spectrum path replaces the full tridiagonal eigensolve:
+// bisection (Sturm counts) finds the lowest m eigenvalues of the
+// tridiagonal matrix, and inverse iteration builds just those m
+// eigenvectors. Both stages process independent eigenvalue indices
+// (clusters of close eigenvalues are one index group), so they split
+// across the pool with disjoint writes and a fixed per-index operation
+// order — bitwise identical for any thread count, like every other stage
+// of the solver.
 
 /// Number of eigenvalues of the tridiagonal matrix strictly below x, via
 /// the LDL^T Sturm recurrence. `d` is the diagonal, `e2[i]` the squared
@@ -2394,61 +2262,24 @@ void gemm_naive(const ComplexMatrix& a, const ComplexMatrix& b,
   }
 }
 
-namespace {
-
-/// One-stage solver body (blocked tridiagonalization + QL + compact WY),
-/// shared by the public wrappers; runs under their timer/trace scopes.
-EigenResult syevd_onestage_impl(const RealMatrix& symmetric,
-                                OpCount* count) {
+EigenResult syevd(const RealMatrix& symmetric, OpCount* count) {
+  LinalgTimerScope timer;
+  KernelTimer trace(KernelClass::kSyevd, "syevd");
+  NDFT_REQUIRE(symmetric.rows() == symmetric.cols(),
+               "syevd: matrix must be square");
   const std::size_t n = symmetric.rows();
+  trace.set_dims(n, n, 0);
+  {
+    const SyevdCost cost = syevd_cost(n);
+    trace.set_work(cost.flops, cost.bytes);
+  }
+  trace.set_io(n * n * sizeof(double), (n * n + n) * sizeof(double));
   EigenResult result;
   if (n == 0) return result;
 
-  RealMatrix reduced = symmetric;
-  std::vector<double> d;
-  std::vector<double> e;
-  std::vector<double> tau;
-  {
-    StageTimerScope stage(&LinalgStageTimes::reduce_ms);
-    blocked_tridiagonalize(reduced, d, e, tau);
-  }
-
-  // Eigenvectors of the tridiagonal matrix, accumulated transposed so the
-  // QL rotation sweeps touch contiguous rows.
-  RealMatrix zt(n, n);
-  for (std::size_t i = 0; i < n; ++i) zt(i, i) = 1.0;
-  {
-    StageTimerScope stage(&LinalgStageTimes::tridiag_ms);
-    tridiag_ql(d, e, zt);
-  }
-
-  RealMatrix z(n, n);
-  {
-    StageTimerScope stage(&LinalgStageTimes::backtransform_ms);
-    parallel_for(0, n, eig_grain(n),
-                 [&](std::size_t lo, std::size_t hi) {
-                   for (std::size_t r = lo; r < hi; ++r) {
-                     double* row = z.row(r);
-                     for (std::size_t c = 0; c < n; ++c) row[c] = zt(c, r);
-                   }
-                 });
-    apply_q_blocked(reduced, tau, z);
-  }
-
-  sort_eigenpairs(d, z, result);
-  count_syevd(n, count);
-  return result;
-}
-
-/// Two-stage solver body: full -> band -> tridiagonal, divide-and-conquer
-/// on the tridiagonal matrix, then the reversed chase rotations and the
-/// offset-b compact-WY panels bring the eigenvectors back.
-EigenResult syevd_twostage_impl(const RealMatrix& symmetric,
-                                OpCount* count) {
-  const std::size_t n = symmetric.rows();
-  EigenResult result;
-  if (n == 0) return result;
-
+  // Full -> band -> tridiagonal, divide-and-conquer on the tridiagonal
+  // matrix, then the reversed chase rotations and the offset-b compact-WY
+  // panels bring the eigenvectors back.
   RealMatrix reduced = symmetric;
   std::vector<double> d;
   std::vector<double> e;
@@ -2481,41 +2312,6 @@ EigenResult syevd_twostage_impl(const RealMatrix& symmetric,
   result.eigenvectors = std::move(s);
   count_syevd(n, count);
   return result;
-}
-
-}  // namespace
-
-EigenResult syevd(const RealMatrix& symmetric, OpCount* count) {
-  LinalgTimerScope timer;
-  KernelTimer trace(KernelClass::kSyevd, "syevd");
-  NDFT_REQUIRE(symmetric.rows() == symmetric.cols(),
-               "syevd: matrix must be square");
-  const std::size_t n = symmetric.rows();
-  trace.set_dims(n, n, 0);
-  {
-    const SyevdCost cost = syevd_cost(n);
-    trace.set_work(cost.flops, cost.bytes);
-  }
-  trace.set_io(n * n * sizeof(double), (n * n + n) * sizeof(double));
-  if (n < kTwoStageMin) {
-    return syevd_onestage_impl(symmetric, count);
-  }
-  return syevd_twostage_impl(symmetric, count);
-}
-
-EigenResult syevd_onestage(const RealMatrix& symmetric, OpCount* count) {
-  LinalgTimerScope timer;
-  KernelTimer trace(KernelClass::kSyevd, "syevd.onestage");
-  NDFT_REQUIRE(symmetric.rows() == symmetric.cols(),
-               "syevd_onestage: matrix must be square");
-  const std::size_t n = symmetric.rows();
-  trace.set_dims(n, n, 0);
-  {
-    const SyevdCost cost = syevd_cost(n);
-    trace.set_work(cost.flops, cost.bytes);
-  }
-  trace.set_io(n * n * sizeof(double), (n * n + n) * sizeof(double));
-  return syevd_onestage_impl(symmetric, count);
 }
 
 EigenResult syevd_naive(const RealMatrix& symmetric, OpCount* count) {
@@ -2581,13 +2377,19 @@ EigenResult syevd_partial(const RealMatrix& symmetric, std::size_t m,
   }
 
   if (2 * m > n) {
-    // The QL/back-transform savings vanish near the full spectrum; the
-    // full blocked solver is both faster and more robust there. Nested
+    // The bisection/back-transform savings vanish near the full spectrum;
+    // the full solver is both faster and more robust there. Nested
     // timer/trace entries fold into this one.
     return partial_from_full(symmetric, m, count);
   }
 
   try {
+    // The direct Householder reduction, not the full solver's two-stage
+    // one: swapping band_reduce + the bulge chase into this path (the
+    // chase replayed over the m columns) ran 0.77-0.82x as fast at
+    // n=179, m=24, the Si_8 SCF solve (4-vCPU AVX-512 Xeon, 1-2 threads).
+    // This path can go once the SCF window no longer needs a dense
+    // partial solve every iteration.
     RealMatrix reduced = symmetric;
     std::vector<double> d;
     std::vector<double> e;
@@ -2616,7 +2418,7 @@ EigenResult syevd_partial(const RealMatrix& symmetric, std::size_t m,
                        for (std::size_t c = 0; c < m; ++c) row[c] = vt(c, r);
                      }
                    });
-      apply_q_blocked(reduced, tau, z);
+      apply_q_panels(reduced, tau, z, 1);  // z <- Q z
     }
     result.eigenvectors = std::move(z);
 

@@ -2,27 +2,24 @@
 // Dense linear algebra kernels: blocked GEMM and symmetric/Hermitian
 // eigensolvers (the paper's SYEVD), implemented from scratch.
 //
-// The production eigensolver (`syevd`) dispatches by size between two
-// complete paths:
+// One solver per question asked:
 //
-//  * One-stage (small n, and public as `syevd_onestage`): blocked
-//    Householder panel reduction straight to tridiagonal form with the
-//    trailing-matrix rank-2k updates expressed as GEMM on the blocked
-//    kernel, implicit-shift QL on the tridiagonal matrix with the Givens
-//    rotations applied in pool-parallel contiguous sweeps, and a
-//    compact-WY GEMM back-transformation.
-//  * Two-stage + divide-and-conquer (large n): full -> band reduction via
-//    blocked QR panels whose two-sided trailing updates are pure level-3
-//    GEMM, band -> tridiagonal via Givens bulge chasing (the rotations are
-//    logged), then a Cuppen divide-and-conquer tridiagonal eigensolver
-//    (secular-equation roots with dlaed2-style deflation, merges
-//    back-multiplied as GEMMs). Eigenvectors come back through the
-//    reversed rotation log and the same compact-WY GEMMs.
+//  * Full spectrum (`syevd`), at every size: two-stage reduction - full ->
+//    band via blocked QR panels whose two-sided trailing updates are pure
+//    level-3 GEMM, band -> tridiagonal via Givens bulge chasing (the
+//    rotations are logged) - then a Cuppen divide-and-conquer tridiagonal
+//    eigensolver (secular-equation roots with dlaed2-style deflation,
+//    merges back-multiplied as GEMMs). Eigenvectors come back through the
+//    reversed rotation log and compact-WY GEMM panels.
+//  * Lowest-m window (`syevd_partial`): blocked Householder panel
+//    reduction straight to tridiagonal form (trailing rank-2k updates as
+//    GEMM), bisection plus inverse iteration for the m wanted pairs, and
+//    the same compact-WY back-transformation restricted to m columns.
 //
 // The serial EISPACK-lineage tred2/tql2 pair is kept as `syevd_naive`,
 // the reference both production paths are tested and benchmarked against.
 // Complex Hermitian problems are solved through the standard real
-// embedding [[A, -B], [B, A]], so they ride the blocked real path too;
+// embedding [[A, -B], [B, A]], so they ride the real `syevd` path too;
 // large complex GEMMs are computed with a 3M split (three real products
 // on the real microkernel).
 
@@ -96,23 +93,13 @@ struct EigenResult {
 };
 
 /// Solves the full eigenproblem of a real symmetric matrix (SYEVD). This
-/// is the production entry point every physics consumer goes through. It
-/// dispatches by size: small problems run the one-stage path (blocked
-/// Householder tridiagonalization, pool-parallel QL rotation sweeps,
-/// compact-WY GEMM back-transformation), large problems the two-stage
-/// band reduction + bulge chase + divide-and-conquer path, whose trailing
-/// updates and merge back-multiplications are level-3 GEMM. Results are
-/// bitwise identical for any thread count. Throws NdftError if the matrix
-/// is not square or an iteration fails to converge (pathological input).
+/// is the production entry point every full-spectrum consumer goes
+/// through: two-stage band reduction + bulge chase + divide-and-conquer,
+/// whose trailing updates and merge back-multiplications are level-3
+/// GEMM. Results are bitwise identical for any thread count. Throws
+/// NdftError if the matrix is not square or an iteration fails to
+/// converge (pathological input).
 EigenResult syevd(const RealMatrix& symmetric, OpCount* count = nullptr);
-
-/// The one-stage path (blocked tridiagonalization + QL + compact WY),
-/// callable directly regardless of size. Kept public as the regression
-/// baseline the two-stage solver is benchmarked and gated against; small
-/// `syevd` calls dispatch here. Same semantics and OpCount accounting as
-/// syevd().
-EigenResult syevd_onestage(const RealMatrix& symmetric,
-                           OpCount* count = nullptr);
 
 /// Serial reference solver (EISPACK tred2/tql2 lineage), kept as the
 /// ground truth `syevd` is validated and benchmarked against. Same
@@ -121,15 +108,15 @@ EigenResult syevd_naive(const RealMatrix& symmetric,
                         OpCount* count = nullptr);
 
 /// Analytic cost tally of a partial eigensolve returning the lowest `m`
-/// pairs: the full reduction (~(4/3)n^3) survives, but the QL rotations
-/// and the back-transformation shrink to O(n^2 m). Collapses to
+/// pairs: the full reduction (~(4/3)n^3) survives, but the tridiagonal
+/// eigensolve and the back-transformation shrink to O(n^2 m). Collapses to
 /// syevd_cost(n) in the regime where syevd_partial() delegates to the
 /// full solver.
 SyevdCost syevd_partial_cost(std::size_t n, std::size_t m) noexcept;
 
 /// Solves for the lowest `m` eigenpairs of a real symmetric matrix
-/// (1 <= m <= n). Reuses the blocked Householder reduction, then replaces
-/// the full-spectrum QL stage with bisection (Sturm counts on the
+/// (1 <= m <= n). Runs the blocked Householder reduction, then replaces
+/// the full-spectrum tridiagonal stage with bisection (Sturm counts on the
 /// tridiagonal matrix) plus inverse iteration for just those `m` vectors,
 /// which are back-transformed through the compact-WY GEMMs restricted to
 /// m columns — O(n^2 m) after the reduction instead of O(n^3). When
@@ -150,7 +137,7 @@ struct HermitianEigenResult {
 
 /// Solves the full eigenproblem of a complex Hermitian matrix via the real
 /// 2n x 2n embedding (each eigenvalue appears twice; duplicates are
-/// folded), so the solve runs on the blocked real syevd() path.
+/// folded), so the solve runs on the real syevd() path.
 HermitianEigenResult heev(const ComplexMatrix& hermitian,
                           OpCount* count = nullptr);
 
@@ -166,11 +153,12 @@ void linalg_timer_reset() noexcept;
 double linalg_timer_ms() noexcept;
 
 /// Per-stage wall-clock split of the eigensolver time: the reduction to
-/// tridiagonal form (one-stage Householder, or band reduction + bulge
-/// chase), the tridiagonal eigensolve (QL, divide-and-conquer, or
-/// bisection), and the eigenvector back-transformations (reversed
-/// rotation log + compact-WY GEMMs). The three buckets are disjoint
-/// sub-spans of `linalg_timer_ms`, so they add up to at most the total.
+/// tridiagonal form (band reduction + bulge chase in syevd, Householder
+/// panels in syevd_partial), the tridiagonal eigensolve
+/// (divide-and-conquer, or bisection + inverse iteration), and the
+/// eigenvector back-transformations (reversed rotation log and/or
+/// compact-WY GEMMs). The three buckets are disjoint sub-spans of
+/// `linalg_timer_ms`, so they add up to at most the total.
 struct LinalgStageTimes {
   double reduce_ms = 0.0;
   double tridiag_ms = 0.0;

@@ -1,6 +1,5 @@
-// Tests for the extension modules: SCF ground state, the block Davidson
-// solver, optical spectra, the adaptive scheduler and the DRAM page
-// policies.
+// Tests for the extension modules: SCF ground state, optical spectra, the
+// adaptive scheduler and the DRAM page policies.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +7,6 @@
 
 #include "core/cli.hpp"
 #include "core/ndft_system.hpp"
-#include "dft/davidson.hpp"
 #include "dft/scf.hpp"
 #include "dft/spectrum.hpp"
 #include "mem/dram_system.hpp"
@@ -104,109 +102,6 @@ TEST(LdaTest, ExchangeCorrelationLimits) {
   // correlation the potential is a bit deeper.
   EXPECT_LT(dft::lda_vxc(1.0), -0.98);
   EXPECT_GT(dft::lda_vxc(1.0), -1.25);
-}
-
-// -------------------------------------------------------------- Davidson
-
-dft::RealMatrix test_matrix(std::size_t n) {
-  // Diagonally dominant symmetric matrix with a known-ish low spectrum.
-  dft::RealMatrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    m(i, i) = static_cast<double>(i) + 1.0;
-    for (std::size_t j = 0; j < i; ++j) {
-      const double v = 0.1 / static_cast<double>(i + j + 1);
-      m(i, j) = v;
-      m(j, i) = v;
-    }
-  }
-  return m;
-}
-
-TEST(DavidsonTest, MatchesDenseSolverOnLowestPairs) {
-  const std::size_t n = 120;
-  const dft::RealMatrix m = test_matrix(n);
-  const dft::EigenResult dense = dft::syevd(m);
-  dft::DavidsonConfig config;
-  config.wanted = 5;
-  config.tolerance = 1e-9;
-  const dft::DavidsonResult iterative = dft::davidson(m, config);
-  EXPECT_TRUE(iterative.converged);
-  ASSERT_EQ(iterative.eigenvalues.size(), 5u);
-  for (std::size_t k = 0; k < 5; ++k) {
-    EXPECT_NEAR(iterative.eigenvalues[k], dense.eigenvalues[k], 1e-7);
-  }
-}
-
-TEST(DavidsonTest, EigenvectorsHaveSmallResidual) {
-  const std::size_t n = 80;
-  const dft::RealMatrix m = test_matrix(n);
-  dft::DavidsonConfig config;
-  config.wanted = 3;
-  const dft::DavidsonResult result = dft::davidson(m, config);
-  ASSERT_TRUE(result.converged);
-  for (std::size_t k = 0; k < 3; ++k) {
-    double residual2 = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      double acc = 0.0;
-      for (std::size_t j = 0; j < n; ++j) {
-        acc += m(i, j) * result.eigenvectors(j, k);
-      }
-      acc -= result.eigenvalues[k] * result.eigenvectors(i, k);
-      residual2 += acc * acc;
-    }
-    EXPECT_LT(std::sqrt(residual2), 1e-6);
-  }
-}
-
-TEST(DavidsonTest, MatrixFreeOperator) {
-  // 1D Laplacian stencil, matrix-free: lowest eigenvalue of the n-point
-  // Dirichlet Laplacian is 2 - 2 cos(pi/(n+1)).
-  const std::size_t n = 64;
-  const dft::ApplyFn apply = [n](const std::vector<double>& x,
-                                 std::vector<double>& y) {
-    y.assign(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      y[i] = 2.0 * x[i];
-      if (i > 0) y[i] -= x[i - 1];
-      if (i + 1 < n) y[i] -= x[i + 1];
-    }
-  };
-  std::vector<double> diagonal(n, 2.0);
-  dft::DavidsonConfig config;
-  config.wanted = 2;
-  // The uniform diagonal makes the Jacobi preconditioner toothless here,
-  // so keep a realistic tolerance.
-  config.tolerance = 1e-8;
-  config.max_iterations = 400;
-  const dft::DavidsonResult result = dft::davidson(n, apply, diagonal,
-                                                   config);
-  const double pi = std::numbers::pi;
-  ASSERT_GE(result.eigenvalues.size(), 2u);
-  EXPECT_NEAR(result.eigenvalues[0],
-              2.0 - 2.0 * std::cos(pi / static_cast<double>(n + 1)), 1e-7);
-  EXPECT_NEAR(result.eigenvalues[1],
-              2.0 - 2.0 * std::cos(2.0 * pi / static_cast<double>(n + 1)),
-              1e-7);
-}
-
-TEST(DavidsonTest, UsesFarFewerApplicationsThanDense) {
-  const std::size_t n = 200;
-  const dft::RealMatrix m = test_matrix(n);
-  dft::DavidsonConfig config;
-  config.wanted = 4;
-  const dft::DavidsonResult result = dft::davidson(m, config);
-  EXPECT_TRUE(result.converged);
-  // The point of the iterative solver: o(n) operator applications.
-  EXPECT_LT(result.operator_applications, n);
-}
-
-TEST(DavidsonTest, RejectsBadRequests) {
-  const dft::RealMatrix m = test_matrix(8);
-  dft::DavidsonConfig config;
-  config.wanted = 0;
-  EXPECT_THROW(dft::davidson(m, config), NdftError);
-  config.wanted = 20;  // more than n
-  EXPECT_THROW(dft::davidson(m, config), NdftError);
 }
 
 // ---------------------------------------------------------------- spectra

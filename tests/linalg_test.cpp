@@ -365,10 +365,12 @@ TEST(SyevdTest, RejectsNonSquare) {
   EXPECT_THROW(syevd_naive(m), NdftError);
 }
 
-// Property sweep for the blocked solver: residual, orthonormality,
-// ascending order and agreement with the serial reference across sizes
-// chosen around the panel width (kEigBlock = 32): below the block, at the
-// block, one off either side, non-multiples, and multi-panel sizes.
+// Property sweep for the full solver: residual, orthonormality,
+// ascending order and agreement with the serial reference across small
+// sizes: trivial ones, the D&C base-case edge (kDcBase = 40: a lone tql2
+// below, a merge above), the band width below n = 384 (48: at n <= 49
+// band_reduce does no panel and the chase reduces the whole matrix), and
+// one- and multi-panel sizes above it.
 class SyevdPropertyTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(SyevdPropertyTest, ResidualOrthogonalityOrderAndNaiveAgreement) {
@@ -403,48 +405,51 @@ TEST_P(SyevdPropertyTest, ResidualOrthogonalityOrderAndNaiveAgreement) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, SyevdPropertyTest,
                          ::testing::Values(1, 2, 3, 5, 8, 16, 31, 32, 33,
-                                           50, 64, 70, 97, 128, 130));
+                                           40, 41, 48, 49, 50, 64, 70, 97,
+                                           128, 130));
 
 TEST(SyevdTest, DeterministicAcrossThreadCounts) {
-  // The reduction's GEMM updates, the QL rotation sweeps and the WY
-  // back-transformation all split work across the pool; eigenvalues AND
-  // eigenvectors must stay bitwise identical for any thread count. Large
-  // enough to engage every parallel path (multiple panels, rotation
-  // sweeps above the serial grain).
-  const std::size_t n = 200;
-  const RealMatrix m = random_symmetric(n, 77);
+  // The band reduction's GEMM updates, the D&C root solves and merges,
+  // the chase-rotation replay and the WY back-transformation all split
+  // work across the pool; eigenvalues AND eigenvectors must stay bitwise
+  // identical for any thread count. n = 200 engages every parallel path
+  // (multiple band panels, a replay above the serial grain); at n = 48
+  // band_reduce does no panel and the chase reduces the whole matrix.
+  for (const std::size_t n : {48u, 200u}) {
+    const RealMatrix m = random_symmetric(n, 77);
 
-  ThreadPool& pool = ThreadPool::instance();
-  const std::size_t original_threads = pool.threads();
-  std::vector<EigenResult> results;
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    pool.resize(threads);
-    results.push_back(syevd(m));
-  }
-  // Restore before the assertions below: an ASSERT returns out of the
-  // test, and the process-wide pool must not stay at the failing width.
-  pool.resize(original_threads);
+    ThreadPool& pool = ThreadPool::instance();
+    const std::size_t original_threads = pool.threads();
+    std::vector<EigenResult> results;
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      pool.resize(threads);
+      results.push_back(syevd(m));
+    }
+    // Restore before the assertions below: an ASSERT returns out of the
+    // test, and the process-wide pool must not stay at the failing width.
+    pool.resize(original_threads);
 
-  for (std::size_t t = 1; t < results.size(); ++t) {
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(results[0].eigenvalues[i], results[t].eigenvalues[i])
-          << "eigenvalue " << i << " at thread variant " << t;
-      for (std::size_t j = 0; j < n; ++j) {
-        ASSERT_EQ(results[0].eigenvectors(i, j),
-                  results[t].eigenvectors(i, j))
-            << "eigenvector element (" << i << ", " << j
-            << ") at thread variant " << t;
+    for (std::size_t t = 1; t < results.size(); ++t) {
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(results[0].eigenvalues[i], results[t].eigenvalues[i])
+            << "eigenvalue " << i << " of n=" << n << " at thread variant "
+            << t;
+        for (std::size_t j = 0; j < n; ++j) {
+          ASSERT_EQ(results[0].eigenvectors(i, j),
+                    results[t].eigenvectors(i, j))
+              << "eigenvector element (" << i << ", " << j << ") of n=" << n
+              << " at thread variant " << t;
+        }
       }
     }
   }
 }
 
-// Two-stage + divide-and-conquer sweep. These sizes all sit above the
-// dispatch threshold, bracketing the band width / panel edges (multiples
-// of 32 and their neighbours), so the band reduction's short tail panel,
-// the chase and the D&C merge tree all get exercised. Matrices are
-// scaled to O(1/sqrt(n)) spectra so the 1e-13 naive-agreement bound is
-// absolute.
+// Two-stage + divide-and-conquer sweep at larger sizes, bracketing the
+// band width / panel edges (multiples of 32 and their neighbours), so the
+// band reduction's short tail panel, the chase and the D&C merge tree all
+// get exercised. Matrices are scaled to O(1/sqrt(n)) spectra so the
+// 1e-13 naive-agreement bound is absolute.
 class SyevdTwoStagePropertyTest
     : public ::testing::TestWithParam<std::size_t> {};
 
@@ -474,12 +479,6 @@ TEST_P(SyevdTwoStagePropertyTest, ResidualOrthogonalityAndNaiveAgreement) {
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(result.eigenvalues[i], reference.eigenvalues[i], 1e-13)
         << "eigenvalue " << i << " of " << n;
-  }
-  // The one-stage path solves the same problem; the two paths must agree
-  // to the same tolerance (they are gated against each other in bench).
-  const EigenResult onestage = syevd_onestage(m);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(result.eigenvalues[i], onestage.eigenvalues[i], 1e-13);
   }
 }
 
@@ -562,10 +561,10 @@ TEST(SyevdTwoStageTest, ClusteredSpectrumExercisesDeflation) {
 }
 
 TEST(SyevdTwoStageTest, DeterministicAcrossThreadCounts) {
-  // Same contract as the one-stage determinism test, but sized to engage
-  // the two-stage path: band-reduction GEMM panels, the serial chase, the
-  // pool-parallel secular solves and the reversed rotation replay must
-  // all be bitwise identical for any pool width.
+  // Same contract as SyevdTest.DeterministicAcrossThreadCounts on a
+  // second multi-panel size: band-reduction GEMM panels, the serial
+  // chase, the pool-parallel secular solves and the reversed rotation
+  // replay must all be bitwise identical for any pool width.
   const std::size_t n = 224;
   const RealMatrix m = random_symmetric(n, 1234);
 
@@ -594,9 +593,9 @@ TEST(SyevdTwoStageTest, DeterministicAcrossThreadCounts) {
 
 // Partial-spectrum sweep: the lowest-m path must agree with the full
 // solver on eigenvalues (to ~n*eps*||A||) and eigenvectors (to sign),
-// stay orthonormal, and keep a small residual. Sizes bracket the panel
-// width (kEigBlock = 32) like the full sweep; m spans the bisection
-// regime (2m <= n) and the delegating regime (2m > n).
+// stay orthonormal, and keep a small residual. Sizes bracket the
+// Householder reduction's panel width (kEigBlock = 32); m spans the
+// bisection regime (2m <= n) and the delegating regime (2m > n).
 class SyevdPartialTest
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {
 };

@@ -21,7 +21,6 @@
 #include "common/cancel.hpp"
 #include "common/fault.hpp"
 #include "common/prng.hpp"
-#include "dft/davidson.hpp"
 #include "dft/linalg.hpp"
 
 namespace ndft::api {
@@ -317,37 +316,6 @@ TEST_F(DegradationTest, FallbackMatchesPartialSolverNumerics) {
   for (std::size_t k = 0; k < 6; ++k) {
     EXPECT_NEAR(degraded.eigenvalues[k], reference.eigenvalues[k], 1e-9);
   }
-}
-
-TEST_F(DegradationTest, DavidsonFaultFallsBackToDense) {
-  dft::RealMatrix m(48, 48);
-  for (std::size_t i = 0; i < 48; ++i) {
-    m(i, i) = static_cast<double>(i) + 1.0;
-    for (std::size_t j = 0; j < i; ++j) {
-      const double v = 0.05 / static_cast<double>(i + j + 1);
-      m(i, j) = v;
-      m(j, i) = v;
-    }
-  }
-  const dft::EigenResult dense = dft::syevd(m);
-  fault_install(FaultSpec::parse("solver.davidson=1.0@1"));
-  DegradationScope notes;
-  dft::DavidsonConfig config;
-  config.wanted = 4;
-  const dft::DavidsonResult result = dft::davidson(m, config);
-  const std::vector<std::string> taken = notes.take();
-  ASSERT_EQ(taken.size(), 1u);
-  EXPECT_EQ(taken.front(), "davidson:dense_fallback");
-  EXPECT_TRUE(result.converged);
-  ASSERT_EQ(result.eigenvalues.size(), 4u);
-  for (std::size_t k = 0; k < 4; ++k) {
-    EXPECT_NEAR(result.eigenvalues[k], dense.eigenvalues[k], 1e-9);
-  }
-  // Bad requests still throw, fault or no fault.
-  fault_install(FaultSpec::parse("solver.davidson=1.0"));
-  dft::DavidsonConfig bad;
-  bad.wanted = 0;
-  EXPECT_THROW(dft::davidson(m, bad), NdftError);
 }
 
 TEST_F(DegradationTest, TraceRecorderFaultDowngradesToUntraced) {

@@ -151,7 +151,6 @@ TEST(TraceRecorderTest, UntracedThreadRecordsNothing) {
   // not leak state into a later scope.
   RealMatrix a = random_symmetric(16, 5);
   syevd(a);
-  trace_add_work(1, 1);
   trace_set_system(8, 100, 1000);
   TraceRecorder recorder;
   {
