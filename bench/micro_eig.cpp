@@ -2,20 +2,22 @@
 // reduction, bulge chase, divide-and-conquer) against the serial
 // reference (syevd_naive), plus the partial-spectrum solver
 // (syevd_partial, lowest n/8 pairs) against the full solve, across
-// problem sizes and pool widths. Results go to BENCH_eig.json for
-// cross-commit tracking; docs/PERF.md quotes a snapshot.
+// problem sizes and pool widths, plus syevd_partial at the physics
+// callers' shapes with its reduce / tridiag / backtransform stage split.
+// Results go to BENCH_eig.json for cross-commit tracking; docs/PERF.md
+// quotes a snapshot.
 //
 // Every configuration is warmed up once and reported as the median of
-// five runs.
+// five runs (21 for the production shapes, whose solves take a few ms).
 //
 // Modes:
 //   bench_micro_eig            full sweep: n in {64..1024}, threads {1,2,4,8}
-//   bench_micro_eig --smoke    n in {128, 256}; exits nonzero if the
-//                              spectra disagree, syevd is slower than
-//                              the reference at n=128, the partial
-//                              solver is slower than the full solve, or
-//                              the fused fft3d is slower than the
-//                              unfused baseline (the verify.sh
+//   bench_micro_eig --smoke    n in {128, 256}, threads {1,2}; exits
+//                              nonzero if the spectra disagree, syevd
+//                              is slower than the reference at n=128,
+//                              the partial solver is slower than the
+//                              full solve, or the fused fft3d is slower
+//                              than the unfused baseline (the verify.sh
 //                              --bench-smoke gate; also wired into the
 //                              ctest kernel tier)
 
@@ -81,6 +83,28 @@ struct PartialSample {
   double ms = 0.0;
   double speedup_vs_full = 0.0;  ///< full ms / partial ms
 };
+
+/// syevd_partial at one pool width: wall time and the stage split from
+/// linalg_stage_times(), each the median over the reps.
+struct StageSample {
+  std::size_t threads = 0;
+  double ms = 0.0;
+  double reduce_ms = 0.0;
+  double tridiag_ms = 0.0;
+  double backtransform_ms = 0.0;
+};
+
+/// The partial-solve shapes the physics callers run: the Si_8 SCF window
+/// (n=179 plane waves, m=24 bands) and the default band job's k-point
+/// solve (n=137, m=8).
+struct ProductionSample {
+  std::size_t n = 0;
+  std::size_t m = 0;
+  std::vector<StageSample> runs;
+  double max_eigenvalue_diff = 0.0;  ///< vs syevd on the window
+};
+constexpr std::size_t kProductionShapes[][2] = {{179, 24}, {137, 8}};
+constexpr int kProductionReps = 21;
 
 struct SizeSample {
   std::size_t n = 0;
@@ -183,6 +207,40 @@ int main(int argc, char** argv) try {
     samples.push_back(std::move(sample));
   }
 
+  std::vector<ProductionSample> production;
+  for (const auto& shape : kProductionShapes) {
+    ProductionSample sample;
+    sample.n = shape[0];
+    sample.m = shape[1];
+    const dft::RealMatrix m = random_symmetric(sample.n, 1000 + sample.n);
+    const dft::EigenResult full = dft::syevd(m);
+    for (const std::size_t threads : thread_sweep) {
+      pool.resize(threads);
+      dft::EigenResult partial = dft::syevd_partial(m, sample.m);  // warmup
+      std::vector<double> total(kProductionReps);
+      std::vector<double> reduce(kProductionReps);
+      std::vector<double> tridiag(kProductionReps);
+      std::vector<double> backtransform(kProductionReps);
+      for (int r = 0; r < kProductionReps; ++r) {
+        dft::linalg_timer_reset();
+        total[r] =
+            time_ms([&] { partial = dft::syevd_partial(m, sample.m); });
+        const dft::LinalgStageTimes stages = dft::linalg_stage_times();
+        reduce[r] = stages.reduce_ms;
+        tridiag[r] = stages.tridiag_ms;
+        backtransform[r] = stages.backtransform_ms;
+      }
+      sample.runs.push_back({threads, median(total), median(reduce),
+                             median(tridiag), median(backtransform)});
+      for (std::size_t i = 0; i < sample.m; ++i) {
+        sample.max_eigenvalue_diff =
+            std::max(sample.max_eigenvalue_diff,
+                     std::fabs(partial.eigenvalues[i] - full.eigenvalues[i]));
+      }
+    }
+    production.push_back(std::move(sample));
+  }
+
   // Fused vs unfused 3D FFT (the other half of the hot loop this bench
   // guards): 64^3, single thread, warmup + median-of-5 each, interleaved.
   double fft_fused_ms = 0.0;
@@ -240,6 +298,20 @@ int main(int argc, char** argv) try {
     }
   }
   std::printf("%s\n", table.render().c_str());
+  TextTable stage_table({"n", "m", "threads", "partial", "reduce",
+                         "tridiag", "backtransform"});
+  for (const ProductionSample& s : production) {
+    for (const StageSample& r : s.runs) {
+      stage_table.add_row({strformat("%zu", s.n), strformat("%zu", s.m),
+                           strformat("%zu", r.threads),
+                           strformat("%.2f ms", r.ms),
+                           strformat("%.2f ms", r.reduce_ms),
+                           strformat("%.2f ms", r.tridiag_ms),
+                           strformat("%.2f ms", r.backtransform_ms)});
+    }
+  }
+  std::printf("syevd_partial at the production shapes (median of %d):\n%s\n",
+              kProductionReps, stage_table.render().c_str());
   std::printf("fft3d 64^3 1T: fused %.1f ms, unfused %.1f ms (%.2fx)\n\n",
               fft_fused_ms, fft_unfused_ms,
               fft_fused_ms > 0.0 ? fft_unfused_ms / fft_fused_ms : 0.0);
@@ -277,6 +349,27 @@ int main(int argc, char** argv) try {
     entries.push_back(std::move(entry));
   }
   bench.set("sizes", std::move(entries));
+  Json production_entries = Json::array();
+  for (const ProductionSample& s : production) {
+    Json entry = Json::object();
+    entry.set("n", s.n);
+    entry.set("m", s.m);
+    entry.set("reps", static_cast<std::size_t>(kProductionReps));
+    entry.set("max_eigenvalue_diff", s.max_eigenvalue_diff);
+    Json runs = Json::array();
+    for (const StageSample& r : s.runs) {
+      Json run = Json::object();
+      run.set("threads", r.threads);
+      run.set("ms", r.ms);
+      run.set("reduce_ms", r.reduce_ms);
+      run.set("tridiag_ms", r.tridiag_ms);
+      run.set("backtransform_ms", r.backtransform_ms);
+      runs.push_back(std::move(run));
+    }
+    entry.set("runs", std::move(runs));
+    production_entries.push_back(std::move(entry));
+  }
+  bench.set("production", std::move(production_entries));
   Json fft = Json::object();
   fft.set("grid", static_cast<std::size_t>(64));
   fft.set("fused_ms", fft_fused_ms);
@@ -304,6 +397,15 @@ int main(int argc, char** argv) try {
                    "FAIL: partial/naive spectra disagree on the lowest "
                    "%zu pairs at n=%zu\n",
                    s.partial_m, s.n);
+      return 1;
+    }
+  }
+  for (const ProductionSample& s : production) {
+    if (s.max_eigenvalue_diff > 1e-8) {
+      std::fprintf(stderr,
+                   "FAIL: partial/full spectra disagree on the lowest %zu "
+                   "pairs at n=%zu\n",
+                   s.m, s.n);
       return 1;
     }
   }

@@ -5,7 +5,7 @@
 # their startup cost.
 #
 # Usage: scripts/verify.sh [--tier LABEL] [--bench-smoke] [--sanitize]
-#                          [build-dir]
+#                          [--portable] [build-dir]
 #   (default build-dir: build)
 #   --tier LABEL   build, then run only the ctest tier LABEL (kernel,
 #                  physics, api, robust, trace, net, shard or sim) and
@@ -30,17 +30,26 @@
 #   --sanitize     additionally build an ASan+UBSan tree (build-asan,
 #                  -DNDFT_SANITIZE=ON) and run the api and robust tiers
 #                  under it; any sanitizer report fails the gate.
+#   --portable     additionally build a portable tree (build-portable,
+#                  -DNDFT_NATIVE_ARCH=OFF: no -march=native, so no
+#                  AVX-512 on x86-64) and run the kernel tier under it.
+#                  It is the only build that compiles the kernels'
+#                  non-AVX-512 code: dot_range's scalar path, the GEMM
+#                  microkernel's generic loop, and the bisection lanes
+#                  lowered to narrower vectors.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BENCH_SMOKE=0
 SANITIZE=0
+PORTABLE=0
 TIER=""
 BUILD_DIR="build"
 while [ "$#" -gt 0 ]; do
   case "$1" in
     --bench-smoke) BENCH_SMOKE=1 ;;
     --sanitize) SANITIZE=1 ;;
+    --portable) PORTABLE=1 ;;
     --tier)
       [ "$#" -ge 2 ] || { echo "verify.sh: --tier needs a label" >&2; exit 2; }
       TIER="$2"; shift ;;
@@ -51,10 +60,10 @@ while [ "$#" -gt 0 ]; do
 done
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
-if [ -n "$TIER" ] && [ "$BENCH_SMOKE" -eq 1 ]; then
+if [ -n "$TIER" ] && { [ "$BENCH_SMOKE" -eq 1 ] || [ "$PORTABLE" -eq 1 ]; }; then
   # --tier is an iteration shortcut that stops after one ctest label; it
-  # would silently skip the smoke gates the caller asked for.
-  echo "verify.sh: --tier and --bench-smoke cannot be combined" >&2
+  # would silently skip the extra gates the caller asked for.
+  echo "verify.sh: --tier cannot be combined with --bench-smoke or --portable" >&2
   exit 2
 fi
 
@@ -121,4 +130,14 @@ if [ "$SANITIZE" -eq 1 ]; then
   cmake --build "$SAN_DIR" -j "$JOBS"
   ctest --test-dir "$SAN_DIR" -L 'api|robust' --output-on-failure -j "$JOBS"
   echo "sanitize (api|robust): OK ($SAN_DIR)"
+fi
+
+if [ "$PORTABLE" -eq 1 ]; then
+  # The same kernel tier without -march=native: the non-AVX-512 branches
+  # must build and pass the same bitwise and accuracy tests.
+  PORTABLE_DIR="build-portable"
+  cmake -B "$PORTABLE_DIR" -S . -DNDFT_NATIVE_ARCH=OFF
+  cmake --build "$PORTABLE_DIR" -j "$JOBS"
+  ctest --test-dir "$PORTABLE_DIR" -L kernel --output-on-failure -j "$JOBS"
+  echo "portable (kernel): OK ($PORTABLE_DIR)"
 fi

@@ -90,10 +90,15 @@ double sign_of(double magnitude, double sign) noexcept {
   return sign >= 0.0 ? std::fabs(magnitude) : -std::fabs(magnitude);
 }
 
+/// 8 doubles per vector; the GEMM microkernel's kNr is exactly two. A GNU
+/// vector type: one zmm register on AVX-512 builds, lowered to narrower
+/// registers elsewhere with the same element-wise IEEE results.
+typedef double V8d __attribute__((vector_size(64)));
+/// Element-wise compare results (0 or -1) and counters for V8d.
+typedef std::int64_t V8l __attribute__((vector_size(64)));
+
 #if defined(__GNUC__) && defined(__AVX512F__)
 #define NDFT_GEMM_SIMD 1
-/// 8 doubles per lane; the GEMM microkernel's kNr is exactly two lanes.
-typedef double V8d __attribute__((vector_size(64)));
 
 V8d v8_load(const double* p) {
   V8d v;
@@ -309,6 +314,47 @@ std::size_t eig_grain(std::size_t work_per_index) {
       1, kEigDispatchWork / std::max<std::size_t>(1, work_per_index));
 }
 
+/// dst(r, col) -= sum_p (v(r, v0 + p) cv[p] + w(r, p) cw[p]) over p in
+/// [0, len), for rows r in [begin, end): the two dlatrd panel folds. Each
+/// row's sum is one p-ordered chain of dependent adds, so a row at a time
+/// runs at the add latency; four rows per pass keep four independent
+/// chains in flight. Every row still sums in its own p order, so the
+/// result does not depend on the interleaving.
+void fold_panel_rows(RealMatrix& dst, std::size_t col, const RealMatrix& v,
+                     std::size_t v0, const RealMatrix& w, const double* cv,
+                     const double* cw, std::size_t len, std::size_t begin,
+                     std::size_t end) {
+  std::size_t r = begin;
+  for (; r + 4 <= end; r += 4) {
+    const double* v_0 = v.row(r) + v0;
+    const double* v_1 = v.row(r + 1) + v0;
+    const double* v_2 = v.row(r + 2) + v0;
+    const double* v_3 = v.row(r + 3) + v0;
+    const double* w_0 = w.row(r);
+    const double* w_1 = w.row(r + 1);
+    const double* w_2 = w.row(r + 2);
+    const double* w_3 = w.row(r + 3);
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    for (std::size_t p = 0; p < len; ++p) {
+      s0 += v_0[p] * cv[p] + w_0[p] * cw[p];
+      s1 += v_1[p] * cv[p] + w_1[p] * cw[p];
+      s2 += v_2[p] * cv[p] + w_2[p] * cw[p];
+      s3 += v_3[p] * cv[p] + w_3[p] * cw[p];
+    }
+    dst(r, col) -= s0;
+    dst(r + 1, col) -= s1;
+    dst(r + 2, col) -= s2;
+    dst(r + 3, col) -= s3;
+  }
+  for (; r < end; ++r) {
+    const double* v_r = v.row(r) + v0;
+    const double* w_r = w.row(r);
+    double s = 0.0;
+    for (std::size_t p = 0; p < len; ++p) s += v_r[p] * cv[p] + w_r[p] * cw[p];
+    dst(r, col) -= s;
+  }
+}
+
 /// Blocked Householder reduction to tridiagonal form (dsytrd/dlatrd
 /// lineage, lower-triangle convention). On return `d` is the diagonal,
 /// `e` the subdiagonal (e[0] unused), `tau` the reflector scalars, and
@@ -330,13 +376,7 @@ void blocked_tridiagonalize(RealMatrix& a, std::vector<double>& d,
       // Fold the panel's previous reflectors into column j:
       // a(j:n, j) -= V(j:n, 0:jj) w(j, 0:jj)^T + W(j:n, 0:jj) v(j, 0:jj)^T.
       if (jj > 0) {
-        for (std::size_t r = j; r < n; ++r) {
-          double acc = 0.0;
-          for (std::size_t p = 0; p < jj; ++p) {
-            acc += a(r, i0 + p) * w(j, p) + w(r, p) * a(j, i0 + p);
-          }
-          a(r, j) -= acc;
-        }
+        fold_panel_rows(a, j, a, i0, w, w.row(j), a.row(j) + i0, jj, j, n);
       }
       // Householder reflector annihilating a(j+2:n, j).
       double tail2 = 0.0;
@@ -377,13 +417,8 @@ void blocked_tridiagonalize(RealMatrix& a, std::vector<double>& d,
             vtv[p] += arow[p] * vr;
           }
         }
-        for (std::size_t r = j + 1; r < n; ++r) {
-          double acc = 0.0;
-          for (std::size_t p = 0; p < jj; ++p) {
-            acc += a(r, i0 + p) * wtv[p] + w(r, p) * vtv[p];
-          }
-          w(r, jj) -= acc;
-        }
+        fold_panel_rows(w, jj, a, i0, w, wtv.data(), vtv.data(), jj, j + 1,
+                        n);
       }
       double dot = 0.0;
       for (std::size_t r = j + 1; r < n; ++r) {
@@ -485,9 +520,40 @@ void apply_q_panels(const RealMatrix& a, const std::vector<double>& tau,
     for (std::size_t p = 0; p < kb; ++p) {
       const double tau_p = tau[i0 + p];
       if (tau_p == 0.0) continue;  // H = I: the zero row/column is exact
-      for (std::size_t q = 0; q < p; ++q) {
+      // t(q, p) = -tau_p sum_{u=q}^{p-1} t(q, u) gram(u, p). The GEMM
+      // forms every Gram entry as one k-ordered sum of products and
+      // x*y == y*x, so V^T V is bitwise symmetric and row p stands in
+      // for column p as a contiguous read. The q sums are independent
+      // chains: four run interleaved, row q+i joining at u = q+i.
+      const double* g = gram.row(p);
+      std::size_t q = 0;
+      for (; q + 4 <= p; q += 4) {
+        const double* t0 = t.row(q);
+        const double* t1 = t.row(q + 1);
+        const double* t2 = t.row(q + 2);
+        const double* t3 = t.row(q + 3);
+        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+        s0 += t0[q] * g[q];
+        s0 += t0[q + 1] * g[q + 1];
+        s1 += t1[q + 1] * g[q + 1];
+        s0 += t0[q + 2] * g[q + 2];
+        s1 += t1[q + 2] * g[q + 2];
+        s2 += t2[q + 2] * g[q + 2];
+        for (std::size_t u = q + 3; u < p; ++u) {
+          s0 += t0[u] * g[u];
+          s1 += t1[u] * g[u];
+          s2 += t2[u] * g[u];
+          s3 += t3[u] * g[u];
+        }
+        t(q, p) = -tau_p * s0;
+        t(q + 1, p) = -tau_p * s1;
+        t(q + 2, p) = -tau_p * s2;
+        t(q + 3, p) = -tau_p * s3;
+      }
+      for (; q < p; ++q) {
+        const double* tq = t.row(q);
         double acc = 0.0;
-        for (std::size_t u = q; u < p; ++u) acc += t(q, u) * gram(u, p);
+        for (std::size_t u = q; u < p; ++u) acc += tq[u] * g[u];
         t(q, p) = -tau_p * acc;
       }
       t(p, p) = tau_p;
@@ -1618,42 +1684,91 @@ void tridiag_dc(std::vector<double>& d, std::vector<double>& e,
 // order — bitwise identical for any thread count, like every other stage
 // of the solver.
 
-/// Number of eigenvalues of the tridiagonal matrix strictly below x, via
-/// the LDL^T Sturm recurrence. `d` is the diagonal, `e2[i]` the squared
-/// coupling of rows (i-1, i) (e2[0] unused); `pivmin` guards zero pivots
-/// (dstebz convention).
-std::size_t sturm_count_below(const std::vector<double>& d,
-                              const std::vector<double>& e2, double pivmin,
-                              double x) {
-  const std::size_t n = d.size();
-  std::size_t count = 0;
-  double q = d[0] - x;
-  if (q < 0.0) ++count;
-  for (std::size_t i = 1; i < n; ++i) {
-    if (std::fabs(q) < pivmin) q = -pivmin;
-    q = d[i] - x - e2[i] / q;
-    if (q < 0.0) ++count;
-  }
-  return count;
-}
+/// Bisection runs eigenvalue indices in lock-step lanes: kSturmLanes per
+/// vector, up to kSturmGroups vectors swept together.
+constexpr std::size_t kSturmLanes = 8;
+constexpr std::size_t kSturmGroups = 3;
+constexpr std::size_t kSturmBatch = kSturmLanes * kSturmGroups;
 
-/// Bisects for eigenvalue `k` (0-based, ascending) inside [lo, hi], which
-/// must satisfy count(lo) <= k < count(hi). Runs to floating-point
-/// fixpoint (~60 halvings), so the result is determined by the matrix
-/// alone.
-double bisect_eigenvalue(const std::vector<double>& d,
-                         const std::vector<double>& e2, double pivmin,
-                         double lo, double hi, std::size_t k) {
-  for (;;) {
-    const double mid = 0.5 * (lo + hi);
-    if (mid <= lo || mid >= hi) break;  // interval shrunk to one ulp
-    if (sturm_count_below(d, e2, pivmin, mid) > k) {
-      hi = mid;
-    } else {
-      lo = mid;
+/// Bisects for eigenvalues k0 .. k0+count-1 (0-based, ascending, count <=
+/// G * kSturmLanes) of the tridiagonal matrix into out[0, count). `d` is
+/// the diagonal, `e2[i]` the squared coupling of rows (i-1, i) (e2[0]
+/// unused), and every index starts from the bracket [lo, hi], which must
+/// satisfy count(lo) <= k < count(hi). count(x), the number of
+/// eigenvalues below x, is the number of negative pivots of the LDL^T
+/// Sturm recurrence q_i = (d_i - x) - e2_i / q_{i-1}; `pivmin` guards
+/// zero pivots (dstebz convention). Each lane halves its own bracket at
+/// mid = 0.5 (lo + hi) until no double lies strictly inside it (~60
+/// halvings, floating-point fixpoint) and returns hi: count(hi) > k, so
+/// the result is determined by the matrix alone.
+///
+/// One Sturm sweep is a chain of n dependent divisions, so a lone sweep
+/// waits out the division latency on every row. Here each row issues G
+/// independent vector divisions, which pipeline. Lanes are independent:
+/// a converged lane keeps its bracket (its further sweeps are discarded)
+/// until the whole batch has converged, so each lane's sequence is
+/// exactly that of bisecting its index alone.
+template <std::size_t G>
+void sturm_bisect_lanes(const std::vector<double>& d,
+                        const std::vector<double>& e2, double pivmin,
+                        double lo, double hi, std::size_t k0,
+                        std::size_t count, double* out) {
+  const std::size_t n = d.size();
+  const V8d zero{};
+  const V8d pivmin_v = zero + pivmin;
+  const V8d neg_pivmin_v = zero - pivmin;
+  V8d lo_v[G];
+  V8d hi_v[G];
+  V8l k_v[G];
+  for (std::size_t g = 0; g < G; ++g) {
+    lo_v[g] = zero + lo;
+    hi_v[g] = zero + hi;
+    for (std::size_t l = 0; l < kSturmLanes; ++l) {
+      // Tail lanes repeat the last index; their results are dropped.
+      k_v[g][l] = static_cast<std::int64_t>(
+          k0 + std::min(g * kSturmLanes + l, count - 1));
     }
   }
-  return hi;  // count(hi) > k: the k-th eigenvalue is at most hi
+  for (;;) {
+    V8d x[G];
+    V8l live[G];
+    V8l any_live{};
+    for (std::size_t g = 0; g < G; ++g) {
+      x[g] = 0.5 * (lo_v[g] + hi_v[g]);
+      live[g] = (x[g] > lo_v[g]) & (x[g] < hi_v[g]);
+      any_live |= live[g];
+    }
+    bool running = false;
+    for (std::size_t l = 0; l < kSturmLanes; ++l) {
+      running |= any_live[l] != 0;
+    }
+    if (!running) break;
+    V8d q[G];
+    V8l below[G];  // count(x) per lane: a true compare is -1
+    for (std::size_t g = 0; g < G; ++g) {
+      q[g] = d[0] - x[g];
+      below[g] = -(q[g] < zero);
+    }
+    for (std::size_t i = 1; i < n; ++i) {
+      const double di = d[i];
+      const double e2i = e2[i];
+      for (std::size_t g = 0; g < G; ++g) {
+        // |q| < pivmin, written as a range test on the vector.
+        q[g] = ((q[g] < pivmin_v) & (q[g] > neg_pivmin_v)) ? neg_pivmin_v
+                                                           : q[g];
+        q[g] = (di - x[g]) - e2i / q[g];
+        below[g] -= q[g] < zero;
+      }
+    }
+    for (std::size_t g = 0; g < G; ++g) {
+      const V8l above = below[g] > k_v[g];
+      hi_v[g] = (live[g] & above) ? x[g] : hi_v[g];
+      lo_v[g] = (live[g] & ~above) ? x[g] : lo_v[g];
+    }
+  }
+  for (std::size_t c = 0; c < count; ++c) {
+    out[c] = hi_v[c / kSturmLanes][c % kSturmLanes];
+  }
 }
 
 /// Solves (T - lambda I) x = b in place by Gaussian elimination with
@@ -1746,13 +1861,27 @@ void tridiag_lowest(const std::vector<double>& d, const std::vector<double>& e,
   hi += margin;
 
   eigenvalues.assign(m, 0.0);
-  parallel_for(0, m, eig_grain(64 * n),
-               [&](std::size_t klo, std::size_t khi) {
-                 for (std::size_t k = klo; k < khi; ++k) {
-                   eigenvalues[k] =
-                       bisect_eigenvalue(d, e2, pivmin, lo, hi, k);
-                 }
-               });
+  static_assert(kSturmGroups == 3, "the group dispatch below lists 1..3");
+  parallel_for(
+      0, ceil_div(m, kSturmBatch), eig_grain(64 * n * kSturmBatch),
+      [&](std::size_t blo, std::size_t bhi) {
+        for (std::size_t b = blo; b < bhi; ++b) {
+          const std::size_t k0 = b * kSturmBatch;
+          const std::size_t count = std::min(kSturmBatch, m - k0);
+          double* out = eigenvalues.data() + k0;
+          switch (ceil_div(count, kSturmLanes)) {
+            case 1:
+              sturm_bisect_lanes<1>(d, e2, pivmin, lo, hi, k0, count, out);
+              break;
+            case 2:
+              sturm_bisect_lanes<2>(d, e2, pivmin, lo, hi, k0, count, out);
+              break;
+            default:
+              sturm_bisect_lanes<3>(d, e2, pivmin, lo, hi, k0, count, out);
+              break;
+          }
+        }
+      });
 
   // Cluster boundaries: consecutive eigenvalues closer than the dstein
   // orthogonalisation threshold iterate as one group, so their vectors

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <tuple>
+#include <vector>
 
 #include "common/prng.hpp"
 #include "common/thread_pool.hpp"
@@ -659,11 +662,11 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(70, 40), std::make_tuple(97, 12),
                       std::make_tuple(128, 16), std::make_tuple(130, 64)));
 
-TEST(SyevdPartialTest, DegenerateClusterSpansTheSameSubspace) {
-  // A matrix with an exactly threefold-degenerate lowest eigenvalue (the
-  // Gamma_25' situation in the EPM matrices): the partial solver's
-  // cluster vectors must be orthonormal and satisfy the residual even
-  // though individual vectors are gauge-free.
+/// Dense 40 x 40 matrix with an exactly threefold-degenerate lowest
+/// eigenvalue -5 (the Gamma_25' situation in the EPM matrices), then 3,
+/// 4, ..., 39: diag(-5, -5, -5, 3, ..., 39) conjugated by a Householder
+/// reflector.
+RealMatrix threefold_degenerate_matrix() {
   const std::size_t n = 40;
   RealMatrix diag(n, n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -689,7 +692,14 @@ TEST(SyevdPartialTest, DegenerateClusterSpansTheSameSubspace) {
   RealMatrix matrix;
   gemm(q, diag, tmp);
   gemm(tmp, q, matrix, 1.0, 0.0, false, /*transpose_b=*/true);
+  return matrix;
+}
 
+TEST(SyevdPartialTest, DegenerateClusterSpansTheSameSubspace) {
+  // The partial solver's cluster vectors must be orthonormal and satisfy
+  // the residual even though individual vectors are gauge-free.
+  const RealMatrix matrix = threefold_degenerate_matrix();
+  const std::size_t n = matrix.rows();
   const EigenResult partial = syevd_partial(matrix, 5);
   for (std::size_t k = 0; k < 3; ++k) {
     EXPECT_NEAR(partial.eigenvalues[k], -5.0, 1e-9);
@@ -721,29 +731,175 @@ TEST(SyevdPartialTest, DegenerateClusterSpansTheSameSubspace) {
 TEST(SyevdPartialTest, DeterministicAcrossThreadCounts) {
   // Reduction GEMMs, bisection, per-cluster inverse iteration and the WY
   // back-transform all split across the pool; eigenvalues AND
-  // eigenvectors must stay bitwise identical for any thread count.
-  const std::size_t n = 200;
-  const std::size_t m = 48;
-  const RealMatrix matrix = random_symmetric(n, 88);
-
+  // eigenvectors must stay bitwise identical for any thread count. The
+  // windows cover whole and partial bisection lane groups (8 lanes, up
+  // to 3 groups per batch; 48 is two full batches), and the degenerate
+  // matrix a three-member inverse-iteration cluster.
+  const RealMatrix random = random_symmetric(200, 88);
+  const RealMatrix degenerate = threefold_degenerate_matrix();
+  const std::vector<std::tuple<const RealMatrix*, std::size_t>> cases = {
+      {&random, 48}, {&random, 1},  {&random, 9},
+      {&random, 24}, {&random, 25}, {&degenerate, 5}};
   ThreadPool& pool = ThreadPool::instance();
   const std::size_t original_threads = pool.threads();
-  std::vector<EigenResult> results;
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    pool.resize(threads);
-    results.push_back(syevd_partial(matrix, m));
-  }
-  pool.resize(original_threads);
+  for (const auto& [matrix, m] : cases) {
+    const std::size_t n = matrix->rows();
+    std::vector<EigenResult> results;
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      pool.resize(threads);
+      results.push_back(syevd_partial(*matrix, m));
+    }
+    pool.resize(original_threads);
 
-  for (std::size_t t = 1; t < results.size(); ++t) {
-    for (std::size_t k = 0; k < m; ++k) {
-      ASSERT_EQ(results[0].eigenvalues[k], results[t].eigenvalues[k])
-          << "eigenvalue " << k << " at thread variant " << t;
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(results[0].eigenvectors(i, k),
-                  results[t].eigenvectors(i, k))
-            << "eigenvector element (" << i << ", " << k
-            << ") at thread variant " << t;
+    for (std::size_t t = 1; t < results.size(); ++t) {
+      for (std::size_t k = 0; k < m; ++k) {
+        ASSERT_EQ(results[0].eigenvalues[k], results[t].eigenvalues[k])
+            << "eigenvalue " << k << " of n=" << n << " m=" << m
+            << " at thread variant " << t;
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(results[0].eigenvectors(i, k),
+                    results[t].eigenvectors(i, k))
+              << "eigenvector element (" << i << ", " << k << ") of n=" << n
+              << " m=" << m << " at thread variant " << t;
+        }
+      }
+    }
+  }
+}
+
+/// Scalar Sturm bisection for the lowest m eigenvalues of the tridiagonal
+/// matrix (d, e), e[i] coupling rows (i-1, i), one index at a time
+/// (dstebz shape) with syevd_partial's Gershgorin bracket, margin and
+/// pivmin guard: the oracle for its lock-step lanes, which change only
+/// the schedule and so must reproduce it bitwise.
+std::vector<double> scalar_sturm_bisection(const std::vector<double>& d,
+                                           const std::vector<double>& e,
+                                           std::size_t m) {
+  const std::size_t n = d.size();
+  std::vector<double> e2(n, 0.0);
+  double emax2 = 1.0;
+  for (std::size_t i = 1; i < n; ++i) {
+    e2[i] = e[i] * e[i];
+    emax2 = std::max(emax2, e2[i]);
+  }
+  const double pivmin = std::numeric_limits<double>::min() * emax2;
+  double lo = d[0];
+  double hi = d[0];
+  for (std::size_t i = 0; i < n; ++i) {
+    const double radius = (i > 0 ? std::fabs(e[i]) : 0.0) +
+                          (i + 1 < n ? std::fabs(e[i + 1]) : 0.0);
+    lo = std::min(lo, d[i] - radius);
+    hi = std::max(hi, d[i] + radius);
+  }
+  const double anorm = std::max(std::fabs(lo), std::fabs(hi));
+  const double margin =
+      16.0 * std::numeric_limits<double>::epsilon() * anorm + 2.0 * pivmin;
+  lo -= margin;
+  hi += margin;
+
+  const auto count_below = [&](double x) {
+    std::size_t count = 0;
+    double q = d[0] - x;
+    if (q < 0.0) ++count;
+    for (std::size_t i = 1; i < n; ++i) {
+      if (std::fabs(q) < pivmin) q = -pivmin;
+      q = d[i] - x - e2[i] / q;
+      if (q < 0.0) ++count;
+    }
+    return count;
+  };
+  std::vector<double> values(m);
+  for (std::size_t k = 0; k < m; ++k) {
+    double a = lo;
+    double b = hi;
+    for (;;) {
+      const double mid = 0.5 * (a + b);
+      if (mid <= a || mid >= b) break;
+      if (count_below(mid) > k) {
+        b = mid;
+      } else {
+        a = mid;
+      }
+    }
+    values[k] = b;
+  }
+  return values;
+}
+
+TEST(SyevdPartialTest, BisectionMatchesScalarSturmOracle) {
+  // On a tridiagonal input every reflector has tau = 0, so the reduction
+  // hands bisection the input diagonal and couplings exactly and the
+  // eigenvalues must equal the scalar oracle's bit for bit. Windows cover
+  // one lane, partial and whole 8-lane groups, and 1-3 groups per batch
+  // (2m <= n keeps every window on the bisection path).
+  struct Tridiagonal {
+    const char* name;
+    std::vector<double> d;
+    std::vector<double> e;
+  };
+  std::vector<Tridiagonal> inputs;
+  {
+    // Random diagonal and couplings.
+    Tridiagonal t{"random", std::vector<double>(64), std::vector<double>(64)};
+    Prng prng(2024);
+    for (std::size_t i = 0; i < 64; ++i) {
+      t.d[i] = prng.next_double(-2.0, 2.0);
+      t.e[i] = i > 0 ? prng.next_double(-1.0, 1.0) : 0.0;
+    }
+    inputs.push_back(std::move(t));
+  }
+  {
+    // Negated Wilkinson W_51^+: d_i = -|i - 25|, unit couplings. The
+    // lowest eigenvalues come in pairs that agree to many digits.
+    Tridiagonal t{"wilkinson", std::vector<double>(51),
+                  std::vector<double>(51, 1.0)};
+    for (std::size_t i = 0; i < 51; ++i) {
+      t.d[i] = -std::fabs(static_cast<double>(i) - 25.0);
+    }
+    t.e[0] = 0.0;
+    inputs.push_back(std::move(t));
+  }
+  {
+    // Zero couplings split the matrix, and row 0 is a lone zero: at x = 0
+    // the first pivot is exactly zero and the next quotient 0/0 unless
+    // the |q| < pivmin guard fires. Rows 10 and 50 pin the Gershgorin
+    // bracket to [-4, 4] (plus the same margin on both sides), so every
+    // index's first midpoint is exactly 0, and about half the rest of the
+    // spectrum lies below it.
+    Tridiagonal t{"split", std::vector<double>(60), std::vector<double>(60)};
+    Prng prng(77);
+    for (std::size_t i = 0; i < 60; ++i) {
+      t.d[i] = prng.next_double(-2.5, 2.5);
+      t.e[i] = prng.next_double(-0.5, 0.5);
+    }
+    t.d[0] = 0.0;
+    t.e[0] = 0.0;
+    t.e[1] = 0.0;
+    t.e[20] = 0.0;
+    t.e[41] = 0.0;
+    t.d[10] = -3.5;
+    t.e[10] = t.e[11] = 0.25;
+    t.d[50] = 3.5;
+    t.e[50] = t.e[51] = 0.25;
+    inputs.push_back(std::move(t));
+  }
+  for (const Tridiagonal& t : inputs) {
+    const std::size_t n = t.d.size();
+    RealMatrix matrix(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      matrix(i, i) = t.d[i];
+      if (i > 0) {
+        matrix(i, i - 1) = t.e[i];
+        matrix(i - 1, i) = t.e[i];
+      }
+    }
+    for (const std::size_t m : {1u, 7u, 8u, 9u, 23u, 24u, 25u}) {
+      const std::vector<double> oracle = scalar_sturm_bisection(t.d, t.e, m);
+      const EigenResult partial = syevd_partial(matrix, m);
+      ASSERT_EQ(partial.eigenvalues.size(), m);
+      for (std::size_t k = 0; k < m; ++k) {
+        ASSERT_EQ(partial.eigenvalues[k], oracle[k])
+            << t.name << " eigenvalue " << k << " of m=" << m;
       }
     }
   }
