@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "api/engine.hpp"
+#include "common/enum_names.hpp"
 #include "common/str_util.hpp"
 #include "common/table.hpp"
 #include "core/cli.hpp"
@@ -38,10 +39,9 @@ std::vector<core::ExecMode> modes_from(const std::string& name) {
 }
 
 runtime::Granularity granularity_from(const std::string& name) {
-  if (name == "instruction") return runtime::Granularity::kInstruction;
-  if (name == "block") return runtime::Granularity::kBasicBlock;
-  if (name == "function") return runtime::Granularity::kFunction;
-  if (name == "kernel") return runtime::Granularity::kKernel;
+  if (const auto granularity = enum_from_name<runtime::Granularity>(name)) {
+    return *granularity;
+  }
   throw NdftError("unknown granularity: " + name);
 }
 

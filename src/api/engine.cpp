@@ -8,6 +8,7 @@
 #include <numbers>
 #include <thread>
 
+#include "common/enum_names.hpp"
 #include "common/fault.hpp"
 #include "common/kernel_trace.hpp"
 #include "common/thread_pool.hpp"
@@ -62,15 +63,6 @@ ScfPayload execute_scf(const ScfJob& job) {
   return payload;
 }
 
-const char* sampling_payload_name(BandStructureJob::Sampling sampling) {
-  switch (sampling) {
-    case BandStructureJob::Sampling::kPath: return "path";
-    case BandStructureJob::Sampling::kMonkhorstPack: return "monkhorst_pack";
-    case BandStructureJob::Sampling::kExplicit: return "explicit";
-  }
-  return "?";
-}
-
 BandStructurePayload execute_band_structure(const BandStructureJob& job) {
   const dft::Crystal crystal =
       job.atoms == 0 ? dft::silicon_primitive()
@@ -83,7 +75,7 @@ BandStructurePayload execute_band_structure(const BandStructureJob& job) {
 
   BandStructurePayload payload;
   payload.atoms = crystal.atom_count();
-  payload.sampling = sampling_payload_name(job.sampling);
+  payload.sampling = enum_name(job.sampling);
   payload.basis_size = basis.size();
   payload.path.reserve(structure.size());
   for (const dft::BandsAtK& at_k : structure) {

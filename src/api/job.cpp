@@ -1,6 +1,7 @@
 #include "api/job.hpp"
 
 #include <cmath>
+#include <iterator>
 
 #include "common/error.hpp"
 #include "common/str_util.hpp"
@@ -189,6 +190,14 @@ struct Validator {
           "profile_override must hold exactly [cpu, ndp] profiles "
           "(got %zu)", job.profile_override.size()));
     }
+    // The cost model divides transfer volumes by the link rate.
+    for (const runtime::DeviceProfile& profile : job.profile_override) {
+      if (!(profile.link_gbps > 0.0) || std::isinf(profile.link_gbps)) {
+        errors.push_back(strformat(
+            "profile_override link_gbps must be finite and positive "
+            "(got %g)", profile.link_gbps));
+      }
+    }
   }
 
   void operator()(const CoDesignJob& job) {
@@ -229,18 +238,24 @@ struct Validator {
 
 }  // namespace
 
+std::span<const char* const> enum_names(BandStructureJob::Sampling) noexcept {
+  static constexpr const char* kNames[] = {"path", "monkhorst_pack",
+                                           "explicit"};
+  static_assert(std::size(kNames) ==
+                static_cast<std::size_t>(
+                    BandStructureJob::Sampling::kExplicit) + 1);
+  return kNames;
+}
+
+std::span<const char* const> job_kind_names() noexcept {
+  static constexpr const char* kNames[] = {
+      "scf", "band_structure", "lrtddft", "simulate", "plan", "codesign"};
+  static_assert(std::size(kNames) == std::variant_size_v<JobRequest>);
+  return kNames;
+}
+
 const char* job_kind(const JobRequest& request) noexcept {
-  struct Namer {
-    const char* operator()(const ScfJob&) const { return "scf"; }
-    const char* operator()(const BandStructureJob&) const {
-      return "band_structure";
-    }
-    const char* operator()(const LrtddftJob&) const { return "lrtddft"; }
-    const char* operator()(const SimulateJob&) const { return "simulate"; }
-    const char* operator()(const PlanJob&) const { return "plan"; }
-    const char* operator()(const CoDesignJob&) const { return "codesign"; }
-  };
-  return std::visit(Namer{}, request);
+  return job_kind_names()[request.index()];
 }
 
 std::vector<dft::KPoint> band_job_kpoints(const BandStructureJob& job,

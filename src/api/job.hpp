@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -85,6 +86,9 @@ struct BandStructureJob {
   /// stage boundary once the job is running.
   double deadline_ms = 0.0;
 };
+/// Names indexed by enumerator ("path", "monkhorst_pack", "explicit"), as
+/// requests and band-structure payloads spell them.
+std::span<const char* const> enum_names(BandStructureJob::Sampling) noexcept;
 
 /// Functional LR-TDDFT excitation spectrum on an EPM ground state
 /// (dft::solve_lrtddft), optionally with oscillator strengths.
@@ -173,8 +177,12 @@ struct CoDesignJob {
 using JobRequest = std::variant<ScfJob, BandStructureJob, LrtddftJob,
                                 SimulateJob, PlanJob, CoDesignJob>;
 
-/// Stable kind name of a request ("scf", "band_structure", "lrtddft",
-/// "simulate", "plan", "codesign") — used in results, logs and JSON.
+/// Stable kind names indexed like JobRequest's alternatives ("scf",
+/// "band_structure", "lrtddft", "simulate", "plan", "codesign") — used in
+/// results, logs and JSON.
+std::span<const char* const> job_kind_names() noexcept;
+
+/// The kind name of a request (job_kind_names()[request.index()]).
 const char* job_kind(const JobRequest& request) noexcept;
 
 /// The request's deadline_ms (every job kind carries one; 0 = unlimited).

@@ -1,351 +1,137 @@
 #include "api/request_json.hpp"
 
+#include "common/json_fields.hpp"
 #include "common/kernel_trace.hpp"
 
+// ---- field lists, in emission order. Each sits in its type's namespace,
+// where argument-dependent lookup finds it.
+
+namespace ndft::dft {
+
+template <class Io>
+void fields(Io& io, ScfConfig& c) {
+  io("max_iterations", c.max_iterations);
+  io("mixing", c.mixing);
+  io("scheme", c.scheme);
+  io("tolerance", c.tolerance);
+  io("bands", c.bands);
+  io("valence_charge", c.valence_charge);
+  io("core_radius_bohr", c.core_radius_bohr);
+}
+
+template <class Io>
+void fields(Io& io, LrTddftConfig& c) {
+  io("valence_window", c.valence_window);
+  io("conduction_window", c.conduction_window);
+  io("include_xc", c.include_xc);
+  io("spin_factor", c.spin_factor);
+  io("keep_eigenvectors", c.keep_eigenvectors);
+}
+
+}  // namespace ndft::dft
+
 namespace ndft::api {
-namespace {
 
-// ---- enum <-> string maps. The names mirror the result serializer's
-// (api/result.cpp) so requests and results speak one vocabulary.
-
-const char* sampling_name(BandStructureJob::Sampling sampling) {
-  switch (sampling) {
-    case BandStructureJob::Sampling::kPath: return "path";
-    case BandStructureJob::Sampling::kMonkhorstPack: return "monkhorst_pack";
-    case BandStructureJob::Sampling::kExplicit: return "explicit";
-  }
-  return "?";
+template <class Io>
+void fields(Io& io, ScfJob& job) {
+  io("atoms", job.atoms);
+  io("ecut_ry", job.ecut_ry);
+  io("scf", job.scf);
+  io("record_trace", job.record_trace);
+  io("deadline_ms", job.deadline_ms);
 }
 
-BandStructureJob::Sampling sampling_from(const std::string& name) {
-  if (name == "path") return BandStructureJob::Sampling::kPath;
-  if (name == "monkhorst_pack") {
-    return BandStructureJob::Sampling::kMonkhorstPack;
-  }
-  if (name == "explicit") return BandStructureJob::Sampling::kExplicit;
-  throw NdftError("unknown sampling: " + name);
+template <class Io>
+void fields(Io& io, BandStructureJob::KPointSpec& kp) {
+  io("k", kp.k);
+  io("weight", kp.weight);
+  io("label", kp.label);
 }
 
-const char* mixing_name(dft::MixingScheme scheme) {
-  return scheme == dft::MixingScheme::kLinear ? "linear" : "anderson";
+template <class Io>
+void fields(Io& io, BandStructureJob& job) {
+  io("atoms", job.atoms);
+  io("ecut_ry", job.ecut_ry);
+  io("sampling", job.sampling);
+  io("segments", job.segments);
+  io("mp_grid", job.mp_grid);
+  io.omit_default("kpoints", job.kpoints);
+  io("bands", job.bands);
+  io("valence_bands", job.valence_bands);
+  io("record_trace", job.record_trace);
+  io("deadline_ms", job.deadline_ms);
 }
 
-dft::MixingScheme mixing_from(const std::string& name) {
-  if (name == "linear") return dft::MixingScheme::kLinear;
-  if (name == "anderson") return dft::MixingScheme::kAnderson;
-  throw NdftError("unknown mixing scheme: " + name);
+template <class Io>
+void fields(Io& io, LrtddftJob& job) {
+  io("atoms", job.atoms);
+  io("ecut_ry", job.ecut_ry);
+  io("config", job.config);
+  io("oscillator_strengths", job.oscillator_strengths);
+  io("record_trace", job.record_trace);
+  io("deadline_ms", job.deadline_ms);
 }
 
-core::ExecMode exec_mode_from(const std::string& name) {
-  for (const core::ExecMode mode :
-       {core::ExecMode::kCpuBaseline, core::ExecMode::kGpuBaseline,
-        core::ExecMode::kNdpOnly, core::ExecMode::kNdft}) {
-    if (name == core::to_string(mode)) return mode;
-  }
-  throw NdftError("unknown execution mode: " + name);
+// The machine document travels verbatim (it has its own schema tag and
+// is parsed at validation); absent means the engine's default hardware.
+
+template <class Io>
+void fields(Io& io, SimulateJob& job) {
+  io("atoms", job.atoms);
+  io("mode", job.mode);
+  io("sampled_ops", job.sampled_ops);
+  io.omit_default("machine", job.machine);
+  io("record_trace", job.record_trace);
+  io("deadline_ms", job.deadline_ms);
 }
 
-const char* granularity_name(runtime::Granularity granularity) {
-  switch (granularity) {
-    case runtime::Granularity::kInstruction: return "instruction";
-    case runtime::Granularity::kBasicBlock: return "block";
-    case runtime::Granularity::kFunction: return "function";
-    case runtime::Granularity::kKernel: return "kernel";
-  }
-  return "?";
+template <class Io>
+void fields(Io& io, PlanJob& job) {
+  io("atoms", job.atoms);
+  io("granularity", job.granularity);
+  io("profile_override", job.profile_override);
+  io.omit_default("machine", job.machine);
+  io("deadline_ms", job.deadline_ms);
 }
 
-runtime::Granularity granularity_from(const std::string& name) {
-  for (const runtime::Granularity g :
-       {runtime::Granularity::kInstruction, runtime::Granularity::kBasicBlock,
-        runtime::Granularity::kFunction, runtime::Granularity::kKernel}) {
-    if (name == granularity_name(g)) return g;
-  }
-  throw NdftError("unknown granularity: " + name);
-}
-
-// ---- optional-member readers: absent keys keep the struct default.
-
-void read(const Json& j, const char* key, double& out) {
-  if (const Json* v = j.find(key)) out = v->as_double();
-}
-
-void read(const Json& j, const char* key, bool& out) {
-  if (const Json* v = j.find(key)) out = v->as_bool();
-}
-
-void read(const Json& j, const char* key, std::size_t& out) {
-  if (const Json* v = j.find(key)) out = v->as_uint();
-}
-
-void read(const Json& j, const char* key, unsigned& out) {
-  if (const Json* v = j.find(key)) {
-    out = static_cast<unsigned>(v->as_uint());
-  }
-}
-
-// ---- per-kind serializers.
-
-Json to_json(const ScfJob& job) {
-  Json j = Json::object();
-  j.set("atoms", job.atoms);
-  j.set("ecut_ry", job.ecut_ry);
-  Json scf = Json::object();
-  scf.set("max_iterations", job.scf.max_iterations);
-  scf.set("mixing", job.scf.mixing);
-  scf.set("scheme", mixing_name(job.scf.scheme));
-  scf.set("tolerance", job.scf.tolerance);
-  scf.set("bands", job.scf.bands);
-  scf.set("valence_charge", job.scf.valence_charge);
-  scf.set("core_radius_bohr", job.scf.core_radius_bohr);
-  j.set("scf", std::move(scf));
-  j.set("record_trace", job.record_trace);
-  j.set("deadline_ms", job.deadline_ms);
-  return j;
-}
-
-ScfJob scf_from_json(const Json& j) {
-  ScfJob job;
-  read(j, "atoms", job.atoms);
-  read(j, "ecut_ry", job.ecut_ry);
-  if (const Json* scf = j.find("scf")) {
-    read(*scf, "max_iterations", job.scf.max_iterations);
-    read(*scf, "mixing", job.scf.mixing);
-    if (const Json* scheme = scf->find("scheme")) {
-      job.scf.scheme = mixing_from(scheme->as_string());
-    }
-    read(*scf, "tolerance", job.scf.tolerance);
-    read(*scf, "bands", job.scf.bands);
-    read(*scf, "valence_charge", job.scf.valence_charge);
-    read(*scf, "core_radius_bohr", job.scf.core_radius_bohr);
-  }
-  read(j, "record_trace", job.record_trace);
-  read(j, "deadline_ms", job.deadline_ms);
-  return job;
-}
-
-Json to_json(const BandStructureJob& job) {
-  Json j = Json::object();
-  j.set("atoms", job.atoms);
-  j.set("ecut_ry", job.ecut_ry);
-  j.set("sampling", sampling_name(job.sampling));
-  j.set("segments", job.segments);
-  Json grid = Json::array();
-  for (const unsigned n : job.mp_grid) grid.push_back(n);
-  j.set("mp_grid", std::move(grid));
-  // Additive since the scatter/gather layer: the explicit list is only
-  // emitted when present, so pre-sharding documents dump unchanged.
-  if (!job.kpoints.empty()) {
-    Json list = Json::array();
-    for (const BandStructureJob::KPointSpec& kp : job.kpoints) {
-      Json point = Json::object();
-      Json coords = Json::array();
-      for (const double c : kp.k) coords.push_back(c);
-      point.set("k", std::move(coords));
-      point.set("weight", kp.weight);
-      point.set("label", kp.label);
-      list.push_back(std::move(point));
-    }
-    j.set("kpoints", std::move(list));
-  }
-  j.set("bands", job.bands);
-  j.set("valence_bands", job.valence_bands);
-  j.set("record_trace", job.record_trace);
-  j.set("deadline_ms", job.deadline_ms);
-  return j;
-}
-
-BandStructureJob bands_from_json(const Json& j) {
-  BandStructureJob job;
-  read(j, "atoms", job.atoms);
-  read(j, "ecut_ry", job.ecut_ry);
-  if (const Json* sampling = j.find("sampling")) {
-    job.sampling = sampling_from(sampling->as_string());
-  }
-  read(j, "segments", job.segments);
-  if (const Json* grid = j.find("mp_grid")) {
-    NDFT_REQUIRE(grid->size() == 3, "mp_grid must have 3 entries");
-    for (std::size_t i = 0; i < 3; ++i) {
-      job.mp_grid[i] = static_cast<unsigned>((*grid)[i].as_uint());
-    }
-  }
-  if (const Json* list = j.find("kpoints")) {
-    for (const Json& point : list->items()) {
-      BandStructureJob::KPointSpec kp;
-      const Json& coords = point.at("k");
-      NDFT_REQUIRE(coords.size() == 3, "kpoints entries need 3 coordinates");
-      for (std::size_t i = 0; i < 3; ++i) {
-        kp.k[i] = coords[i].as_double();
-      }
-      read(point, "weight", kp.weight);
-      if (const Json* label = point.find("label")) {
-        kp.label = label->as_string();
-      }
-      job.kpoints.push_back(std::move(kp));
-    }
-  }
-  read(j, "bands", job.bands);
-  read(j, "valence_bands", job.valence_bands);
-  read(j, "record_trace", job.record_trace);
-  read(j, "deadline_ms", job.deadline_ms);
-  return job;
-}
-
-Json to_json(const LrtddftJob& job) {
-  Json j = Json::object();
-  j.set("atoms", job.atoms);
-  j.set("ecut_ry", job.ecut_ry);
-  Json config = Json::object();
-  config.set("valence_window", job.config.valence_window);
-  config.set("conduction_window", job.config.conduction_window);
-  config.set("include_xc", job.config.include_xc);
-  config.set("spin_factor", job.config.spin_factor);
-  config.set("keep_eigenvectors", job.config.keep_eigenvectors);
-  j.set("config", std::move(config));
-  j.set("oscillator_strengths", job.oscillator_strengths);
-  j.set("record_trace", job.record_trace);
-  j.set("deadline_ms", job.deadline_ms);
-  return j;
-}
-
-LrtddftJob lrtddft_from_json(const Json& j) {
-  LrtddftJob job;
-  read(j, "atoms", job.atoms);
-  read(j, "ecut_ry", job.ecut_ry);
-  if (const Json* config = j.find("config")) {
-    read(*config, "valence_window", job.config.valence_window);
-    read(*config, "conduction_window", job.config.conduction_window);
-    read(*config, "include_xc", job.config.include_xc);
-    read(*config, "spin_factor", job.config.spin_factor);
-    read(*config, "keep_eigenvectors", job.config.keep_eigenvectors);
-  }
-  read(j, "oscillator_strengths", job.oscillator_strengths);
-  read(j, "record_trace", job.record_trace);
-  read(j, "deadline_ms", job.deadline_ms);
-  return job;
-}
-
-Json to_json(const SimulateJob& job) {
-  Json j = Json::object();
-  j.set("atoms", job.atoms);
-  j.set("mode", core::to_string(job.mode));
-  j.set("sampled_ops", job.sampled_ops);
-  // The machine document travels verbatim (it has its own schema tag);
-  // absent = engine default hardware, so round-trips stay additive.
-  if (job.machine) j.set("machine", *job.machine);
-  j.set("record_trace", job.record_trace);
-  j.set("deadline_ms", job.deadline_ms);
-  return j;
-}
-
-SimulateJob simulate_from_json(const Json& j) {
-  SimulateJob job;
-  read(j, "atoms", job.atoms);
-  if (const Json* mode = j.find("mode")) {
-    job.mode = exec_mode_from(mode->as_string());
-  }
-  read(j, "sampled_ops", job.sampled_ops);
-  if (const Json* machine = j.find("machine")) job.machine = *machine;
-  read(j, "record_trace", job.record_trace);
-  read(j, "deadline_ms", job.deadline_ms);
-  return job;
-}
-
-// DeviceProfile JSON lives with the type (runtime/device_profile.cpp):
-// the wire schema and the on-disk profile store share one format.
-
-Json to_json(const PlanJob& job) {
-  Json j = Json::object();
-  j.set("atoms", job.atoms);
-  j.set("granularity", granularity_name(job.granularity));
-  Json profiles = Json::array();
-  for (const runtime::DeviceProfile& profile : job.profile_override) {
-    profiles.push_back(profile.to_json());
-  }
-  j.set("profile_override", std::move(profiles));
-  if (job.machine) j.set("machine", *job.machine);
-  j.set("deadline_ms", job.deadline_ms);
-  return j;
-}
-
-PlanJob plan_from_json(const Json& j) {
-  PlanJob job;
-  read(j, "atoms", job.atoms);
-  if (const Json* granularity = j.find("granularity")) {
-    job.granularity = granularity_from(granularity->as_string());
-  }
-  if (const Json* profiles = j.find("profile_override")) {
-    for (const Json& profile : profiles->items()) {
-      job.profile_override.push_back(
-          runtime::DeviceProfile::from_json(profile));
-    }
-  }
-  if (const Json* machine = j.find("machine")) job.machine = *machine;
-  read(j, "deadline_ms", job.deadline_ms);
-  return job;
-}
-
-Json to_json(const CoDesignJob& job) {
-  Json j = Json::object();
-  j.set("trace", job.trace.to_json());
-  j.set("granularity", granularity_name(job.granularity));
-  j.set("calibrate", job.calibrate);
-  j.set("simulate", job.simulate);
-  if (job.machine) j.set("machine", *job.machine);
-  j.set("deadline_ms", job.deadline_ms);
-  return j;
-}
-
-CoDesignJob codesign_from_json(const Json& j) {
-  CoDesignJob job;
+template <class Io>
+void fields(Io& io, CoDesignJob& job) {
   // The trace is the job's entire subject: unlike the tuning knobs it is
   // required, and it carries its own versioned schema.
-  job.trace = KernelTrace::from_json(j.at("trace"));
-  if (const Json* granularity = j.find("granularity")) {
-    job.granularity = granularity_from(granularity->as_string());
-  }
-  read(j, "calibrate", job.calibrate);
-  read(j, "simulate", job.simulate);
-  if (const Json* machine = j.find("machine")) job.machine = *machine;
-  read(j, "deadline_ms", job.deadline_ms);
-  return job;
+  io.required("trace", job.trace);
+  io("granularity", job.granularity);
+  io("calibrate", job.calibrate);
+  io("simulate", job.simulate);
+  io.omit_default("machine", job.machine);
+  io("deadline_ms", job.deadline_ms);
+}
+
+const char* const kJobRequestSchema = "ndft.job_request.v1";
+
+namespace {
+
+struct RequestDocument {
+  JobRequest& request;
+};
+
+template <class Io>
+void fields(Io& io, RequestDocument& doc) {
+  io.schema(kJobRequestSchema, JsonAuthor::kPeople);
+  io.variant("kind", "job", doc.request, job_kind_names());
 }
 
 }  // namespace
 
-const char* const kJobRequestSchema = "ndft.job_request.v1";
-
 Json job_request_to_json(const JobRequest& request) {
-  Json j = Json::object();
-  j.set("schema", kJobRequestSchema);
-  j.set("kind", job_kind(request));
-  struct Serializer {
-    Json operator()(const ScfJob& job) const { return to_json(job); }
-    Json operator()(const BandStructureJob& job) const { return to_json(job); }
-    Json operator()(const LrtddftJob& job) const { return to_json(job); }
-    Json operator()(const SimulateJob& job) const { return to_json(job); }
-    Json operator()(const PlanJob& job) const { return to_json(job); }
-    Json operator()(const CoDesignJob& job) const { return to_json(job); }
-  };
-  j.set("job", std::visit(Serializer{}, request));
-  return j;
+  // The writer only reads through the reference.
+  return fields_to_json(RequestDocument{const_cast<JobRequest&>(request)});
 }
 
 JobRequest job_request_from_json(const Json& json) {
-  NDFT_REQUIRE(json.is_object(), "job request must be a JSON object");
-  const std::string schema = json.at("schema").as_string();
-  NDFT_REQUIRE(schema == kJobRequestSchema,
-               ("unsupported schema: " + schema).c_str());
-  const std::string kind = json.at("kind").as_string();
-  const Json& job = json.at("job");
-  NDFT_REQUIRE(job.is_object(), "'job' must be a JSON object");
-  if (kind == "scf") return scf_from_json(job);
-  if (kind == "band_structure") return bands_from_json(job);
-  if (kind == "lrtddft") return lrtddft_from_json(job);
-  if (kind == "simulate") return simulate_from_json(job);
-  if (kind == "plan") return plan_from_json(job);
-  if (kind == "codesign") return codesign_from_json(job);
-  throw NdftError("unknown job kind: " + kind);
+  JobRequest request;
+  RequestDocument doc{request};
+  fields_from_json(json, doc);
+  return request;
 }
 
 }  // namespace ndft::api

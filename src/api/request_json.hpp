@@ -8,12 +8,13 @@
 // Shape:
 //   {"schema": "ndft.job_request.v1", "kind": "<job kind>", "job": {...}}
 //
-// Every member of "job" is optional and defaults to the corresponding
-// struct default, so {"schema": ..., "kind": "plan", "job": {}} is a
-// complete request. Unknown members inside "job" are ignored (additive
-// evolution, mirroring the result schema's policy); an unknown "kind" or
-// a type-mismatched member throws NdftError, which the service layer
-// maps to a clean 400.
+// People write requests, so every member of "job" except a codesign
+// job's "trace" is optional and defaults to the corresponding struct
+// default: {"schema": ..., "kind": "plan", "job": {}} is a complete
+// request. Everything else follows the one reading rule of every JSON
+// document (docs/API.md, "JSON documents"): an unknown member, a wrong
+// type, an integer outside its C++ type's range or an unknown "kind"
+// throws NdftError, which the service layer maps to a clean 400.
 //
 // Round trip: job_request_from_json(job_request_to_json(r)) reproduces r
 // exactly (pinned by tests/net_test.cpp).

@@ -5,10 +5,14 @@
 //
 // The JSON schema is versioned ("ndft.job_result.v1"); `to_json()` and
 // `from_json()` round-trip exactly (`dump()` of the reconstruction equals
-// `dump()` of the original), which tests/api_test.cpp pins down.
+// `dump()` of the original), which tests/api_test.cpp pins down. The
+// program alone writes results, so the reader requires every member the
+// writer always emits; the full reading rule is in docs/API.md ("JSON
+// documents").
 
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,6 +36,8 @@ enum class JobStatus {
   kCount_,            ///< sentinel for the name table; keep last
 };
 const char* to_string(JobStatus status) noexcept;
+/// Names indexed by enumerator: to_string and every JSON document use them.
+std::span<const char* const> enum_names(JobStatus) noexcept;
 /// Inverse of to_string (every enumerator round-trips); throws NdftError
 /// on unknown names.
 JobStatus job_status_from_string(const std::string& name);
@@ -51,6 +57,8 @@ enum class ErrorKind {
   kCount_,             ///< sentinel for the name table; keep last
 };
 const char* to_string(ErrorKind kind) noexcept;
+/// Names indexed by enumerator: to_string and every JSON document use them.
+std::span<const char* const> enum_names(ErrorKind) noexcept;
 /// Inverse of to_string (every enumerator round-trips); throws NdftError
 /// on unknown names.
 ErrorKind error_kind_from_string(const std::string& name);
@@ -111,18 +119,16 @@ struct ScfPayload {
 /// Band energies at one k-point (BandStructureJob).
 struct BandsAtKPayload {
   std::string label;            ///< nonempty at high-symmetry points
-  double weight = 1.0;          ///< integration weight (additive in v1)
-  /// Cartesian reciprocal coordinates in Bohr^-1 (additive in v1; zero
-  /// in pre-sharding documents). Lets a gather stage find the zone
-  /// centre in merged partial payloads without re-deriving the grid.
+  double weight = 1.0;          ///< integration weight
+  /// Cartesian reciprocal coordinates in Bohr^-1. Lets a gather stage
+  /// find the zone centre in merged partial payloads without re-deriving
+  /// the grid.
   double k[3] = {0.0, 0.0, 0.0};
   std::vector<double> energies_ha;
 };
 
 /// EPM band structure along the FCC path or a Monkhorst-Pack grid
-/// (BandStructureJob). The crystal/sampling/band-energy members are
-/// additive in ndft.job_result.v1: older documents omit them and
-/// deserialize to the defaults.
+/// (BandStructureJob).
 struct BandStructurePayload {
   std::size_t atoms = 0;        ///< atoms in the solved crystal (2 = primitive)
   std::string sampling;         ///< "path" or "monkhorst_pack"
@@ -187,8 +193,8 @@ struct SimulatePayload {
   bool pseudo_oom = false;
   /// Bounded component-statistics roll-up from RunReport::stats
   /// ("mesh.hops", "dram.channel_utilization",
-  /// "serdes.backpressure_stall_ps", ...). Additive in
-  /// ndft.job_result.v1: older documents omit it and deserialize empty.
+  /// "serdes.backpressure_stall_ps", ...). Omitted from the document
+  /// when empty.
   std::map<std::string, double> stats;
 };
 
@@ -217,7 +223,7 @@ struct PlanPayload {
   /// True when the CPU-side beliefs behind this plan came from the
   /// engine's persisted device-profile store (a previous calibrated
   /// co-design run on this host) rather than the static Table-III
-  /// defaults. Additive in ndft.job_result.v1.
+  /// defaults. Omitted from the document when false.
   bool used_stored_profile = false;
 
   /// Fraction of the estimated total spent on scheduling overhead
@@ -290,17 +296,16 @@ struct JobResult {
   std::optional<CoDesignPayload> codesign;
 
   /// Kernel trace of the run, engaged when the request set record_trace
-  /// (serialized additively under "trace"; older documents omit it).
+  /// (serialized under "trace"; null when not recorded).
   std::optional<KernelTrace> trace;
 
   /// Non-empty when the job succeeded in degraded form: stable tags like
   /// "syevd_partial:full_fallback" or "trace:recorder_failed", in program
-  /// order (serialized additively under "degraded").
+  /// order (serialized under "degraded").
   std::vector<std::string> degraded;
 
   /// Scatter/gather counters, engaged when a ShardedEngine executed the
-  /// job (serialized additively under "shard"; plain Engine results and
-  /// older documents omit it).
+  /// job (serialized under "shard"; null for plain Engine results).
   std::optional<ShardInfo> shard;
 
   bool ok() const noexcept { return status == JobStatus::kOk; }

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "api/request_json.hpp"
+#include "common/enum_names.hpp"
 #include "common/error.hpp"
 #include "common/str_util.hpp"
 #include "common/thread_pool.hpp"
@@ -25,15 +26,6 @@ double ms_between(Clock::time_point from, Clock::time_point to) {
 // Same conversion constant the Engine's band executor uses; the merged
 // summary must replay its arithmetic digit for digit.
 constexpr double kEvPerHa = 27.211386;
-
-const char* sampling_payload_name(BandStructureJob::Sampling sampling) {
-  switch (sampling) {
-    case BandStructureJob::Sampling::kPath: return "path";
-    case BandStructureJob::Sampling::kMonkhorstPack: return "monkhorst_pack";
-    case BandStructureJob::Sampling::kExplicit: return "explicit";
-  }
-  return "?";
-}
 
 /// Recomputes the gap summary over the gathered k-points exactly as
 /// dft::find_gap does over a single solve: weighted band-energy terms
@@ -594,7 +586,7 @@ JobResult ShardedEngine::run_impl(const JobRequest& request,
   }
   // The merged document reports the sampling the CALLER requested; the
   // sub-jobs' "explicit" form is a transport detail.
-  merged.sampling = sampling_payload_name(band->sampling);
+  merged.sampling = enum_name(band->sampling);
   merge_gap_summary(*band, merged);
   result.band_structure = std::move(merged);
   result.shard = info;

@@ -145,6 +145,7 @@ class Parser {
     for (;;) {
       skip_ws();
       std::string key = parse_string();
+      if (object.has(key)) fail("duplicate member \"" + key + "\"");
       skip_ws();
       expect(':');
       object.set(key, parse_value());

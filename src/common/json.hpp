@@ -12,8 +12,9 @@
 //    non-finite doubles (no JSON spelling) are written as null and read
 //    back as NaN.
 //  - parse() accepts exactly what dump() produces plus ordinary JSON
-//    (whitespace, escapes, nested containers); malformed input throws
-//    NdftError with a byte offset.
+//    (whitespace, escapes, nested containers); malformed input, including
+//    an object that repeats a member name, throws NdftError with a byte
+//    offset.
 
 #include <cstdint>
 #include <string>

@@ -9,22 +9,10 @@
 namespace ndft {
 namespace {
 
-constexpr const char* kTraceSchema = "ndft.kernel_trace.v1";
-
 double now_ms() noexcept {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-KernelClass kernel_class_from(const std::string& name) {
-  for (const KernelClass cls :
-       {KernelClass::kFft, KernelClass::kFaceSplit, KernelClass::kGemm,
-        KernelClass::kSyevd, KernelClass::kPseudopotential,
-        KernelClass::kAlltoall, KernelClass::kOther}) {
-    if (name == to_string(cls)) return cls;
-  }
-  throw NdftError("unknown kernel class: " + name);
 }
 
 }  // namespace
@@ -95,60 +83,11 @@ Bytes KernelTrace::bytes_of(KernelClass cls) const noexcept {
   return total;
 }
 
-Json KernelTrace::to_json() const {
-  Json j = Json::object();
-  j.set("schema", kTraceSchema);
-  j.set("atoms", atoms);
-  j.set("basis_size", basis_size);
-  j.set("grid_points", grid_points);
-  j.set("pool_threads", pool_threads);
-  j.set("truncated", truncated);
-  Json list = Json::array();
-  for (const TraceEvent& e : events) {
-    Json entry = Json::object();
-    entry.set("class", to_string(e.cls));
-    entry.set("name", e.name);
-    entry.set("stage", e.stage);
-    entry.set("flops", e.flops);
-    entry.set("bytes", e.bytes);
-    entry.set("input_bytes", e.input_bytes);
-    entry.set("output_bytes", e.output_bytes);
-    Json dims = Json::array();
-    for (const std::uint64_t d : e.dims) dims.push_back(d);
-    entry.set("dims", std::move(dims));
-    entry.set("host_ms", e.host_ms);
-    list.push_back(std::move(entry));
-  }
-  j.set("events", std::move(list));
-  return j;
-}
+Json KernelTrace::to_json() const { return fields_to_json(*this); }
 
 KernelTrace KernelTrace::from_json(const Json& json) {
-  NDFT_REQUIRE(json.is_object(), "kernel trace must be a JSON object");
-  const std::string schema = json.at("schema").as_string();
-  NDFT_REQUIRE(schema == kTraceSchema,
-               ("unsupported trace schema: " + schema).c_str());
   KernelTrace trace;
-  trace.atoms = json.at("atoms").as_uint();
-  trace.basis_size = json.at("basis_size").as_uint();
-  trace.grid_points = json.at("grid_points").as_uint();
-  trace.pool_threads = json.at("pool_threads").as_uint();
-  trace.truncated = json.at("truncated").as_bool();
-  for (const Json& entry : json.at("events").items()) {
-    TraceEvent e;
-    e.cls = kernel_class_from(entry.at("class").as_string());
-    e.name = entry.at("name").as_string();
-    e.stage = entry.at("stage").as_string();
-    e.flops = entry.at("flops").as_uint();
-    e.bytes = entry.at("bytes").as_uint();
-    e.input_bytes = entry.at("input_bytes").as_uint();
-    e.output_bytes = entry.at("output_bytes").as_uint();
-    const Json& dims = entry.at("dims");
-    NDFT_REQUIRE(dims.size() == 3, "trace event dims must have 3 entries");
-    for (std::size_t i = 0; i < 3; ++i) e.dims[i] = dims[i].as_uint();
-    e.host_ms = entry.at("host_ms").as_double();
-    trace.events.push_back(std::move(e));
-  }
+  fields_from_json(json, trace);
   return trace;
 }
 

@@ -34,7 +34,7 @@
 #include <string>
 #include <vector>
 
-#include "common/json.hpp"
+#include "common/json_fields.hpp"
 #include "common/types.hpp"
 
 namespace ndft {
@@ -74,9 +74,38 @@ struct KernelTrace {
 
   /// Serializes under the "ndft.kernel_trace.v1" schema.
   Json to_json() const;
-  /// Reconstructs a trace; throws NdftError on schema mismatch.
+  /// Reconstructs a trace; throws NdftError on schema mismatch or any
+  /// member that breaks the reading rule (common/json_fields.hpp). Only
+  /// the program writes traces, so every member is required.
   static KernelTrace from_json(const Json& json);
 };
+
+// Field lists (common/json_fields.hpp). They live here because traces
+// also travel inside job requests and results.
+
+template <class Io>
+void fields(Io& io, TraceEvent& e) {
+  io("class", e.cls);
+  io("name", e.name);
+  io("stage", e.stage);
+  io("flops", e.flops);
+  io("bytes", e.bytes);
+  io("input_bytes", e.input_bytes);
+  io("output_bytes", e.output_bytes);
+  io("dims", e.dims);
+  io("host_ms", e.host_ms);
+}
+
+template <class Io>
+void fields(Io& io, KernelTrace& t) {
+  io.schema("ndft.kernel_trace.v1", JsonAuthor::kProgram);
+  io("atoms", t.atoms);
+  io("basis_size", t.basis_size);
+  io("grid_points", t.grid_points);
+  io("pool_threads", t.pool_threads);
+  io("truncated", t.truncated);
+  io("events", t.events);
+}
 
 /// Thread-safe per-run event sink. One recorder lives for the duration of
 /// one traced job; TraceScope routes the calling thread's kernels to it.

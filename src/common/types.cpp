@@ -1,15 +1,19 @@
 #include "common/types.hpp"
 
+#include <iterator>
+
+#include "common/enum_names.hpp"
+
 namespace ndft {
 
-const char* to_string(DeviceKind kind) noexcept {
-  switch (kind) {
-    case DeviceKind::kCpu: return "CPU";
-    case DeviceKind::kNdp: return "NDP";
-    case DeviceKind::kGpu: return "GPU";
-  }
-  return "?";
+std::span<const char* const> enum_names(DeviceKind) noexcept {
+  static constexpr const char* kNames[] = {"CPU", "NDP", "GPU"};
+  static_assert(std::size(kNames) ==
+                static_cast<std::size_t>(DeviceKind::kGpu) + 1);
+  return kNames;
 }
+
+const char* to_string(DeviceKind kind) noexcept { return enum_name(kind); }
 
 const char* to_string(AccessPattern pattern) noexcept {
   switch (pattern) {
@@ -21,17 +25,17 @@ const char* to_string(AccessPattern pattern) noexcept {
   return "?";
 }
 
+std::span<const char* const> enum_names(KernelClass) noexcept {
+  static constexpr const char* kNames[] = {
+      "FFT", "FaceSplit", "GEMM", "SYEVD", "Pseudopotential", "Alltoall",
+      "Other"};
+  static_assert(std::size(kNames) ==
+                static_cast<std::size_t>(KernelClass::kOther) + 1);
+  return kNames;
+}
+
 const char* to_string(KernelClass kernel_class) noexcept {
-  switch (kernel_class) {
-    case KernelClass::kFft: return "FFT";
-    case KernelClass::kFaceSplit: return "FaceSplit";
-    case KernelClass::kGemm: return "GEMM";
-    case KernelClass::kSyevd: return "SYEVD";
-    case KernelClass::kPseudopotential: return "Pseudopotential";
-    case KernelClass::kAlltoall: return "Alltoall";
-    case KernelClass::kOther: return "Other";
-  }
-  return "?";
+  return enum_name(kernel_class);
 }
 
 }  // namespace ndft

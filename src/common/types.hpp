@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 
 namespace ndft {
 
@@ -46,6 +47,8 @@ enum class DeviceKind : std::uint8_t {
 
 /// Human-readable name for a device kind.
 const char* to_string(DeviceKind kind) noexcept;
+/// Names indexed by enumerator: to_string and every JSON document use them.
+std::span<const char* const> enum_names(DeviceKind) noexcept;
 
 /// Access-pattern classes recognised by the static code analyzer and used
 /// by the trace generator to synthesise representative address streams.
@@ -73,5 +76,7 @@ enum class KernelClass : std::uint8_t {
 
 /// Human-readable name for a kernel class.
 const char* to_string(KernelClass kernel_class) noexcept;
+/// Names indexed by enumerator: to_string and every JSON document use them.
+std::span<const char* const> enum_names(KernelClass) noexcept;
 
 }  // namespace ndft

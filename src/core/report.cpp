@@ -1,20 +1,22 @@
 #include "core/report.hpp"
 
+#include <iterator>
+
+#include "common/enum_names.hpp"
 #include "common/error.hpp"
 #include "common/str_util.hpp"
 #include "common/table.hpp"
 
 namespace ndft::core {
 
-const char* to_string(ExecMode mode) noexcept {
-  switch (mode) {
-    case ExecMode::kCpuBaseline: return "CPU";
-    case ExecMode::kGpuBaseline: return "GPU";
-    case ExecMode::kNdpOnly: return "NDP-only";
-    case ExecMode::kNdft: return "NDFT";
-  }
-  return "?";
+std::span<const char* const> enum_names(ExecMode) noexcept {
+  static constexpr const char* kNames[] = {"CPU", "GPU", "NDP-only", "NDFT"};
+  static_assert(std::size(kNames) ==
+                static_cast<std::size_t>(ExecMode::kNdft) + 1);
+  return kNames;
 }
+
+const char* to_string(ExecMode mode) noexcept { return enum_name(mode); }
 
 TimePs RunReport::total_ps() const noexcept {
   TimePs total = sched_overhead_ps;

@@ -3,6 +3,7 @@
 // Figure 7, plus footprints and communication statistics.
 
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,8 @@ enum class ExecMode {
 
 /// Human-readable machine name.
 const char* to_string(ExecMode mode) noexcept;
+/// Names indexed by enumerator: to_string and every JSON document use them.
+std::span<const char* const> enum_names(ExecMode) noexcept;
 
 /// One kernel's simulated execution.
 struct KernelTime {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
 #include <numbers>
 
 #include "common/cancel.hpp"
@@ -13,6 +14,13 @@
 #include "dft/linalg.hpp"
 
 namespace ndft::dft {
+
+std::span<const char* const> enum_names(MixingScheme) noexcept {
+  static constexpr const char* kNames[] = {"linear", "anderson"};
+  static_assert(std::size(kNames) ==
+                static_cast<std::size_t>(MixingScheme::kAnderson) + 1);
+  return kNames;
+}
 namespace {
 
 constexpr double kFourPi = 4.0 * std::numbers::pi;

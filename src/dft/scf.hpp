@@ -17,6 +17,7 @@
 // below tolerance. Each SCF iteration exercises the same kernel families
 // as the LR-TDDFT pipeline (FFT, pointwise products, SYEVD).
 
+#include <span>
 #include <vector>
 
 #include "dft/basis.hpp"
@@ -30,6 +31,9 @@ enum class MixingScheme {
   kLinear,    ///< n <- n + beta (f(n) - n)
   kAnderson,  ///< two-point Anderson acceleration on the residual
 };
+/// Names indexed by enumerator ("linear", "anderson"), as job requests
+/// spell them.
+std::span<const char* const> enum_names(MixingScheme) noexcept;
 
 /// SCF controls.
 struct ScfConfig {

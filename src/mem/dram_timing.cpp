@@ -1,8 +1,17 @@
 #include "mem/dram_timing.hpp"
 
+#include <iterator>
+
 #include "common/units.hpp"
 
 namespace ndft::mem {
+
+std::span<const char* const> enum_names(PagePolicy) noexcept {
+  static constexpr const char* kNames[] = {"open", "closed"};
+  static_assert(std::size(kNames) ==
+                static_cast<std::size_t>(PagePolicy::kClosed) + 1);
+  return kNames;
+}
 
 DramTiming DramTiming::ddr4_2400() {
   DramTiming t{};

@@ -5,6 +5,7 @@
 //   - HBM2 at 1000 MHz bus (2 Gb/s/pin) for the 3D-stacked NDP memory
 
 #include <cstdint>
+#include <span>
 
 #include "common/types.hpp"
 
@@ -15,6 +16,9 @@ enum class PagePolicy : std::uint8_t {
   kOpen,    ///< leave rows open, bet on row hits (FR-FCFS default)
   kClosed,  ///< auto-precharge after every access: no hits, no conflicts
 };
+/// Names indexed by enumerator ("open", "closed"), as machine documents
+/// spell them.
+std::span<const char* const> enum_names(PagePolicy) noexcept;
 
 /// JEDEC-style timing constraints in device clock cycles.
 /// Only the constraints that matter at transaction granularity are kept;

@@ -2,386 +2,223 @@
 // (M2NDP-style). A machine document parameterizes every SimObject of the
 // simulated system — mesh geometry/links, per-stack NDP units and cores,
 // L1s, HBM timing/geometry, SPM, SerDes — so hardware sweeps are data, not
-// recompiles. Parsing is STRICT: unknown members are rejected (a typo'd
-// parameter in a sweep must fail loudly, not silently run the default),
-// while absent members inherit the Table-III defaults. to_json() emits
-// every field explicitly; from_json(to_json(c)) reproduces c bitwise.
+// recompiles. People write machine documents: absent members inherit the
+// Table-III defaults, and everything else follows the one reading rule of
+// every JSON document (docs/API.md, "JSON documents"), so a typo'd
+// parameter in a sweep fails loudly instead of silently running the
+// default. to_json() emits every field explicitly; from_json(to_json(c))
+// reproduces c bitwise.
 
+#include <cmath>
 #include <string>
+#include <utility>
 
 #include "common/error.hpp"
-#include "common/json.hpp"
-#include "common/str_util.hpp"
+#include "common/json_fields.hpp"
 #include "ndp/ndp_system.hpp"
 
-namespace ndft::ndp {
-namespace {
+// ---- field lists, in emission order. Each sits in its type's namespace,
+// where argument-dependent lookup finds it.
 
-constexpr const char* kMachineSchema = "ndft.machine.v1";
+namespace ndft::noc {
+
+template <class Io>
+void fields(Io& io, MeshConfig& mesh) {
+  io("width", mesh.width);
+  io("height", mesh.height);
+  io("link_gbps", mesh.link_gbps);
+  io("hop_latency_ps", mesh.hop_latency_ps);
+  io("packet_overhead", mesh.packet_overhead);
+  io("link_pj_per_bit", mesh.link_pj_per_bit);
+  io("link_queue", mesh.link_queue);
+}
+
+}  // namespace ndft::noc
+
+namespace ndft::cpu {
+
+template <class Io>
+void fields(Io& io, CoreConfig& core) {
+  io("freq_mhz", core.freq_mhz);
+  io("issue_width", core.issue_width);
+  io("flops_per_cycle", core.flops_per_cycle);
+  io("max_outstanding", core.max_outstanding);
+}
+
+}  // namespace ndft::cpu
+
+namespace ndft::cache {
+
+template <class Io>
+void fields(Io& io, CacheConfig& cache) {
+  io("size_bytes", cache.size_bytes);
+  io("ways", cache.ways);
+  io("line_bytes", cache.line_bytes);
+  io("hit_latency_ps", cache.hit_latency_ps);
+  io("mshrs", cache.mshrs);
+  io("prefetch", cache.prefetch);
+  io("prefetch_degree", cache.prefetch_degree);
+}
+
+}  // namespace ndft::cache
+
+namespace ndft::mem {
+
+// A "preset" rebases the whole section before its explicit members
+// override individual values; it is never written.
+
+template <class Io>
+void fields(Io& io, DramTiming& timing) {
+  static constexpr std::pair<const char*, DramTiming (*)()> kPresets[] = {
+      {"ddr4_2400", &DramTiming::ddr4_2400},
+      {"hbm2_1000", &DramTiming::hbm2_1000},
+  };
+  io.rebase("preset", timing, kPresets);
+  io("tCK_ps", timing.tCK_ps);
+  io("CL", timing.CL);
+  io("CWL", timing.CWL);
+  io("tRCD", timing.tRCD);
+  io("tRP", timing.tRP);
+  io("tRAS", timing.tRAS);
+  io("tRC", timing.tRC);
+  io("tCCD", timing.tCCD);
+  io("tRRD", timing.tRRD);
+  io("tFAW", timing.tFAW);
+  io("tWR", timing.tWR);
+  io("tWTR", timing.tWTR);
+  io("tRTP", timing.tRTP);
+  io("tREFI", timing.tREFI);
+  io("tRFC", timing.tRFC);
+  io("burst_length", timing.burst_length);
+  io("bus_width_bits", timing.bus_width_bits);
+}
+
+template <class Io>
+void fields(Io& io, DramGeometry& geometry) {
+  static constexpr std::pair<const char*, DramGeometry (*)()> kPresets[] = {
+      {"ddr4_16gb_channel", &DramGeometry::ddr4_16gb_channel},
+      {"hbm2_512mb_channel", &DramGeometry::hbm2_512mb_channel},
+  };
+  io.rebase("preset", geometry, kPresets);
+  io("banks", geometry.banks);
+  io("rows", geometry.rows);
+  io("row_bytes", geometry.row_bytes);
+}
+
+template <class Io>
+void fields(Io& io, DramConfig& dram) {
+  io("timing", dram.timing);
+  io("geometry", dram.geometry);
+  io("channels", dram.channels);
+  io("line_bytes", dram.line_bytes);
+  io("page_policy", dram.page_policy);
+  io("access_latency_ps", dram.access_latency_ps);
+  io("queue_depth", dram.queue_depth);
+}
+
+}  // namespace ndft::mem
+
+namespace ndft::ndp {
+
+template <class Io>
+void fields(Io& io, SpmConfig& spm) {
+  io("capacity", spm.capacity);
+  io("access_latency_ps", spm.access_latency_ps);
+  io("bandwidth_gbps", spm.bandwidth_gbps);
+  io("port_queue", spm.port_queue);
+}
+
+template <class Io>
+void fields(Io& io, NdpStackConfig& stack) {
+  io("units", stack.units);
+  io("cores_per_unit", stack.cores_per_unit);
+  io("core", stack.core);
+  io("l1", stack.l1);
+  io("dram", stack.dram);
+  io("spm", stack.spm);
+}
+
+template <class Io>
+void fields(Io& io, NdpSystemConfig& config) {
+  io.schema("ndft.machine.v1", JsonAuthor::kPeople);
+  io("mesh", config.mesh);
+  io("stack", config.stack);
+  io("cpu_links", config.cpu_links);
+  io("cpu_link_gbps", config.cpu_link_gbps);
+  io("serdes_latency_ps", config.serdes_latency_ps);
+  io("request_bytes", config.request_bytes);
+  io("response_overhead", config.response_overhead);
+  io("cpu_link_queue", config.cpu_link_queue);
+}
+
+namespace {
 
 [[noreturn]] void bad(const std::string& what) {
   throw NdftError("machine config: " + what);
 }
 
-void require_object(const Json& j, const char* section) {
-  if (j.type() != Json::Type::kObject) {
-    bad(strformat("'%s' must be an object", section));
+/// Rates must be finite and positive (null reads as NaN).
+void require_rate(double value, const char* name) {
+  if (!(value > 0.0) || std::isinf(value)) {
+    bad(std::string(name) + " must be finite and positive");
   }
 }
 
-std::uint64_t get_uint(const Json& j, const char* key) {
-  if (j.type() != Json::Type::kUint && j.type() != Json::Type::kInt) {
-    bad(strformat("'%s' must be a non-negative integer", key));
-  }
-  const std::int64_t v =
-      j.type() == Json::Type::kInt ? j.as_int()
-                                   : static_cast<std::int64_t>(j.as_uint());
-  if (v < 0) bad(strformat("'%s' must be non-negative", key));
-  return static_cast<std::uint64_t>(v);
-}
-
-double get_double(const Json& j, const char* key) {
-  if (j.type() != Json::Type::kDouble && j.type() != Json::Type::kInt &&
-      j.type() != Json::Type::kUint) {
-    bad(strformat("'%s' must be a number", key));
-  }
-  return j.as_double();
-}
-
-bool get_bool(const Json& j, const char* key) {
-  if (j.type() != Json::Type::kBool) {
-    bad(strformat("'%s' must be a boolean", key));
-  }
-  return j.as_bool();
-}
-
-unsigned get_u32(const Json& j, const char* key) {
-  const std::uint64_t v = get_uint(j, key);
-  if (v > 0xffffffffull) bad(strformat("'%s' is out of range", key));
-  return static_cast<unsigned>(v);
-}
-
-// ---- section parsers. Each starts from the caller's defaults, applies
-// present keys, and rejects anything it does not know.
-
-void parse_mesh(const Json& j, noc::MeshConfig& mesh) {
-  require_object(j, "mesh");
-  for (const auto& [key, value] : j.members()) {
-    if (key == "width") mesh.width = get_u32(value, "mesh.width");
-    else if (key == "height") mesh.height = get_u32(value, "mesh.height");
-    else if (key == "link_gbps")
-      mesh.link_gbps = get_double(value, "mesh.link_gbps");
-    else if (key == "hop_latency_ps")
-      mesh.hop_latency_ps = get_uint(value, "mesh.hop_latency_ps");
-    else if (key == "packet_overhead")
-      mesh.packet_overhead = get_uint(value, "mesh.packet_overhead");
-    else if (key == "link_pj_per_bit")
-      mesh.link_pj_per_bit = get_double(value, "mesh.link_pj_per_bit");
-    else if (key == "link_queue")
-      mesh.link_queue = get_uint(value, "mesh.link_queue");
-    else bad("unknown key 'mesh." + key + "'");
-  }
+/// The simulator's preconditions beyond the schema: positive sizes,
+/// rates and queues, and consistent cache/DRAM geometry.
+void check(const NdpSystemConfig& config) {
+  const noc::MeshConfig& mesh = config.mesh;
   if (mesh.width == 0 || mesh.height == 0) bad("mesh must have nodes");
-  if (mesh.link_gbps <= 0.0) bad("mesh.link_gbps must be positive");
+  require_rate(mesh.link_gbps, "mesh.link_gbps");
+  if (!std::isfinite(mesh.link_pj_per_bit)) {
+    bad("mesh.link_pj_per_bit must be finite");
+  }
   if (mesh.link_queue == 0) bad("mesh.link_queue must be positive");
-}
 
-void parse_core(const Json& j, cpu::CoreConfig& core) {
-  require_object(j, "stack.core");
-  for (const auto& [key, value] : j.members()) {
-    if (key == "freq_mhz") core.freq_mhz = get_uint(value, "core.freq_mhz");
-    else if (key == "issue_width")
-      core.issue_width = get_u32(value, "core.issue_width");
-    else if (key == "flops_per_cycle")
-      core.flops_per_cycle = get_double(value, "core.flops_per_cycle");
-    else if (key == "max_outstanding")
-      core.max_outstanding = get_u32(value, "core.max_outstanding");
-    else bad("unknown key 'stack.core." + key + "'");
+  const NdpStackConfig& stack = config.stack;
+  if (stack.units == 0 || stack.cores_per_unit == 0) {
+    bad("stack must have at least one core");
   }
-  if (core.freq_mhz == 0) bad("core.freq_mhz must be positive");
-  if (core.max_outstanding == 0) bad("core.max_outstanding must be positive");
-}
-
-void parse_cache(const Json& j, cache::CacheConfig& cache) {
-  require_object(j, "stack.l1");
-  for (const auto& [key, value] : j.members()) {
-    if (key == "size_bytes")
-      cache.size_bytes = get_uint(value, "l1.size_bytes");
-    else if (key == "ways") cache.ways = get_u32(value, "l1.ways");
-    else if (key == "line_bytes")
-      cache.line_bytes = get_uint(value, "l1.line_bytes");
-    else if (key == "hit_latency_ps")
-      cache.hit_latency_ps = get_uint(value, "l1.hit_latency_ps");
-    else if (key == "mshrs") cache.mshrs = get_u32(value, "l1.mshrs");
-    else if (key == "prefetch")
-      cache.prefetch = get_bool(value, "l1.prefetch");
-    else if (key == "prefetch_degree")
-      cache.prefetch_degree = get_u32(value, "l1.prefetch_degree");
-    else bad("unknown key 'stack.l1." + key + "'");
+  if (stack.core.freq_mhz == 0) bad("core.freq_mhz must be positive");
+  require_rate(stack.core.flops_per_cycle, "core.flops_per_cycle");
+  if (stack.core.max_outstanding == 0) {
+    bad("core.max_outstanding must be positive");
   }
-  if (cache.ways == 0 || cache.line_bytes == 0 ||
-      cache.size_bytes < cache.line_bytes * cache.ways) {
+  const cache::CacheConfig& l1 = stack.l1;
+  if (l1.ways == 0 || l1.line_bytes == 0 ||
+      l1.size_bytes < l1.line_bytes * l1.ways) {
     bad("l1 geometry is inconsistent");
   }
-}
-
-void parse_dram_timing(const Json& j, mem::DramTiming& timing) {
-  require_object(j, "stack.dram.timing");
-  // A preset rebases everything before field overrides apply, so the
-  // preset key is handled first regardless of member order.
-  if (const Json* preset = j.find("preset")) {
-    const std::string& name = preset->as_string();
-    if (name == "ddr4_2400") timing = mem::DramTiming::ddr4_2400();
-    else if (name == "hbm2_1000") timing = mem::DramTiming::hbm2_1000();
-    else bad("unknown dram timing preset '" + name + "'");
-  }
-  for (const auto& [key, value] : j.members()) {
-    if (key == "preset") continue;
-    else if (key == "tCK_ps") timing.tCK_ps = get_uint(value, "tCK_ps");
-    else if (key == "CL") timing.CL = get_u32(value, "CL");
-    else if (key == "CWL") timing.CWL = get_u32(value, "CWL");
-    else if (key == "tRCD") timing.tRCD = get_u32(value, "tRCD");
-    else if (key == "tRP") timing.tRP = get_u32(value, "tRP");
-    else if (key == "tRAS") timing.tRAS = get_u32(value, "tRAS");
-    else if (key == "tRC") timing.tRC = get_u32(value, "tRC");
-    else if (key == "tCCD") timing.tCCD = get_u32(value, "tCCD");
-    else if (key == "tRRD") timing.tRRD = get_u32(value, "tRRD");
-    else if (key == "tFAW") timing.tFAW = get_u32(value, "tFAW");
-    else if (key == "tWR") timing.tWR = get_u32(value, "tWR");
-    else if (key == "tWTR") timing.tWTR = get_u32(value, "tWTR");
-    else if (key == "tRTP") timing.tRTP = get_u32(value, "tRTP");
-    else if (key == "tREFI") timing.tREFI = get_u32(value, "tREFI");
-    else if (key == "tRFC") timing.tRFC = get_u32(value, "tRFC");
-    else if (key == "burst_length")
-      timing.burst_length = get_u32(value, "burst_length");
-    else if (key == "bus_width_bits")
-      timing.bus_width_bits = get_u32(value, "bus_width_bits");
-    else bad("unknown key 'stack.dram.timing." + key + "'");
-  }
-  if (timing.tCK_ps == 0) bad("dram timing tCK_ps must be positive");
-  if (timing.burst_length == 0 || timing.bus_width_bits < 8) {
+  const mem::DramConfig& dram = stack.dram;
+  if (dram.timing.tCK_ps == 0) bad("dram timing tCK_ps must be positive");
+  if (dram.timing.burst_length == 0 || dram.timing.bus_width_bits < 8) {
     bad("dram timing burst/bus geometry is inconsistent");
   }
-}
-
-void parse_dram_geometry(const Json& j, mem::DramGeometry& geometry) {
-  require_object(j, "stack.dram.geometry");
-  if (const Json* preset = j.find("preset")) {
-    const std::string& name = preset->as_string();
-    if (name == "ddr4_16gb_channel") {
-      geometry = mem::DramGeometry::ddr4_16gb_channel();
-    } else if (name == "hbm2_512mb_channel") {
-      geometry = mem::DramGeometry::hbm2_512mb_channel();
-    } else {
-      bad("unknown dram geometry preset '" + name + "'");
-    }
-  }
-  for (const auto& [key, value] : j.members()) {
-    if (key == "preset") continue;
-    else if (key == "banks") geometry.banks = get_u32(value, "banks");
-    else if (key == "rows") geometry.rows = get_u32(value, "rows");
-    else if (key == "row_bytes")
-      geometry.row_bytes = get_uint(value, "row_bytes");
-    else bad("unknown key 'stack.dram.geometry." + key + "'");
-  }
-  if (geometry.banks == 0 || geometry.rows == 0 || geometry.row_bytes == 0) {
+  if (dram.geometry.banks == 0 || dram.geometry.rows == 0 ||
+      dram.geometry.row_bytes == 0) {
     bad("dram geometry must be non-empty");
-  }
-}
-
-void parse_dram(const Json& j, mem::DramConfig& dram) {
-  require_object(j, "stack.dram");
-  for (const auto& [key, value] : j.members()) {
-    if (key == "timing") parse_dram_timing(value, dram.timing);
-    else if (key == "geometry") parse_dram_geometry(value, dram.geometry);
-    else if (key == "channels")
-      dram.channels = get_u32(value, "dram.channels");
-    else if (key == "line_bytes")
-      dram.line_bytes = get_uint(value, "dram.line_bytes");
-    else if (key == "page_policy") {
-      const std::string& policy = value.as_string();
-      if (policy == "open") dram.page_policy = mem::PagePolicy::kOpen;
-      else if (policy == "closed") dram.page_policy = mem::PagePolicy::kClosed;
-      else bad("dram.page_policy must be \"open\" or \"closed\"");
-    } else if (key == "access_latency_ps")
-      dram.access_latency_ps = get_uint(value, "dram.access_latency_ps");
-    else if (key == "queue_depth")
-      dram.queue_depth = get_uint(value, "dram.queue_depth");
-    else bad("unknown key 'stack.dram." + key + "'");
   }
   if (dram.channels == 0) bad("dram.channels must be positive");
   if (dram.line_bytes == 0) bad("dram.line_bytes must be positive");
   if (dram.queue_depth == 0) bad("dram.queue_depth must be positive");
-}
+  if (stack.spm.capacity == 0) bad("spm.capacity must be positive");
+  require_rate(stack.spm.bandwidth_gbps, "spm.bandwidth_gbps");
+  if (stack.spm.port_queue == 0) bad("spm.port_queue must be positive");
 
-void parse_spm(const Json& j, SpmConfig& spm) {
-  require_object(j, "stack.spm");
-  for (const auto& [key, value] : j.members()) {
-    if (key == "capacity") spm.capacity = get_uint(value, "spm.capacity");
-    else if (key == "access_latency_ps")
-      spm.access_latency_ps = get_uint(value, "spm.access_latency_ps");
-    else if (key == "bandwidth_gbps")
-      spm.bandwidth_gbps = get_double(value, "spm.bandwidth_gbps");
-    else if (key == "port_queue")
-      spm.port_queue = get_uint(value, "spm.port_queue");
-    else bad("unknown key 'stack.spm." + key + "'");
-  }
-  if (spm.capacity == 0) bad("spm.capacity must be positive");
-  if (spm.bandwidth_gbps <= 0.0) bad("spm.bandwidth_gbps must be positive");
-  if (spm.port_queue == 0) bad("spm.port_queue must be positive");
-}
-
-void parse_stack(const Json& j, NdpStackConfig& stack) {
-  require_object(j, "stack");
-  for (const auto& [key, value] : j.members()) {
-    if (key == "units") stack.units = get_u32(value, "stack.units");
-    else if (key == "cores_per_unit")
-      stack.cores_per_unit = get_u32(value, "stack.cores_per_unit");
-    else if (key == "core") parse_core(value, stack.core);
-    else if (key == "l1") parse_cache(value, stack.l1);
-    else if (key == "dram") parse_dram(value, stack.dram);
-    else if (key == "spm") parse_spm(value, stack.spm);
-    else bad("unknown key 'stack." + key + "'");
-  }
-  if (stack.units == 0 || stack.cores_per_unit == 0) {
-    bad("stack must have at least one core");
-  }
-}
-
-Json mesh_to_json(const noc::MeshConfig& mesh) {
-  Json j = Json::object();
-  j.set("width", mesh.width);
-  j.set("height", mesh.height);
-  j.set("link_gbps", mesh.link_gbps);
-  j.set("hop_latency_ps", mesh.hop_latency_ps);
-  j.set("packet_overhead", mesh.packet_overhead);
-  j.set("link_pj_per_bit", mesh.link_pj_per_bit);
-  j.set("link_queue", static_cast<std::uint64_t>(mesh.link_queue));
-  return j;
-}
-
-Json core_to_json(const cpu::CoreConfig& core) {
-  Json j = Json::object();
-  j.set("freq_mhz", core.freq_mhz);
-  j.set("issue_width", core.issue_width);
-  j.set("flops_per_cycle", core.flops_per_cycle);
-  j.set("max_outstanding", core.max_outstanding);
-  return j;
-}
-
-Json cache_to_json(const cache::CacheConfig& cache) {
-  Json j = Json::object();
-  j.set("size_bytes", cache.size_bytes);
-  j.set("ways", cache.ways);
-  j.set("line_bytes", cache.line_bytes);
-  j.set("hit_latency_ps", cache.hit_latency_ps);
-  j.set("mshrs", cache.mshrs);
-  j.set("prefetch", cache.prefetch);
-  j.set("prefetch_degree", cache.prefetch_degree);
-  return j;
-}
-
-Json dram_to_json(const mem::DramConfig& dram) {
-  Json timing = Json::object();
-  timing.set("tCK_ps", dram.timing.tCK_ps);
-  timing.set("CL", dram.timing.CL);
-  timing.set("CWL", dram.timing.CWL);
-  timing.set("tRCD", dram.timing.tRCD);
-  timing.set("tRP", dram.timing.tRP);
-  timing.set("tRAS", dram.timing.tRAS);
-  timing.set("tRC", dram.timing.tRC);
-  timing.set("tCCD", dram.timing.tCCD);
-  timing.set("tRRD", dram.timing.tRRD);
-  timing.set("tFAW", dram.timing.tFAW);
-  timing.set("tWR", dram.timing.tWR);
-  timing.set("tWTR", dram.timing.tWTR);
-  timing.set("tRTP", dram.timing.tRTP);
-  timing.set("tREFI", dram.timing.tREFI);
-  timing.set("tRFC", dram.timing.tRFC);
-  timing.set("burst_length", dram.timing.burst_length);
-  timing.set("bus_width_bits", dram.timing.bus_width_bits);
-  Json geometry = Json::object();
-  geometry.set("banks", dram.geometry.banks);
-  geometry.set("rows", dram.geometry.rows);
-  geometry.set("row_bytes", dram.geometry.row_bytes);
-  Json j = Json::object();
-  j.set("timing", std::move(timing));
-  j.set("geometry", std::move(geometry));
-  j.set("channels", dram.channels);
-  j.set("line_bytes", dram.line_bytes);
-  j.set("page_policy",
-        dram.page_policy == mem::PagePolicy::kOpen ? "open" : "closed");
-  j.set("access_latency_ps", dram.access_latency_ps);
-  j.set("queue_depth", static_cast<std::uint64_t>(dram.queue_depth));
-  return j;
-}
-
-Json spm_to_json(const SpmConfig& spm) {
-  Json j = Json::object();
-  j.set("capacity", spm.capacity);
-  j.set("access_latency_ps", spm.access_latency_ps);
-  j.set("bandwidth_gbps", spm.bandwidth_gbps);
-  j.set("port_queue", static_cast<std::uint64_t>(spm.port_queue));
-  return j;
-}
-
-Json stack_to_json(const NdpStackConfig& stack) {
-  Json j = Json::object();
-  j.set("units", stack.units);
-  j.set("cores_per_unit", stack.cores_per_unit);
-  j.set("core", core_to_json(stack.core));
-  j.set("l1", cache_to_json(stack.l1));
-  j.set("dram", dram_to_json(stack.dram));
-  j.set("spm", spm_to_json(stack.spm));
-  return j;
+  if (config.cpu_links == 0) bad("cpu_links must be positive");
+  require_rate(config.cpu_link_gbps, "cpu_link_gbps");
+  if (config.cpu_link_queue == 0) bad("cpu_link_queue must be positive");
 }
 
 }  // namespace
 
 NdpSystemConfig NdpSystemConfig::from_json(const Json& j) {
-  require_object(j, "machine");
-  const Json* schema = j.find("schema");
-  if (schema == nullptr || schema->type() != Json::Type::kString ||
-      schema->as_string() != kMachineSchema) {
-    bad(strformat("schema must be \"%s\"", kMachineSchema));
-  }
   NdpSystemConfig config = NdpSystemConfig::table3();
-  for (const auto& [key, value] : j.members()) {
-    if (key == "schema") continue;
-    else if (key == "mesh") parse_mesh(value, config.mesh);
-    else if (key == "stack") parse_stack(value, config.stack);
-    else if (key == "cpu_links")
-      config.cpu_links = get_u32(value, "cpu_links");
-    else if (key == "cpu_link_gbps")
-      config.cpu_link_gbps = get_double(value, "cpu_link_gbps");
-    else if (key == "serdes_latency_ps")
-      config.serdes_latency_ps = get_uint(value, "serdes_latency_ps");
-    else if (key == "request_bytes")
-      config.request_bytes = get_uint(value, "request_bytes");
-    else if (key == "response_overhead")
-      config.response_overhead = get_uint(value, "response_overhead");
-    else if (key == "cpu_link_queue")
-      config.cpu_link_queue = get_uint(value, "cpu_link_queue");
-    else bad("unknown key '" + key + "'");
-  }
-  if (config.cpu_links == 0) bad("cpu_links must be positive");
-  if (config.cpu_link_gbps <= 0.0) bad("cpu_link_gbps must be positive");
-  if (config.cpu_link_queue == 0) bad("cpu_link_queue must be positive");
+  fields_from_json(j, config);
+  check(config);
   return config;
 }
 
-Json NdpSystemConfig::to_json() const {
-  Json j = Json::object();
-  j.set("schema", kMachineSchema);
-  j.set("mesh", mesh_to_json(mesh));
-  j.set("stack", stack_to_json(stack));
-  j.set("cpu_links", cpu_links);
-  j.set("cpu_link_gbps", cpu_link_gbps);
-  j.set("serdes_latency_ps", serdes_latency_ps);
-  j.set("request_bytes", request_bytes);
-  j.set("response_overhead", response_overhead);
-  j.set("cpu_link_queue", static_cast<std::uint64_t>(cpu_link_queue));
-  return j;
-}
+Json NdpSystemConfig::to_json() const { return fields_to_json(*this); }
 
 }  // namespace ndft::ndp

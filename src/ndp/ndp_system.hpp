@@ -43,9 +43,10 @@ struct NdpSystemConfig {
   /// Table III NDP system (16 stacks, 64 GiB, 128 NDP units).
   static NdpSystemConfig table3();
 
-  /// Parses an "ndft.machine.v1" hardware description (machine_json.cpp).
-  /// Strict: unknown members are rejected so a typo'd sweep fails loudly.
-  /// Throws NdftError on any violation.
+  /// Parses an "ndft.machine.v1" hardware description (machine_json.cpp):
+  /// absent members keep the Table-III values, and the one JSON reading
+  /// rule (docs/API.md) rejects unknown members so a typo'd sweep fails
+  /// loudly. Throws NdftError on any violation.
   static NdpSystemConfig from_json(const Json& j);
 
   /// Serializes this config as an "ndft.machine.v1" document;

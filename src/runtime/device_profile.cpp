@@ -1,8 +1,5 @@
 #include "runtime/device_profile.hpp"
 
-#include <string>
-
-#include "common/error.hpp"
 #include "common/units.hpp"
 
 namespace ndft::runtime {
@@ -40,40 +37,11 @@ DeviceProfile DeviceProfile::xeon_baseline() {
   return p;
 }
 
-Json DeviceProfile::to_json() const {
-  Json j = Json::object();
-  j.set("kind", to_string(kind));
-  j.set("peak_gflops", peak_gflops);
-  j.set("dram_gbps", dram_gbps);
-  j.set("link_gbps", link_gbps);
-  j.set("switch_latency_ps", switch_latency_ps);
-  j.set("blocked_compute_efficiency", blocked_compute_efficiency);
-  return j;
-}
+Json DeviceProfile::to_json() const { return fields_to_json(*this); }
 
 DeviceProfile DeviceProfile::from_json(const Json& j) {
   DeviceProfile profile;
-  if (const Json* kind_member = j.find("kind")) {
-    const std::string& name = kind_member->as_string();
-    bool known = false;
-    for (const DeviceKind device :
-         {DeviceKind::kCpu, DeviceKind::kNdp, DeviceKind::kGpu}) {
-      if (name == to_string(device)) {
-        profile.kind = device;
-        known = true;
-      }
-    }
-    if (!known) throw NdftError("unknown device: " + name);
-  }
-  if (const Json* v = j.find("peak_gflops")) profile.peak_gflops = v->as_double();
-  if (const Json* v = j.find("dram_gbps")) profile.dram_gbps = v->as_double();
-  if (const Json* v = j.find("link_gbps")) profile.link_gbps = v->as_double();
-  if (const Json* v = j.find("switch_latency_ps")) {
-    profile.switch_latency_ps = v->as_uint();
-  }
-  if (const Json* v = j.find("blocked_compute_efficiency")) {
-    profile.blocked_compute_efficiency = v->as_double();
-  }
+  fields_from_json(j, profile);
   return profile;
 }
 

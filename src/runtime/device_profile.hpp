@@ -5,7 +5,7 @@
 // from the timing simulation, which is how scheduling mispredictions stay
 // possible, as in the real system.
 
-#include "common/json.hpp"
+#include "common/json_fields.hpp"
 #include "common/types.hpp"
 
 namespace ndft::runtime {
@@ -36,8 +36,22 @@ struct DeviceProfile {
 
   /// JSON form used by the job-request wire schema and the on-disk
   /// device-profile store; from_json(to_json()) round-trips exactly.
+  /// People write profiles, so absent members keep the defaults above;
+  /// the rest of the reading rule is in common/json_fields.hpp.
   Json to_json() const;
   static DeviceProfile from_json(const Json& j);
 };
+
+/// Field list (common/json_fields.hpp); profiles travel inside job
+/// requests and the profile store too.
+template <class Io>
+void fields(Io& io, DeviceProfile& p) {
+  io("kind", p.kind);
+  io("peak_gflops", p.peak_gflops);
+  io("dram_gbps", p.dram_gbps);
+  io("link_gbps", p.link_gbps);
+  io("switch_latency_ps", p.switch_latency_ps);
+  io("blocked_compute_efficiency", p.blocked_compute_efficiency);
+}
 
 }  // namespace ndft::runtime

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/json.hpp"
+#include "common/json_fields.hpp"
 #include "common/run_metadata.hpp"
 
 namespace ndft::runtime {
@@ -21,6 +21,24 @@ struct Entry {
   ProfileKey key;
   DeviceProfile cpu;
 };
+
+template <class Io>
+void fields(Io& io, Entry& entry) {
+  io("git_sha", entry.key.git_sha);
+  io("host", entry.key.host);
+  io("pool_threads", entry.key.pool_threads);
+  io("cpu", entry.cpu);
+}
+
+struct StoreDocument {
+  std::vector<Entry> entries;
+};
+
+template <class Io>
+void fields(Io& io, StoreDocument& store) {
+  io.schema(kStoreSchema, JsonAuthor::kProgram);
+  io("entries", store.entries);
+}
 
 bool same_key(const ProfileKey& a, const ProfileKey& b) {
   return a.git_sha == b.git_sha && a.host == b.host &&
@@ -34,38 +52,17 @@ std::vector<Entry> load(const std::string& path) {
   if (!in) return {};
   std::stringstream buffer;
   buffer << in.rdbuf();
-  std::vector<Entry> entries;
+  StoreDocument store;
   try {
-    const Json j = Json::parse(buffer.str());
-    const Json* schema = j.find("schema");
-    if (schema == nullptr || schema->as_string() != kStoreSchema) return {};
-    for (const Json& item : j.at("entries").items()) {
-      Entry entry;
-      entry.key.git_sha = item.at("git_sha").as_string();
-      entry.key.host = item.at("host").as_string();
-      entry.key.pool_threads = item.at("pool_threads").as_uint();
-      entry.cpu = DeviceProfile::from_json(item.at("cpu"));
-      entries.push_back(std::move(entry));
-    }
+    fields_from_json(Json::parse(buffer.str()), store);
   } catch (const NdftError&) {
     return {};
   }
-  return entries;
+  return std::move(store.entries);
 }
 
 void save(const std::string& path, const std::vector<Entry>& entries) {
-  Json j = Json::object();
-  j.set("schema", kStoreSchema);
-  Json items = Json::array();
-  for (const Entry& entry : entries) {
-    Json item = Json::object();
-    item.set("git_sha", entry.key.git_sha);
-    item.set("host", entry.key.host);
-    item.set("pool_threads", entry.key.pool_threads);
-    item.set("cpu", entry.cpu.to_json());
-    items.push_back(std::move(item));
-  }
-  j.set("entries", std::move(items));
+  const Json j = fields_to_json(StoreDocument{entries});
   // Temp file + rename: readers never observe a half-written store.
   const std::string tmp = path + ".tmp";
   {

@@ -2,9 +2,18 @@
 
 #include <algorithm>
 #include <array>
+#include <iterator>
 #include <limits>
 
 namespace ndft::runtime {
+
+std::span<const char* const> enum_names(Granularity) noexcept {
+  static constexpr const char* kNames[] = {"instruction", "block", "function",
+                                           "kernel"};
+  static_assert(std::size(kNames) ==
+                static_cast<std::size_t>(Granularity::kKernel) + 1);
+  return kNames;
+}
 
 unsigned Scheduler::segments_for(Granularity granularity) {
   switch (granularity) {

@@ -11,6 +11,7 @@
 // function into segments that each pay their own crossing overhead, while
 // coarser granularity forces the whole iteration onto one device.
 
+#include <span>
 #include <vector>
 
 #include "dft/workload.hpp"
@@ -26,6 +27,9 @@ enum class Granularity {
   kFunction,     ///< one decision per kernel (NDFT's choice)
   kKernel,       ///< the whole iteration runs on a single device
 };
+/// Names indexed by enumerator ("instruction", "block", "function",
+/// "kernel"), as JSON documents and command lines spell them.
+std::span<const char* const> enum_names(Granularity) noexcept;
 
 /// Placement decision for one kernel.
 struct Placement {

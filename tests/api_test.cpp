@@ -6,14 +6,22 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <limits>
 #include <numbers>
+#include <random>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/engine.hpp"
+#include "api/request_json.hpp"
 #include "common/json.hpp"
 #include "dft/kpoints.hpp"
+#include "ndp/ndp_system.hpp"
+#include "runtime/profile_store.hpp"
 
 namespace ndft::api {
 namespace {
@@ -97,6 +105,7 @@ TEST(JsonTest, MalformedInputThrows) {
   EXPECT_THROW(Json::parse("[1,]"), NdftError);
   EXPECT_THROW(Json::parse("{\"a\":1} trailing"), NdftError);
   EXPECT_THROW(Json::parse("\"unterminated"), NdftError);
+  EXPECT_THROW(Json::parse("{\"a\":1,\"a\":2}"), NdftError);
 }
 
 // ------------------------------------------------------------ validation
@@ -174,10 +183,18 @@ TEST(JobValidationTest, BandStructureCrystalAndSampling) {
 
 TEST(JobValidationTest, PlanProfileOverridePairs) {
   PlanJob job;
-  job.profile_override.resize(1);
+  job.profile_override = {runtime::DeviceProfile::table3_cpu()};
   EXPECT_FALSE(validate(job).empty());
-  job.profile_override.resize(2);
+  job.profile_override.push_back(runtime::DeviceProfile::table3_ndp());
   EXPECT_TRUE(validate(job).empty());
+  // The cost model divides by the link rate: default-constructed
+  // profiles (0 GB/s) and NaN rates are refused before they run.
+  job.profile_override[1].link_gbps =
+      std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(validate(job).empty());
+  job.profile_override = {runtime::DeviceProfile{},
+                          runtime::DeviceProfile{}};
+  EXPECT_EQ(validate(job).size(), 2u);
 }
 
 TEST(EngineTest, InvalidRequestRejectedNotThrown) {
@@ -368,6 +385,232 @@ TEST(JobResultJsonTest, SchemaMismatchThrows) {
   Json json = Json::object();
   json.set("schema", "something.else.v9");
   EXPECT_THROW(JobResult::from_json(json), NdftError);
+}
+
+// ------------------------------------------------------ wire-format goldens
+//
+// One document per schema under tests/data/wire/, written from synthetic,
+// fully populated structs (not physics output, so solver changes never
+// re-pin them). The machine document is the shipped Table-III example.
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "missing " << path;
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+/// Decodes a document through its public reader and returns the writer's
+/// form of the decoded value (the goldens' layout: dump(2) plus newline).
+/// Throws NdftError when the reader refuses the document.
+using Redump = std::string (*)(const std::string& text);
+
+std::string pretty(const Json& json) { return json.dump(2) + "\n"; }
+
+std::string redump_request(const std::string& text) {
+  return pretty(job_request_to_json(job_request_from_json(Json::parse(text))));
+}
+
+std::string redump_result(const std::string& text) {
+  return pretty(JobResult::from_json(Json::parse(text)).to_json());
+}
+
+std::string redump_trace(const std::string& text) {
+  return pretty(KernelTrace::from_json(Json::parse(text)).to_json());
+}
+
+std::string redump_profile(const std::string& text) {
+  return pretty(
+      runtime::DeviceProfile::from_json(Json::parse(text)).to_json());
+}
+
+std::string redump_machine(const std::string& text) {
+  return pretty(ndp::NdpSystemConfig::from_json(Json::parse(text)).to_json());
+}
+
+/// The store reads any malformed file as empty; that counts as a refusal.
+/// Otherwise re-recording the first entry rewrites the whole file.
+std::string redump_store(const std::string& text) {
+  const std::string path = testing::TempDir() + "wire_profile_store.json";
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << text;
+  }
+  runtime::ProfileStore store(path);
+  if (store.size() == 0) {
+    std::remove(path.c_str());
+    throw NdftError("profile store read as empty");
+  }
+  const Json doc = Json::parse(text);
+  const Json& first = doc.at("entries")[0];
+  const runtime::ProfileKey key{first.at("git_sha").as_string(),
+                                first.at("host").as_string(),
+                                first.at("pool_threads").as_uint()};
+  store.put_cpu(key, store.get_cpu(key).value());
+  const std::string rewritten = read_file(path);
+  std::remove(path.c_str());
+  return rewritten;
+}
+
+struct WireGolden {
+  const char* path;  ///< relative to the source tree
+  Redump redump;
+};
+
+const WireGolden kWireGoldens[] = {
+    {"tests/data/wire/request_scf.json", redump_request},
+    {"tests/data/wire/request_band_structure.json", redump_request},
+    {"tests/data/wire/request_lrtddft.json", redump_request},
+    {"tests/data/wire/request_simulate.json", redump_request},
+    {"tests/data/wire/request_plan.json", redump_request},
+    {"tests/data/wire/request_codesign.json", redump_request},
+    {"tests/data/wire/result_scf.json", redump_result},
+    {"tests/data/wire/result_band_structure.json", redump_result},
+    {"tests/data/wire/result_lrtddft.json", redump_result},
+    {"tests/data/wire/result_simulate.json", redump_result},
+    {"tests/data/wire/result_plan.json", redump_result},
+    {"tests/data/wire/result_codesign.json", redump_result},
+    {"tests/data/wire/kernel_trace.json", redump_trace},
+    {"tests/data/wire/device_profile.json", redump_profile},
+    {"tests/data/wire/profile_store.json", redump_store},
+    {"examples/machines/table3.json", redump_machine},
+};
+
+std::string golden_text(const WireGolden& golden) {
+  return read_file(std::string(NDFT_SOURCE_DIR) + "/" + golden.path);
+}
+
+TEST(WireGoldenTest, EveryGoldenRedumpsByteForByte) {
+  for (const WireGolden& golden : kWireGoldens) {
+    const std::string text = golden_text(golden);
+    EXPECT_EQ(pretty(Json::parse(text)), text) << golden.path;
+    EXPECT_EQ(golden.redump(text), text) << golden.path;
+  }
+}
+
+/// Value equality, except that an integer literal equals the same number
+/// written as a double (double members accept integer literals and
+/// re-emit them with a fraction).
+bool same_value(const Json& a, const Json& b) {
+  if (a.is_number() && b.is_number()) {
+    if (a.type() == b.type() && a.type() != Json::Type::kDouble) {
+      return a.dump() == b.dump();
+    }
+    return a.as_double() == b.as_double();
+  }
+  if (a.type() != b.type()) return false;
+  if (a.is_array()) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (!same_value(a[i], b[i])) return false;
+    }
+    return true;
+  }
+  if (a.is_object()) {
+    const auto& lhs = a.members();
+    const auto& rhs = b.members();
+    if (lhs.size() != rhs.size()) return false;
+    for (std::size_t i = 0; i < lhs.size(); ++i) {
+      if (lhs[i].first != rhs[i].first ||
+          !same_value(lhs[i].second, rhs[i].second)) {
+        return false;
+      }
+    }
+    return true;
+  }
+  return a.dump() == b.dump();
+}
+
+TEST(WireGoldenTest, CorruptionSweepRejectsOrRoundTrips) {
+  // Fixed-seed truncations and byte corruptions of every golden: each
+  // mutation is refused with NdftError, or it decodes to a value whose
+  // re-encoding is the mutated document itself (nothing dropped, clamped
+  // or defaulted on the way in).
+  std::mt19937 rng(20261017u);
+  for (const WireGolden& golden : kWireGoldens) {
+    const std::string text = golden_text(golden);
+    int refused = 0;
+    for (int i = 0; i < 160; ++i) {
+      std::string mutated = text;
+      const std::size_t at = rng() % text.size();
+      if (i % 4 == 0) {
+        mutated.resize(at);
+      } else {
+        mutated[at] = static_cast<char>(rng() % 256);
+      }
+      std::string redumped;
+      try {
+        redumped = golden.redump(mutated);
+      } catch (const NdftError&) {
+        ++refused;
+        continue;
+      }
+      EXPECT_TRUE(same_value(Json::parse(redumped), Json::parse(mutated)))
+          << golden.path << " accepted a mutation at byte " << at
+          << " that does not re-encode to itself:\n"
+          << mutated;
+    }
+    EXPECT_GT(refused, 0) << golden.path;
+  }
+}
+
+/// `doc` with the first member (depth-first) whose value satisfies `pick`
+/// replaced by `edit(value)`.
+Json edit_first(const Json& doc, bool (*pick)(const Json&),
+                Json (*edit)(const Json&), bool& done) {
+  if (doc.is_object()) {
+    Json out = Json::object();
+    for (const auto& [name, member] : doc.members()) {
+      const bool hit = !done && pick(member);
+      done = done || hit;
+      out.set(name, hit ? edit(member) : edit_first(member, pick, edit, done));
+    }
+    return out;
+  }
+  if (doc.is_array()) {
+    Json out = Json::array();
+    for (const Json& item : doc.items()) {
+      out.push_back(edit_first(item, pick, edit, done));
+    }
+    return out;
+  }
+  return doc;
+}
+
+TEST(WireStrictnessTest, UnknownMemberWrongTypeAndRangeThrowEverywhere) {
+  using Edit = Json (*)(const Json&);
+  const auto is_uint = [](const Json& j) {
+    return j.type() == Json::Type::kUint;
+  };
+  const auto is_object = [](const Json& j) { return j.is_object(); };
+  const std::pair<const char*, Edit> uint_edits[] = {
+      {"wrong type", [](const Json&) { return Json("7"); }},
+      {"negative integer", [](const Json&) { return Json(-1); }},
+      {"fractional integer", [](const Json&) { return Json(2.5); }},
+  };
+  const Edit add_surplus = [](const Json& j) {
+    Json out = j;
+    out.set("surplus", 1);
+    return out;
+  };
+  for (const WireGolden& golden : kWireGoldens) {
+    const Json doc = Json::parse(golden_text(golden));
+    std::vector<std::pair<const char*, Json>> broken;
+    broken.emplace_back("unknown member", add_surplus(doc));
+    bool done = false;
+    const Json nested = edit_first(doc, is_object, add_surplus, done);
+    if (done) broken.emplace_back("nested unknown member", nested);
+    for (const auto& [what, edit] : uint_edits) {
+      done = false;
+      broken.emplace_back(what, edit_first(doc, is_uint, edit, done));
+      ASSERT_TRUE(done) << golden.path << " has no integer member";
+    }
+    for (const auto& [what, document] : broken) {
+      EXPECT_THROW(golden.redump(pretty(document)), NdftError)
+          << golden.path << ": " << what;
+    }
+  }
 }
 
 // ------------------------------------------------- async queue semantics

@@ -533,6 +533,39 @@ TEST(ServiceTest, MalformedJobRequestsLeaveNoEngineState) {
       // Structurally valid but semantically invalid (validation layer):
       "{\"schema\":\"ndft.job_request.v1\",\"kind\":\"scf\","
       "\"job\":{\"atoms\":7}}",
+      // Integers outside their C++ type (would wrap to 1, [2,2,2], 60):
+      "{\"schema\":\"ndft.job_request.v1\",\"kind\":\"band_structure\","
+      "\"job\":{\"segments\":4294967297}}",
+      "{\"schema\":\"ndft.job_request.v1\",\"kind\":\"band_structure\","
+      "\"job\":{\"mp_grid\":[4294967298,2,2]}}",
+      "{\"schema\":\"ndft.job_request.v1\",\"kind\":\"scf\","
+      "\"job\":{\"scf\":{\"max_iterations\":4294967356}}}",
+      // A fraction for an integer (would truncate to 64):
+      "{\"schema\":\"ndft.job_request.v1\",\"kind\":\"plan\","
+      "\"job\":{\"atoms\":64.9}}",
+      // Misspelled or unknown members (would run with the defaults):
+      "{\"schema\":\"ndft.job_request.v1\",\"kind\":\"scf\","
+      "\"job\":{\"ecut_Ry\":9.0}}",
+      "{\"schema\":\"ndft.job_request.v1\",\"kind\":\"band_structure\","
+      "\"job\":{\"kpoints\":[{\"k\":[0,0,0],\"wieght\":0.5}]}}",
+      "{\"schema\":\"ndft.job_request.v1\",\"kind\":\"plan\","
+      "\"job\":{},\"priority\":3}",
+      // Non-objects where objects belong (would run with the defaults):
+      "{\"schema\":\"ndft.job_request.v1\",\"kind\":\"scf\","
+      "\"job\":{\"scf\":3}}",
+      "{\"schema\":\"ndft.job_request.v1\",\"kind\":\"lrtddft\","
+      "\"job\":{\"config\":[1,2]}}",
+      "{\"schema\":\"ndft.job_request.v1\",\"kind\":\"plan\","
+      "\"job\":{\"profile_override\":[7,\"x\"]}}",
+      // Override link rates the cost model cannot divide by:
+      "{\"schema\":\"ndft.job_request.v1\",\"kind\":\"plan\","
+      "\"job\":{\"profile_override\":[{},{}]}}",
+      "{\"schema\":\"ndft.job_request.v1\",\"kind\":\"plan\","
+      "\"job\":{\"profile_override\":["
+      "{\"kind\":\"CPU\",\"peak_gflops\":768.0,\"dram_gbps\":100.0,"
+      "\"link_gbps\":250.0},"
+      "{\"kind\":\"NDP\",\"peak_gflops\":409.6,\"dram_gbps\":2000.0,"
+      "\"link_gbps\":null}]}}",
   };
   // Deterministic truncations/corruptions of a valid request round out
   // the corpus (fixed seed: the same bytes every run).
