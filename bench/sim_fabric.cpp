@@ -3,7 +3,10 @@
 // (mesh 1x1 / 2x2 / 4x4, described through "ndft.machine.v1" documents)
 // and reports simulated picoseconds, wall time and fabric events per
 // wall second — the cross-commit scaling record for the credit-based
-// simulator. Results go to BENCH_sim.json.
+// simulator. Results go to BENCH_sim.json, each run with its
+// SimulatePayload JSON, so two records of one sweep can be checked for
+// bitwise-identical simulations. "events" counts fabric messages plus
+// DRAM commands (the work modelled), not event-queue events.
 //
 // Modes:
 //   bench_sim_fabric           full sweep at atoms=32
@@ -145,6 +148,7 @@ int main(int argc, char** argv) try {
     entry.set("wall_ms", run.wall_ms);
     entry.set("events", run.events);
     entry.set("events_per_sec", run.events_per_sec);
+    entry.set("payload", run.payload);
     entries.push_back(std::move(entry));
   }
   bench.set("runs", std::move(entries));

@@ -1,6 +1,7 @@
 #include "cache/cache.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/math_util.hpp"
 
@@ -46,7 +47,69 @@ Cache::Cache(std::string name, sim::EventQueue& queue,
                "cache size must be a whole number of sets");
   sets_ = config.sets();
   NDFT_REQUIRE(sets_ > 0, "cache must have at least one set");
+  NDFT_REQUIRE(config.mshrs <= kMaxMshrs, "cache has too many MSHRs");
   lines_.resize(static_cast<std::size_t>(sets_) * config.ways);
+  mshrs_.resize(config.mshrs);
+  free_mshrs_.reserve(config.mshrs);
+  for (unsigned slot = config.mshrs; slot-- > 0;) {
+    free_mshrs_.push_back(slot);
+  }
+  const std::size_t buckets =
+      std::bit_ceil(std::max<std::size_t>(2 * config.mshrs, 2));
+  mshr_index_.assign(buckets, -1);
+  mshr_shift_ = 64 - static_cast<unsigned>(std::countr_zero(buckets));
+}
+
+std::size_t Cache::mshr_home(Addr line_addr) const noexcept {
+  // Fibonacci hashing: strided miss streams spread over the buckets.
+  return static_cast<std::size_t>((line_addr * 0x9E3779B97F4A7C15ull) >>
+                                  mshr_shift_);
+}
+
+Cache::Mshr* Cache::find_mshr(Addr line_addr) {
+  const std::size_t mask = mshr_index_.size() - 1;
+  for (std::size_t i = mshr_home(line_addr);; i = (i + 1) & mask) {
+    const std::int32_t slot = mshr_index_[i];
+    if (slot < 0) return nullptr;  // load <= 1/2: an empty bucket exists
+    if (mshrs_[static_cast<std::size_t>(slot)].line == line_addr) {
+      return &mshrs_[static_cast<std::size_t>(slot)];
+    }
+  }
+}
+
+Cache::Mshr& Cache::open_mshr(Addr line_addr) {
+  NDFT_ASSERT(!free_mshrs_.empty());
+  const std::uint32_t slot = free_mshrs_.back();
+  free_mshrs_.pop_back();
+  const std::size_t mask = mshr_index_.size() - 1;
+  std::size_t i = mshr_home(line_addr);
+  while (mshr_index_[i] >= 0) i = (i + 1) & mask;
+  mshr_index_[i] = static_cast<std::int32_t>(slot);
+  Mshr& mshr = mshrs_[slot];
+  mshr.line = line_addr;
+  return mshr;
+}
+
+void Cache::close_mshr(Mshr& mshr) {
+  const auto slot = static_cast<std::int32_t>(&mshr - mshrs_.data());
+  const std::size_t mask = mshr_index_.size() - 1;
+  std::size_t hole = mshr_home(mshr.line);
+  while (mshr_index_[hole] != slot) hole = (hole + 1) & mask;
+  // Backward-shift deletion: an entry later in the probe run moves into
+  // the hole when the hole lies between its home bucket and its bucket,
+  // so every remaining line stays reachable from its home.
+  for (std::size_t next = (hole + 1) & mask; mshr_index_[next] >= 0;
+       next = (next + 1) & mask) {
+    const std::size_t home =
+        mshr_home(mshrs_[static_cast<std::size_t>(mshr_index_[next])].line);
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      mshr_index_[hole] = mshr_index_[next];
+      hole = next;
+    }
+  }
+  mshr_index_[hole] = -1;
+  mshr.waiters.clear();
+  free_mshrs_.push_back(static_cast<std::uint32_t>(slot));
 }
 
 Cache::Line* Cache::lookup(Addr line_addr) {
@@ -76,10 +139,7 @@ Cache::Line& Cache::choose_victim(unsigned set) {
 
 void Cache::complete(mem::MemRequest& req, TimePs at) {
   if (req.on_complete) {
-    auto callback = std::move(req.on_complete);
-    queue().schedule_at(at, [callback = std::move(callback), at] {
-      callback(at);
-    });
+    queue().schedule_at(at, std::move(req.on_complete));
   }
 }
 
@@ -111,7 +171,7 @@ void Cache::access(mem::MemRequest req) {
   // streaming kernels use non-temporal stores, so the read-for-ownership
   // a plain write-allocate would add does not exist in tuned code.
   if (req.is_write && req.size == config_.line_bytes &&
-      mshrs_.count(line_addr) == 0) {
+      find_mshr(line_addr) == nullptr) {
     Line& victim = choose_victim(set_of(line_addr));
     if (victim.valid && victim.dirty) {
       ++counters_.writebacks;
@@ -133,39 +193,35 @@ void Cache::access(mem::MemRequest req) {
   }
 
   // Coalesce into an existing MSHR for the same line.
-  if (auto it = mshrs_.find(line_addr); it != mshrs_.end()) {
+  if (Mshr* mshr = find_mshr(line_addr)) {
     ++counters_.coalesced;
-    it->second.is_prefetch = false;  // a demand request now depends on it
-    it->second.waiters.push_back(std::move(req));
+    mshr->waiters.push_back(std::move(req));
     return;
   }
 
-  if (mshrs_.size() >= config_.mshrs) {
+  if (mshrs_busy() >= config_.mshrs) {
     ++counters_.mshr_stalls;
     blocked_.push_back(std::move(req));
     return;
   }
 
-  Mshr& mshr = mshrs_[line_addr];
-  mshr.is_prefetch = false;
-  mshr.waiters.push_back(std::move(req));
+  open_mshr(line_addr).waiters.push_back(std::move(req));
   issue_fill(line_addr, /*is_prefetch=*/false);
 }
 
 void Cache::issue_fill(Addr line_addr, bool is_prefetch) {
-  mem::MemRequest fill;
-  fill.addr = line_addr * config_.line_bytes;
-  fill.size = config_.line_bytes;
-  fill.is_write = false;
-  fill.on_complete = [this, line_addr](TimePs) { handle_fill(line_addr); };
   if (is_prefetch) {
     ++counters_.prefetches;
   }
   // Tag lookup time before the miss propagates downstream.
-  queue().schedule_after(config_.hit_latency_ps,
-                         [this, fill = std::move(fill)]() mutable {
-                           next_->access(std::move(fill));
-                         });
+  queue().schedule_after(config_.hit_latency_ps, [this, line_addr] {
+    mem::MemRequest fill;
+    fill.addr = line_addr * config_.line_bytes;
+    fill.size = config_.line_bytes;
+    fill.is_write = false;
+    fill.on_complete = [this, line_addr] { handle_fill(line_addr); };
+    next_->access(std::move(fill));
+  });
 }
 
 void Cache::handle_fill(Addr line_addr) {
@@ -187,21 +243,20 @@ void Cache::handle_fill(Addr line_addr) {
   victim.tag = line_addr;
   victim.lru = ++lru_tick_;
 
-  const auto it = mshrs_.find(line_addr);
-  if (it != mshrs_.end()) {
-    for (auto& waiter : it->second.waiters) {
+  if (Mshr* mshr = find_mshr(line_addr)) {
+    for (auto& waiter : mshr->waiters) {
       if (waiter.is_write) {
         victim.dirty = true;
       }
       complete(waiter, now() + config_.hit_latency_ps);
     }
-    mshrs_.erase(it);
+    close_mshr(*mshr);
   }
   retry_blocked();
 }
 
 void Cache::retry_blocked() {
-  while (!blocked_.empty() && mshrs_.size() < config_.mshrs) {
+  while (!blocked_.empty() && mshrs_busy() < config_.mshrs) {
     mem::MemRequest req = std::move(blocked_.front());
     blocked_.pop_front();
     access(std::move(req));
@@ -228,11 +283,11 @@ void Cache::maybe_prefetch(Addr line_addr) {
     for (unsigned i = 1; i <= config_.prefetch_degree; ++i) {
       const Addr target =
           line_addr + static_cast<Addr>(stream.stride) * i;
-      if (lookup(target) != nullptr || mshrs_.count(target) != 0 ||
-          mshrs_.size() >= config_.mshrs) {
+      if (lookup(target) != nullptr || find_mshr(target) != nullptr ||
+          mshrs_busy() >= config_.mshrs) {
         continue;
       }
-      mshrs_[target].is_prefetch = true;
+      open_mshr(target);
       issue_fill(target, /*is_prefetch=*/true);
     }
   }

@@ -7,15 +7,19 @@
 // class models every level (only the configuration differs).
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "mem/mem_request.hpp"
+#include "sim/containers.hpp"
 #include "sim/sim_object.hpp"
 
 namespace ndft::cache {
+
+/// Largest CacheConfig::mshrs a Cache accepts: its MSHR table is
+/// allocated in full when the cache is built.
+inline constexpr unsigned kMaxMshrs = 4096;
 
 /// Geometry and latency of one cache level.
 struct CacheConfig {
@@ -93,9 +97,11 @@ class Cache : public sim::SimObject, public mem::MemoryPort {
     std::uint64_t lru = 0;
   };
 
+  /// One outstanding line fill and the requests waiting on it. The slot
+  /// keeps its waiter list's capacity when it is reused.
   struct Mshr {
+    Addr line = 0;
     std::vector<mem::MemRequest> waiters;
-    bool is_prefetch = false;
   };
 
   struct StrideStream {
@@ -111,6 +117,17 @@ class Cache : public sim::SimObject, public mem::MemoryPort {
 
   Line* lookup(Addr line_addr);
   Line& choose_victim(unsigned set);
+  /// Home bucket of a line in mshr_index_.
+  std::size_t mshr_home(Addr line_addr) const noexcept;
+  /// The MSHR tracking `line_addr`, or null.
+  Mshr* find_mshr(Addr line_addr);
+  /// Takes a free MSHR for `line_addr`. Requires mshrs_busy() < mshrs.
+  Mshr& open_mshr(Addr line_addr);
+  /// Returns an MSHR (its waiters already completed) to the free list.
+  void close_mshr(Mshr& mshr);
+  std::size_t mshrs_busy() const noexcept {
+    return mshrs_.size() - free_mshrs_.size();
+  }
   void handle_fill(Addr line_addr);
   void issue_fill(Addr line_addr, bool is_prefetch);
   void complete(mem::MemRequest& req, TimePs at);
@@ -121,8 +138,15 @@ class Cache : public sim::SimObject, public mem::MemoryPort {
   mem::MemoryPort* next_;
   unsigned sets_;
   std::vector<Line> lines_;  // sets_ * ways, row-major by set
-  std::unordered_map<Addr, Mshr> mshrs_;
-  std::deque<mem::MemRequest> blocked_;  // waiting for a free MSHR
+  // Flat MSHR table: config.mshrs slots built with the cache, a stack of
+  // free slot indices, and an open-addressing index line -> slot (linear
+  // probing, power-of-two size >= 2 * mshrs, -1 = empty) that finds an
+  // outstanding miss without hashing into a node-based map.
+  std::vector<Mshr> mshrs_;
+  std::vector<std::uint32_t> free_mshrs_;
+  std::vector<std::int32_t> mshr_index_;
+  unsigned mshr_shift_ = 0;  // 64 - log2(mshr_index_.size())
+  sim::Fifo<mem::MemRequest> blocked_;  // waiting for a free MSHR
   std::unordered_map<Addr, StrideStream> streams_;  // page -> stream state
   std::uint64_t lru_tick_ = 0;
   CacheCounters counters_;

@@ -80,19 +80,9 @@ void Core::advance() {
     }
 
     issue_time_ += issue_cost;
-    mem::MemRequest req;
-    req.addr = op.addr;
-    req.size = op.size;
-    req.is_write = (op.kind == OpKind::kStore);
-    req.on_complete = [this](TimePs at) {
-      NDFT_ASSERT(outstanding_ > 0);
-      --outstanding_;
-      last_completion_ = std::max(last_completion_, at);
-      advance();
-      try_finish();
-    };
+    const bool is_write = (op.kind == OpKind::kStore);
     ++outstanding_;
-    if (req.is_write) {
+    if (is_write) {
       ++counters_.stores;
     } else {
       ++counters_.loads;
@@ -100,16 +90,31 @@ void Core::advance() {
     counters_.mem_bytes += static_cast<double>(op.size);
 
     if (issue_time_ <= now()) {
-      port_->access(std::move(req));
+      issue(op.addr, op.size, is_write);
     } else {
       queue().schedule_at(issue_time_,
-                          [this, req = std::move(req)]() mutable {
-                            port_->access(std::move(req));
+                          [this, addr = op.addr, size = op.size, is_write] {
+                            issue(addr, size, is_write);
                           });
     }
     ++pc_;
   }
   try_finish();
+}
+
+void Core::issue(Addr addr, Bytes size, bool is_write) {
+  mem::MemRequest req;
+  req.addr = addr;
+  req.size = size;
+  req.is_write = is_write;
+  req.on_complete = [this](TimePs at) {
+    NDFT_ASSERT(outstanding_ > 0);
+    --outstanding_;
+    last_completion_ = std::max(last_completion_, at);
+    advance();
+    try_finish();
+  };
+  port_->access(std::move(req));
 }
 
 void Core::try_finish() {

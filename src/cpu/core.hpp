@@ -71,6 +71,9 @@ class Core : public sim::SimObject {
 
  private:
   void advance();
+  /// Sends one memory operation into the port; its completion resumes
+  /// advance().
+  void issue(Addr addr, Bytes size, bool is_write);
   void try_finish();
 
   CoreConfig config_;

@@ -100,7 +100,7 @@ void DramChannel::drain() {
   while (!queue_.empty()) {
     const std::size_t index = pick_next();
     Pending pending = std::move(queue_[index]);
-    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(index));
+    queue_.erase(index);
 
     BankState& bank = banks_[pending.coord.bank];
     const bool row_hit = bank.row_open && bank.open_row == pending.coord.row;
@@ -172,14 +172,18 @@ void DramChannel::drain() {
     --queue_depth_;
     if (pending.req.on_complete || pending.credited) {
       // One retire event: free the controller slot (waking any staged
-      // producer) and deliver the data to the requester.
-      queue().schedule_at(
-          data_end, [this, credited = pending.credited,
-                     callback = std::move(pending.req.on_complete),
-                     data_end] {
-            if (credited) ingress_.return_credit();
-            if (callback) callback(data_end);
-          });
+      // producer) and deliver the data to the requester. data_end grows
+      // with every transfer on the shared bus, so retire events fire in
+      // the order they are scheduled and each takes the head of
+      // retiring_.
+      retiring_.push_back(
+          Retire{std::move(pending.req.on_complete), pending.credited});
+      queue().schedule_at(data_end, [this](TimePs at) {
+        Retire retire = std::move(retiring_.front());
+        retiring_.pop_front();
+        if (retire.credited) ingress_.return_credit();
+        if (retire.callback) retire.callback(at);
+      });
     }
   }
 }

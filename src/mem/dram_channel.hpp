@@ -13,13 +13,13 @@
 // saturating producer back-pressures (stages in the DramSystem's
 // CreditedSender) instead of growing an unbounded request queue.
 
-#include <deque>
 #include <vector>
 
 #include "mem/address_map.hpp"
 #include "mem/dram_timing.hpp"
 #include "mem/energy.hpp"
 #include "mem/mem_request.hpp"
+#include "sim/containers.hpp"
 #include "sim/port.hpp"
 #include "sim/sim_object.hpp"
 
@@ -92,8 +92,15 @@ class DramChannel : public sim::SimObject {
   struct Pending {
     MemRequest req;
     DramCoord coord;
-    TimePs arrival;
-    bool credited;  ///< arrived via ingress(): return the credit at retire
+    TimePs arrival = 0;
+    /// Arrived via ingress(): return the credit at retire.
+    bool credited = false;
+  };
+
+  /// A scheduled transfer's completion, waiting for its retire event.
+  struct Retire {
+    MemCallback callback;
+    bool credited = false;
   };
 
   static sim::LinkConfig ingress_link(std::size_t queue_depth);
@@ -118,12 +125,13 @@ class DramChannel : public sim::SimObject {
   const AddressMap* map_;
   sim::Connection<ChannelRequest> ingress_;
   std::vector<BankState> banks_;
-  std::deque<Pending> queue_;
+  sim::Fifo<Pending> queue_;
+  sim::Fifo<Retire> retiring_;  // in data_end order
   std::size_t queue_depth_ = 0;
   bool drain_scheduled_ = false;
   TimePs bus_free_at_ = 0;
   TimePs last_write_end_ = 0;       ///< for write-to-read turnaround
-  std::deque<TimePs> recent_acts_;  ///< activate timestamps for FAW
+  sim::Fifo<TimePs> recent_acts_;  ///< activate timestamps for FAW
   TimePs next_refresh_ = 0;
   Bytes bytes_ = 0;
   DramCounters counters_;

@@ -53,14 +53,16 @@ void DramSystem::access(MemRequest req) {
                                   size);
     return;
   }
-  // Interconnect hop between the requester and the controller.
-  queue().schedule_after(
-      config_.access_latency_ps,
-      [this, req = std::move(req), coord]() mutable {
-        const Bytes size = req.size;
-        senders_[coord.channel]->push(ChannelRequest{std::move(req), coord},
-                                      size);
-      });
+  // Interconnect hop between the requester and the controller. Every
+  // request pays the same latency, so hops land in the order they were
+  // scheduled and each event takes the head of in_hop_.
+  in_hop_.push_back(ChannelRequest{std::move(req), coord});
+  queue().schedule_after(config_.access_latency_ps, [this] {
+    ChannelRequest request = std::move(in_hop_.front());
+    in_hop_.pop_front();
+    const Bytes size = request.req.size;
+    senders_[request.coord.channel]->push(std::move(request), size);
+  });
 }
 
 Bytes DramSystem::bytes_transferred() const noexcept {

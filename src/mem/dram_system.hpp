@@ -10,6 +10,7 @@
 #include "mem/address_map.hpp"
 #include "mem/dram_channel.hpp"
 #include "mem/mem_request.hpp"
+#include "sim/containers.hpp"
 #include "sim/sim_object.hpp"
 
 namespace ndft::mem {
@@ -84,6 +85,7 @@ class DramSystem : public sim::SimObject, public MemoryPort {
   // backpressure_stall stats on the channel instead.
   std::vector<std::unique_ptr<sim::OutputPort<ChannelRequest>>> ports_;
   std::vector<std::unique_ptr<sim::CreditedSender<ChannelRequest>>> senders_;
+  sim::Fifo<ChannelRequest> in_hop_;  // crossing access_latency_ps
 };
 
 }  // namespace ndft::mem

@@ -1,14 +1,13 @@
 #pragma once
 // The request type that flows from cores through caches into DRAM.
 
-#include <functional>
-
 #include "common/types.hpp"
+#include "sim/callback.hpp"
 
 namespace ndft::mem {
 
 /// Completion callback; receives the simulated time at which data returned.
-using MemCallback = std::function<void(TimePs)>;
+using MemCallback = sim::Callback;
 
 /// A single memory transaction (one cache line by the time it reaches DRAM).
 struct MemRequest {

@@ -189,6 +189,9 @@ void check(const NdpSystemConfig& config) {
       l1.size_bytes < l1.line_bytes * l1.ways) {
     bad("l1 geometry is inconsistent");
   }
+  if (l1.mshrs == 0 || l1.mshrs > cache::kMaxMshrs) {
+    bad("l1.mshrs must be in [1, " + std::to_string(cache::kMaxMshrs) + "]");
+  }
   const mem::DramConfig& dram = stack.dram;
   if (dram.timing.tCK_ps == 0) bad("dram timing tCK_ps must be positive");
   if (dram.timing.burst_length == 0 || dram.timing.bus_width_bits < 8) {

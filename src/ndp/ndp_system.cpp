@@ -61,8 +61,7 @@ NdpSystem::NdpSystem(const std::string& name, sim::EventQueue& queue,
       queue, response, &serdes_stats_);
   cpu_response_->on_receive([this] {
     while (!cpu_response_->empty()) {
-      CpuResponseMsg msg = cpu_response_->pop();
-      if (msg.on_complete) msg.on_complete(queue_->now());
+      complete_transaction(cpu_response_->pop().transaction);
     }
   });
   cpu_response_out_ =
@@ -103,13 +102,16 @@ unsigned NdpSystem::entry_node_for(unsigned stack) const noexcept {
 
 void NdpSystem::CpuPort::access(mem::MemRequest req) {
   NdpSystem& sys = *owner_;
-  CpuRequestMsg msg;
-  msg.stack = sys.stack_of_addr(req.addr);
-  msg.entry = sys.entry_node_for(msg.stack);
-  msg.local = sys.local_addr(req.addr);
-  msg.data_bytes = req.size;
-  msg.is_write = req.is_write;
-  msg.on_complete = std::move(req.on_complete);
+  CpuTransaction txn;
+  txn.stack = sys.stack_of_addr(req.addr);
+  txn.entry = sys.entry_node_for(txn.stack);
+  txn.local = sys.local_addr(req.addr);
+  txn.data_bytes = req.size;
+  txn.is_write = req.is_write;
+  txn.on_complete = std::move(req.on_complete);
+  const Bytes outbound =
+      sys.config_.request_bytes + (txn.is_write ? txn.data_bytes : 0);
+  const std::uint32_t id = sys.transactions_.insert(std::move(txn));
 
   // Pick the least-loaded SerDes link by wire availability (ties go to
   // the lowest-numbered link, as before); the connection then pays
@@ -121,44 +123,44 @@ void NdpSystem::CpuPort::access(mem::MemRequest req) {
       link = i;
     }
   }
-  const Bytes outbound =
-      sys.config_.request_bytes + (msg.is_write ? msg.data_bytes : 0);
-  sys.cpu_link_senders_[link]->push(std::move(msg), outbound);
+  sys.cpu_link_senders_[link]->push(CpuRequestMsg{id}, outbound);
 }
 
 void NdpSystem::handle_cpu_request(CpuRequestMsg msg) {
   // Hop across the mesh to the owning stack.
-  mesh_->send(
-      msg.entry, msg.stack, config_.request_bytes,
-      [this, msg = std::move(msg)](TimePs) mutable {
-        mem::MemRequest dram_req;
-        dram_req.addr = msg.local;
-        dram_req.size = msg.data_bytes;
-        dram_req.is_write = msg.is_write;
-        if (msg.is_write) {
-          // Posted write: complete once the stack DRAM accepts it.
-          dram_req.on_complete = nullptr;
-          stacks_[msg.stack]->dram().access(std::move(dram_req));
-          if (msg.on_complete) {
-            msg.on_complete(queue_->now());
-          }
-          return;
-        }
-        const unsigned stack = msg.stack;
-        dram_req.on_complete = [this, stack, entry = msg.entry,
-                                data_bytes = msg.data_bytes,
-                                callback = std::move(msg.on_complete)](
-                                   TimePs) mutable {
-          // Data response crosses the mesh back and exits over SerDes.
-          mesh_->send(stack, entry,
-                      data_bytes + config_.response_overhead,
-                      [this, callback = std::move(callback)](TimePs) mutable {
-                        cpu_response_sender_->push(
-                            CpuResponseMsg{std::move(callback)}, 0);
-                      });
-        };
-        stacks_[stack]->dram().access(std::move(dram_req));
-      });
+  const CpuTransaction& txn = transactions_[msg.transaction];
+  mesh_->send(txn.entry, txn.stack, config_.request_bytes,
+              [this, id = msg.transaction] { access_stack_dram(id); });
+}
+
+void NdpSystem::access_stack_dram(std::uint32_t transaction) {
+  const CpuTransaction& txn = transactions_[transaction];
+  const unsigned stack = txn.stack;
+  mem::MemRequest dram_req;
+  dram_req.addr = txn.local;
+  dram_req.size = txn.data_bytes;
+  dram_req.is_write = txn.is_write;
+  if (txn.is_write) {
+    // Posted write: complete once the stack DRAM accepts it.
+    stacks_[stack]->dram().access(std::move(dram_req));
+    complete_transaction(transaction);
+    return;
+  }
+  dram_req.on_complete = [this, transaction] {
+    // Data response crosses the mesh back and exits over SerDes.
+    const CpuTransaction& read = transactions_[transaction];
+    mesh_->send(read.stack, read.entry,
+                read.data_bytes + config_.response_overhead,
+                [this, transaction] {
+                  cpu_response_sender_->push(CpuResponseMsg{transaction}, 0);
+                });
+  };
+  stacks_[stack]->dram().access(std::move(dram_req));
+}
+
+void NdpSystem::complete_transaction(std::uint32_t transaction) {
+  mem::MemCallback callback = transactions_.take(transaction).on_complete;
+  if (callback) callback(queue_->now());
 }
 
 void NdpSystem::run(const std::vector<const cpu::Trace*>& traces,

@@ -13,6 +13,7 @@
 #include "mem/mem_request.hpp"
 #include "ndp/ndp_stack.hpp"
 #include "noc/mesh.hpp"
+#include "sim/containers.hpp"
 #include "sim/port.hpp"
 
 namespace ndft::ndp {
@@ -102,8 +103,10 @@ class NdpSystem {
   double dram_background_mw() const;
 
  private:
-  /// One CPU line request crossing a SerDes link into the mesh.
-  struct CpuRequestMsg {
+  /// One CPU line request from SerDes entry until it completes. Lives in
+  /// transactions_; messages and callbacks refer to it by index, so no
+  /// callback captures another.
+  struct CpuTransaction {
     unsigned stack = 0;   ///< owning HBM stack
     unsigned entry = 0;   ///< mesh entry/exit corner
     Addr local = 0;       ///< stack-local address
@@ -111,9 +114,13 @@ class NdpSystem {
     bool is_write = false;
     mem::MemCallback on_complete;
   };
+  /// A CPU line request crossing a SerDes link into the mesh.
+  struct CpuRequestMsg {
+    std::uint32_t transaction = 0;
+  };
   /// A read's data coming back out of the mesh over SerDes.
   struct CpuResponseMsg {
-    mem::MemCallback on_complete;
+    std::uint32_t transaction = 0;
   };
 
   /// Adapts CPU line requests onto the mesh + stack DRAM round trip.
@@ -130,6 +137,10 @@ class NdpSystem {
   /// across the mesh, into the owning stack's DRAM, and routes a read's
   /// data back over the response connection.
   void handle_cpu_request(CpuRequestMsg msg);
+  /// The request reached its stack: issue it to the stack's DRAM.
+  void access_stack_dram(std::uint32_t transaction);
+  /// Releases a transaction and fires its completion.
+  void complete_transaction(std::uint32_t transaction);
 
   /// Stack that owns a physical address (line-interleaved).
   unsigned stack_of_addr(Addr addr) const noexcept;
@@ -156,6 +167,7 @@ class NdpSystem {
   std::unique_ptr<sim::Connection<CpuResponseMsg>> cpu_response_;
   std::unique_ptr<sim::OutputPort<CpuResponseMsg>> cpu_response_out_;
   std::unique_ptr<sim::CreditedSender<CpuResponseMsg>> cpu_response_sender_;
+  sim::Slab<CpuTransaction> transactions_;
   unsigned running_ = 0;
   std::function<void()> on_done_;
 };

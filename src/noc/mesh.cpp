@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <deque>
 
 #include "common/error.hpp"
 #include "common/units.hpp"
+#include "sim/containers.hpp"
 
 namespace ndft::noc {
 
@@ -63,7 +63,7 @@ class Mesh::Router {
  private:
   struct Staged {
     MeshPacket packet;
-    TimePs since;
+    TimePs since = 0;
   };
 
   unsigned route(unsigned dst) const noexcept {
@@ -92,10 +92,7 @@ class Mesh::Router {
     // The head arrived now; the body drains for one serialization time.
     const TimePs arrival = mesh_.queue().now() + packet.serialization;
     if (packet.on_delivered) {
-      mesh_.queue().schedule_at(
-          arrival, [cb = std::move(packet.on_delivered), arrival] {
-            cb(arrival);
-          });
+      mesh_.queue().schedule_at(arrival, std::move(packet.on_delivered));
     }
   }
 
@@ -132,7 +129,7 @@ class Mesh::Router {
   unsigned id_;
   std::array<sim::InputPort<MeshPacket>, 4> in_;
   std::array<sim::OutputPort<MeshPacket>, 4> out_;
-  std::deque<Staged> staged_;
+  sim::Fifo<Staged> staged_;
 };
 
 Mesh::Mesh(std::string name, sim::EventQueue& queue, const MeshConfig& config)
@@ -219,10 +216,7 @@ void Mesh::send(unsigned src, unsigned dst, Bytes bytes,
     // Local loopback: one router traversal, no link traffic.
     const TimePs arrival = now() + config_.hop_latency_ps + serialization;
     if (on_delivered) {
-      queue().schedule_at(arrival,
-                          [cb = std::move(on_delivered), arrival] {
-                            cb(arrival);
-                          });
+      queue().schedule_at(arrival, std::move(on_delivered));
     }
     return;
   }

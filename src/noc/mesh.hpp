@@ -9,7 +9,6 @@
 // packets then wait in the (observable) injection staging of their source
 // router instead of growing hidden in-network buffers.
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,7 +20,7 @@
 namespace ndft::noc {
 
 /// Callback invoked when a message is fully delivered.
-using DeliveryFn = std::function<void(TimePs)>;
+using DeliveryFn = sim::Callback;
 
 /// Mesh geometry and link parameters.
 struct MeshConfig {

@@ -37,12 +37,13 @@
 // the "fault_delays" statistic. Inline connections fall back to an event
 // for the delayed delivery. The draw is per-message and deterministic.
 
-#include <deque>
+#include <cstdint>
 #include <functional>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/units.hpp"
+#include "sim/containers.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/stats.hpp"
 
@@ -126,8 +127,10 @@ class Connection {
       deliver(std::move(msg));
       return arrival;
     }
-    queue_->schedule_at(arrival, [this, m = std::move(msg)]() mutable {
-      deliver(std::move(m));
+    // The message waits in the wire slab; the event carries its slot, so
+    // scheduling it allocates nothing whatever Msg holds.
+    queue_->schedule_at(arrival, [this, slot = wire_.insert(std::move(msg))] {
+      deliver(wire_.take(slot));
     });
     return arrival;
   }
@@ -189,7 +192,8 @@ class Connection {
   StatSet* stats_;
   std::size_t credits_ = 0;
   TimePs free_at_ = 0;
-  std::deque<Msg> queue_msgs_;
+  Fifo<Msg> queue_msgs_;
+  Slab<Msg> wire_;  // messages on the wire
   std::function<void()> on_receive_;
   std::function<void()> on_credit_;
 };
@@ -278,8 +282,8 @@ class CreditedSender {
  private:
   struct Staged {
     Msg msg;
-    Bytes wire_bytes;
-    TimePs since;
+    Bytes wire_bytes = 0;
+    TimePs since = 0;
   };
 
   void drain() {
@@ -297,7 +301,7 @@ class CreditedSender {
   EventQueue* queue_;
   OutputPort<Msg>* port_;
   StatSet* stats_;
-  std::deque<Staged> staged_;
+  Fifo<Staged> staged_;
 };
 
 }  // namespace ndft::sim

@@ -328,6 +328,19 @@ std::vector<Json> malformed_machines() {
   zero_queue.set("stack", stack2);
   bad.push_back(zero_queue);
 
+  // The L1 MSHR table is allocated in full with the cache: a count beyond
+  // cache::kMaxMshrs is refused before anything is built, and zero (every
+  // miss would wait forever) is refused too.
+  for (const std::uint64_t mshrs : {0ull, 4000000000ull}) {
+    Json mshr_doc = good;
+    Json stack3 = *good.find("stack");
+    Json l1 = *stack3.find("l1");
+    l1.set("mshrs", Json(mshrs));
+    stack3.set("l1", l1);
+    mshr_doc.set("stack", stack3);
+    bad.push_back(mshr_doc);
+  }
+
   bad.push_back(Json("not an object"));
   bad.push_back(Json::array());
   return bad;

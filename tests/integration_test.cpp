@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "core/ndft_system.hpp"
 
 namespace ndft::core {
@@ -121,11 +125,109 @@ TEST_F(NdftSystemFixture, SchedulingOverheadStaysSmall) {
   EXPECT_LT(fraction, 0.12);  // paper: 3.8-4.9 %
 }
 
+/// Exact simulator outputs of one Si_64 report at the fixture's sampling.
+struct ReportPin {
+  std::vector<TimePs> kernel_ps;
+  TimePs sched_overhead_ps;
+  Bytes mesh_bytes;
+  Bytes sharing_bytes;
+  double memory_energy_mj;
+  std::map<std::string, double> stats;
+};
+
+// Bit-exact outputs of the simulator. A change that reorders same-time
+// events (the queue's (when, seq) contract) or alters any component's
+// timing fails here, while RunsAreDeterministic, which compares two runs
+// of one binary, cannot see it. Doubles are compared with ==.
+const ReportPin kCpuPin{
+    {63781807418u, 22526562878u, 42665130776u, 22596987903u, 14424256151u,
+     22768935661u, 10411792998u, 314989959966u},
+    0u, 0u, 0u, 2189.1792031924315,
+    {
+        {"dram.bytes", 12868288},
+        {"dram.channel_utilization", 0.44121131962348048},
+        {"dram.queue_peak", 1},
+        {"dram.reads", 201067},
+        {"dram.refresh_stall_ps", 55627740},
+        {"dram.refreshes", 188},
+        {"dram.row_conflicts", 87522},
+        {"dram.row_hits", 113417},
+        {"dram.row_misses", 128},
+        {"dram.writes", 0},
+    }};
+const ReportPin kNdpOnlyPin{
+    {8550221680u, 1949594880u, 7162595432u, 1885096480u, 22589701807u,
+     1977834720u, 1431502258u, 249288542303u},
+    0u, 1606533120u, 0u, 2727.8743442008481,
+    {
+        {"dram.bytes", 19614336},
+        {"dram.channel_utilization", 0.0030036161706382186},
+        {"dram.queue_peak", 1},
+        {"dram.reads", 283778},
+        {"dram.refresh_stall_ps", 510120000},
+        {"dram.refreshes", 51200},
+        {"dram.row_conflicts", 191160},
+        {"dram.row_hits", 111218},
+        {"dram.row_misses", 4096},
+        {"dram.writes", 22696},
+        {"mesh.bytes", 1606533120},
+        {"mesh.contention_ps", 94158044088},
+        {"mesh.hops", 1920},
+        {"mesh.messages", 720},
+        {"mesh.queue_peak", 1},
+    }};
+const ReportPin kNdftPin{
+    {8550221680u, 1949594880u, 7162595432u, 1885096480u, 15676182467u,
+     1887961604u, 1449899980u, 297376785766u},
+    4968433408u, 1846182624u, 237040800u, 3230.0669369123279,
+    {
+        {"dram.bytes", 14289280},
+        {"dram.channel_utilization", 0.0028492450838283321},
+        {"dram.queue_peak", 1},
+        {"dram.reads", 200574},
+        {"dram.refresh_stall_ps", 421720000},
+        {"dram.refreshes", 39940},
+        {"dram.row_conflicts", 151501},
+        {"dram.row_hits", 67673},
+        {"dram.row_misses", 4096},
+        {"dram.writes", 22696},
+        {"mesh.bytes", 1846182624},
+        {"mesh.contention_ps", 108052947825},
+        {"mesh.hops", 49200},
+        {"mesh.messages", 47544},
+        {"mesh.queue_peak", 1},
+        {"serdes.contention_ps", 2807703},
+        {"serdes.queue_peak", 1},
+    }};
+
+void expect_pinned(const RunReport& report, const ReportPin& pin) {
+  SCOPED_TRACE(to_string(report.mode));
+  ASSERT_EQ(report.kernels.size(), pin.kernel_ps.size());
+  for (std::size_t i = 0; i < pin.kernel_ps.size(); ++i) {
+    EXPECT_EQ(report.kernels[i].time_ps, pin.kernel_ps[i])
+        << report.kernels[i].name;
+  }
+  EXPECT_EQ(report.sched_overhead_ps, pin.sched_overhead_ps);
+  EXPECT_EQ(report.mesh_bytes, pin.mesh_bytes);
+  EXPECT_EQ(report.sharing_bytes, pin.sharing_bytes);
+  EXPECT_EQ(report.memory_energy_mj, pin.memory_energy_mj);
+  EXPECT_EQ(report.stats.size(), pin.stats.size());
+  for (const auto& [key, value] : pin.stats) {
+    const auto it = report.stats.find(key);
+    ASSERT_NE(it, report.stats.end()) << key;
+    EXPECT_EQ(it->second, value) << key;
+  }
+}
+
+// Also pins every simulated output of the three Si_64 runs it makes.
 TEST_F(NdftSystemFixture, FootprintsFollowTableI) {
   const dft::Workload w = system.workload_for(64);
   const RunReport cpu = system.run(w, ExecMode::kCpuBaseline);
   const RunReport ndp = system.run(w, ExecMode::kNdpOnly);
   const RunReport ndft = system.run(w, ExecMode::kNdft);
+  expect_pinned(cpu, kCpuPin);
+  expect_pinned(ndp, kNdpOnlyPin);
+  expect_pinned(ndft, kNdftPin);
   EXPECT_GT(ndp.pseudo.total, cpu.pseudo.total);  // replication penalty
   EXPECT_LT(ndft.pseudo.total, ndp.pseudo.total); // shared blocks shrink it
   const double vs_cpu = static_cast<double>(ndft.pseudo.total) /
