@@ -376,11 +376,7 @@ int main(int argc, char** argv) try {
   fft.set("unfused_ms", fft_unfused_ms);
   bench.set("fft3d", std::move(fft));
   const char* path = "BENCH_eig.json";
-  if (std::FILE* file = std::fopen(path, "w")) {
-    const std::string text = bench.dump(2);
-    std::fwrite(text.data(), 1, text.size(), file);
-    std::fputc('\n', file);
-    std::fclose(file);
+  if (write_bench_json(path, bench)) {
     std::printf("wrote %zu size records to %s\n", samples.size(), path);
   } else {
     std::fprintf(stderr, "could not write %s\n", path);

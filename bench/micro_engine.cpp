@@ -113,11 +113,7 @@ int main(int argc, char** argv) try {
   bench.set("armed_p90_us", armed.p90_us);
   bench.set("disabled_over_armed", ratio);
   const char* path = "BENCH_engine.json";
-  if (std::FILE* file = std::fopen(path, "w")) {
-    const std::string text = bench.dump(2);
-    std::fwrite(text.data(), 1, text.size(), file);
-    std::fputc('\n', file);
-    std::fclose(file);
+  if (write_bench_json(path, bench)) {
     std::printf("wrote %s\n", path);
   } else {
     std::fprintf(stderr, "could not write %s\n", path);

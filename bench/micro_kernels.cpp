@@ -229,8 +229,6 @@ class JsonCollectingReporter : public benchmark::ConsoleReporter {
 
 bool write_json(const char* path,
                 const std::vector<JsonCollectingReporter::Entry>& entries) {
-  std::FILE* file = std::fopen(path, "w");
-  if (file == nullptr) return false;
   ndft::Json bench = ndft::Json::object();
   bench.set("bench", "micro_kernels");
   bench.set("meta", ndft::run_metadata_json());
@@ -246,11 +244,7 @@ bool write_json(const char* path,
     list.push_back(std::move(entry));
   }
   bench.set("kernels", std::move(list));
-  const std::string text = bench.dump(2);
-  std::fwrite(text.data(), 1, text.size(), file);
-  std::fputc('\n', file);
-  std::fclose(file);
-  return true;
+  return ndft::write_bench_json(path, bench);
 }
 
 }  // namespace

@@ -153,11 +153,7 @@ int main(int argc, char** argv) try {
   }
   bench.set("runs", std::move(entries));
   const char* path = "BENCH_sim.json";
-  if (std::FILE* file = std::fopen(path, "w")) {
-    const std::string text = bench.dump(2);
-    std::fwrite(text.data(), 1, text.size(), file);
-    std::fputc('\n', file);
-    std::fclose(file);
+  if (write_bench_json(path, bench)) {
     std::printf("wrote %zu runs to %s\n", runs.size(), path);
   } else {
     std::fprintf(stderr, "could not write %s\n", path);

@@ -1,22 +1,13 @@
-// API microbenchmarks, two layers:
-//
-//  1. The job-oriented Engine API (the system's front door): submit and
-//     drain latency plus throughput of async batches at sizes 1 / 8 / 64,
-//     for cheap PlanJobs and for trace-driven SimulateJobs. Results are
-//     written to BENCH_api.json for cross-commit tracking.
-//  2. Table II of the paper: latency and bandwidth of the NDFT
-//     shared-memory programming interface inside the simulated machine,
-//     separating intra-stack accesses (SPM-backed) from inter-stack
-//     accesses (arbiter + mesh). This measures the *simulated* API the
-//     NDP processes use, not the host-side Engine.
+// Table II of the paper: latency and bandwidth of the NDFT shared-memory
+// programming interface inside the simulated machine, separating
+// intra-stack accesses (SPM-backed) from inter-stack accesses (arbiter +
+// mesh). This measures the *simulated* API the NDP processes use, not
+// the host-side Engine (perfbench's service_mix and bench_micro_engine
+// time that).
 
-#include <chrono>
 #include <cstdio>
-#include <vector>
+#include <string>
 
-#include "api/engine.hpp"
-#include "common/json.hpp"
-#include "common/run_metadata.hpp"
 #include "common/str_util.hpp"
 #include "common/table.hpp"
 #include "ndp/ndp_system.hpp"
@@ -25,48 +16,6 @@
 using namespace ndft;
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double us_between(Clock::time_point from, Clock::time_point to) {
-  return std::chrono::duration<double, std::micro>(to - from).count();
-}
-
-struct BatchSample {
-  const char* job_kind = "";
-  std::size_t batch = 0;
-  double submit_us = 0.0;  ///< enqueue all requests
-  double drain_us = 0.0;   ///< wait for the whole batch
-  double jobs_per_sec = 0.0;
-};
-
-/// Submits `batch` copies of `request` and times enqueue vs drain.
-BatchSample run_batch(api::Engine& engine, const api::JobRequest& request,
-                      std::size_t batch) {
-  std::vector<api::JobRequest> requests(batch, request);
-  const Clock::time_point t0 = Clock::now();
-  std::vector<api::JobHandle> handles =
-      engine.submit_batch(std::move(requests));
-  const Clock::time_point t1 = Clock::now();
-  for (const api::JobHandle& handle : handles) {
-    const api::JobResult& result = handle.wait();
-    if (!result.ok()) {
-      // Throw rather than exit: the Engine must unwind (joining its
-      // dispatchers) before the process tears down static state.
-      throw NdftError("bench job failed: " + result.error_message);
-    }
-  }
-  const Clock::time_point t2 = Clock::now();
-
-  BatchSample sample;
-  sample.batch = batch;
-  sample.submit_us = us_between(t0, t1);
-  sample.drain_us = us_between(t1, t2);
-  const double total_s = us_between(t0, t2) * 1e-6;
-  sample.jobs_per_sec =
-      total_s > 0.0 ? static_cast<double>(batch) / total_s : 0.0;
-  return sample;
-}
 
 /// Runs one timed shared-memory API call, returning completion latency.
 template <typename Fn>
@@ -81,78 +30,6 @@ TimePs timed(sim::EventQueue& queue, Fn&& call) {
 }  // namespace
 
 int main() try {
-  // ---------------------------------------------------- Engine job API
-  std::printf("Engine API microbenchmark: async submit/drain\n\n");
-
-  api::EngineConfig config;
-  config.dispatch_threads = 4;
-  // Cheap trace windows: this benchmarks the submission path, not the
-  // fidelity of the simulated machines.
-  config.system.sampled_ops_per_kernel = 20000;
-  config.system.min_ops_per_core = 200;
-  api::Engine engine(config);
-
-  api::PlanJob plan_job;
-  plan_job.atoms = 256;
-
-  api::SimulateJob simulate_job;
-  simulate_job.atoms = 16;
-  simulate_job.mode = core::ExecMode::kNdft;
-
-  std::vector<BatchSample> samples;
-  for (const std::size_t batch : {1u, 8u, 64u}) {
-    BatchSample sample = run_batch(engine, plan_job, batch);
-    sample.job_kind = "plan";
-    samples.push_back(sample);
-  }
-  // Trace-driven simulation is ~1e5 slower per job; stop at batch 8 so
-  // the bench stays interactive.
-  for (const std::size_t batch : {1u, 8u}) {
-    BatchSample sample = run_batch(engine, simulate_job, batch);
-    sample.job_kind = "simulate";
-    samples.push_back(sample);
-  }
-
-  TextTable api_table({"job", "batch", "submit", "drain", "us/job",
-                       "jobs/s"});
-  for (const BatchSample& s : samples) {
-    api_table.add_row(
-        {s.job_kind, strformat("%zu", s.batch),
-         strformat("%.1f us", s.submit_us),
-         strformat("%.1f us", s.drain_us),
-         strformat("%.1f", (s.submit_us + s.drain_us) /
-                               static_cast<double>(s.batch)),
-         strformat("%.1f", s.jobs_per_sec)});
-  }
-  std::printf("%s\n", api_table.render().c_str());
-
-  Json bench = Json::object();
-  bench.set("bench", "api_submit_drain");
-  bench.set("meta", run_metadata_json());
-  bench.set("dispatch_threads", config.dispatch_threads);
-  Json entries = Json::array();
-  for (const BatchSample& s : samples) {
-    Json entry = Json::object();
-    entry.set("job_kind", s.job_kind);
-    entry.set("batch", s.batch);
-    entry.set("submit_us", s.submit_us);
-    entry.set("drain_us", s.drain_us);
-    entry.set("jobs_per_sec", s.jobs_per_sec);
-    entries.push_back(std::move(entry));
-  }
-  bench.set("batches", std::move(entries));
-  const char* path = "BENCH_api.json";
-  if (std::FILE* file = std::fopen(path, "w")) {
-    const std::string text = bench.dump(2);
-    std::fwrite(text.data(), 1, text.size(), file);
-    std::fputc('\n', file);
-    std::fclose(file);
-    std::printf("wrote %zu batch records to %s\n\n", samples.size(), path);
-  } else {
-    std::fprintf(stderr, "could not write %s\n", path);
-  }
-
-  // ------------------------------------------- Table II (simulated API)
   std::printf("Table II microbenchmark: NDFT shared-memory API\n\n");
 
   sim::EventQueue queue;

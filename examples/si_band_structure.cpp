@@ -12,10 +12,6 @@
 
 using namespace ndft;
 
-namespace {
-constexpr double kEvPerHa = 27.211386;
-}
-
 int main(int argc, char** argv) {
   api::BandStructureJob job;
   if (argc > 1) job.ecut_ry = std::strtod(argv[1], nullptr);
@@ -48,7 +44,7 @@ int main(int argc, char** argv) {
   for (const api::BandsAtKPayload& at_k : bands.path) {
     std::printf("%-8s", at_k.label.empty() ? "." : at_k.label.c_str());
     for (std::size_t b = 0; b < at_k.energies_ha.size(); ++b) {
-      std::printf(" %6.2f", (at_k.energies_ha[b] - vbm) * kEvPerHa);
+      std::printf(" %6.2f", (at_k.energies_ha[b] - vbm) * dft::kEvPerHa);
     }
     std::printf("\n");
   }

@@ -18,10 +18,6 @@
 
 using namespace ndft;
 
-namespace {
-constexpr double kEvPerHa = 27.211386;
-}
-
 int main(int argc, char** argv) {
   std::size_t atoms = 8;
   double ecut_ry = 4.5;
@@ -71,7 +67,7 @@ int main(int argc, char** argv) {
   std::printf("  lowest excitations (eV):");
   for (std::size_t i = 0;
        i < std::min<std::size_t>(6, lr.excitations_ha.size()); ++i) {
-    std::printf(" %.3f", lr.excitations_ha[i] * kEvPerHa);
+    std::printf(" %.3f", lr.excitations_ha[i] * dft::kEvPerHa);
   }
   std::printf("\n  per-kernel cost of this run:\n");
   for (const api::KernelCountPayload& count : lr.counts) {

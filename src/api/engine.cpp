@@ -31,7 +31,6 @@ double ms_between(Clock::time_point from, Clock::time_point to) {
 }
 
 constexpr double kHaPerRy = 0.5;
-constexpr double kEvPerHa = 27.211386;
 
 // ------------------------------------------------------------- executors
 // Each executor wraps the existing free-function internals and distills
@@ -69,44 +68,25 @@ BandStructurePayload execute_band_structure(const BandStructureJob& job) {
                      : dft::Crystal::silicon_supercell(job.atoms);
   const dft::PlaneWaveBasis basis(crystal, job.ecut_ry * kHaPerRy);
   const std::vector<dft::KPoint> path = band_job_kpoints(job, crystal);
-  const std::vector<dft::BandsAtK> structure =
+  std::vector<dft::BandsAtK> structure =
       dft::band_structure(basis, path, job.bands);
-  const dft::GapSummary gap = dft::find_gap(structure, job.valence_bands);
 
   BandStructurePayload payload;
   payload.atoms = crystal.atom_count();
   payload.sampling = enum_name(job.sampling);
   payload.basis_size = basis.size();
   payload.path.reserve(structure.size());
-  for (const dft::BandsAtK& at_k : structure) {
+  for (dft::BandsAtK& at_k : structure) {
     BandsAtKPayload point;
     point.label = at_k.kpoint.label;
     point.weight = at_k.kpoint.weight;
     point.k[0] = at_k.kpoint.k.x;
     point.k[1] = at_k.kpoint.k.y;
     point.k[2] = at_k.kpoint.k.z;
-    point.energies_ha = at_k.energies_ha;
+    point.energies_ha = std::move(at_k.energies_ha);
     payload.path.push_back(std::move(point));
   }
-  payload.vbm_ha = gap.vbm_ha;
-  payload.cbm_ha = gap.cbm_ha;
-  payload.vbm_label = gap.vbm_label;
-  payload.cbm_label = gap.cbm_label;
-  payload.indirect_gap_ev = gap.indirect_gap_ev();
-  payload.band_energy_ha = gap.band_energy_ha;
-  payload.weight_sum = gap.weight_sum;
-  // Direct gap at the zone centre: the labelled path point, or the
-  // unlabelled k == 0 point an odd Monkhorst-Pack grid contains.
-  for (const dft::BandsAtK& at_k : structure) {
-    const bool is_gamma =
-        at_k.kpoint.label == "Gamma" || at_k.kpoint.k.norm2() < 1e-20;
-    if (is_gamma && at_k.energies_ha.size() > job.valence_bands) {
-      payload.direct_gap_gamma_ev =
-          (at_k.energies_ha[job.valence_bands] -
-           at_k.energies_ha[job.valence_bands - 1]) * kEvPerHa;
-      break;
-    }
-  }
+  summarize_bands(payload, job.valence_bands);
   return payload;
 }
 

@@ -4,6 +4,7 @@
 
 #include "api/job.hpp"
 #include "common/json_fields.hpp"
+#include "dft/kpoints.hpp"
 
 namespace ndft::core {
 
@@ -253,6 +254,29 @@ ErrorKind error_kind_from_string(const std::string& name) {
 bool is_transient(ErrorKind kind) noexcept {
   return kind == ErrorKind::kTransientResource ||
          kind == ErrorKind::kTransientDevice;
+}
+
+void summarize_bands(BandStructurePayload& payload,
+                     std::size_t valence_bands) {
+  std::vector<dft::BandsAtK> bands;
+  bands.reserve(payload.path.size());
+  for (const BandsAtKPayload& point : payload.path) {
+    dft::BandsAtK at_k;
+    at_k.kpoint.k = {point.k[0], point.k[1], point.k[2]};
+    at_k.kpoint.weight = point.weight;
+    at_k.kpoint.label = point.label;
+    at_k.energies_ha = point.energies_ha;
+    bands.push_back(std::move(at_k));
+  }
+  const dft::GapSummary gap = dft::find_gap(bands, valence_bands);
+  payload.vbm_ha = gap.vbm_ha;
+  payload.cbm_ha = gap.cbm_ha;
+  payload.vbm_label = gap.vbm_label;
+  payload.cbm_label = gap.cbm_label;
+  payload.indirect_gap_ev = gap.indirect_gap_ev();
+  payload.direct_gap_gamma_ev = gap.direct_gap_gamma_ev;
+  payload.band_energy_ha = gap.band_energy_ha;
+  payload.weight_sum = gap.weight_sum;
 }
 
 Json JobResult::to_json() const { return fields_to_json(*this); }

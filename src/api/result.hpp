@@ -144,6 +144,15 @@ struct BandStructurePayload {
   double weight_sum = 0.0;      ///< total integration weight of the k-set
 };
 
+/// Sets every summary member of `payload` (VBM/CBM and their labels, the
+/// indirect and zone-centre direct gaps, band energy, weight sum) from
+/// dft::find_gap over `payload.path` in path order. The Engine's band
+/// executor and the scatter/gather merge both summarise here, so a
+/// gathered payload is the same IEEE operation sequence as an unsharded
+/// one. Throws NdftError when find_gap rejects the points: an empty path,
+/// `valence_bands` == 0, or a point without a conduction band.
+void summarize_bands(BandStructurePayload& payload, std::size_t valence_bands);
+
 /// One optical line (LrtddftJob with oscillator_strengths).
 struct OscillatorLinePayload {
   double energy_ev = 0.0;

@@ -23,64 +23,6 @@ double ms_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-// Same conversion constant the Engine's band executor uses; the merged
-// summary must replay its arithmetic digit for digit.
-constexpr double kEvPerHa = 27.211386;
-
-/// Recomputes the gap summary over the gathered k-points exactly as
-/// dft::find_gap does over a single solve: weighted band-energy terms
-/// accumulate in canonical k-order and the total normalizes ONCE by the
-/// full weight_sum. Merging per-shard summaries instead would divide each
-/// partial sum by its shard's weight before re-averaging — a different
-/// (and double-normalized) float sequence that breaks bitwise equality
-/// with the unsharded run.
-void merge_gap_summary(const BandStructureJob& job,
-                       BandStructurePayload& merged) {
-  const std::size_t valence = job.valence_bands;
-  merged.vbm_ha = -1e18;
-  merged.cbm_ha = 1e18;
-  merged.vbm_label.clear();
-  merged.cbm_label.clear();
-  merged.weight_sum = 0.0;
-  double weighted_band_energy = 0.0;
-  for (const BandsAtKPayload& at_k : merged.path) {
-    const double vbm = at_k.energies_ha[valence - 1];
-    const double cbm = at_k.energies_ha[valence];
-    if (vbm > merged.vbm_ha) {
-      merged.vbm_ha = vbm;
-      merged.vbm_label = at_k.label;
-    }
-    if (cbm < merged.cbm_ha) {
-      merged.cbm_ha = cbm;
-      merged.cbm_label = at_k.label;
-    }
-    double occupied = 0.0;
-    for (std::size_t v = 0; v < valence; ++v) {
-      occupied += at_k.energies_ha[v];
-    }
-    weighted_band_energy += at_k.weight * 2.0 * occupied;
-    merged.weight_sum += at_k.weight;
-  }
-  merged.band_energy_ha = merged.weight_sum > 0.0
-                              ? weighted_band_energy / merged.weight_sum
-                              : 0.0;
-  merged.indirect_gap_ev = (merged.cbm_ha - merged.vbm_ha) * kEvPerHa;
-  // Direct gap at the zone centre, scanning the gathered points in the
-  // same canonical order the Engine scans its solved structure.
-  merged.direct_gap_gamma_ev = 0.0;
-  for (const BandsAtKPayload& at_k : merged.path) {
-    const double norm2 = at_k.k[0] * at_k.k[0] + at_k.k[1] * at_k.k[1] +
-                         at_k.k[2] * at_k.k[2];
-    const bool is_gamma = at_k.label == "Gamma" || norm2 < 1e-20;
-    if (is_gamma && at_k.energies_ha.size() > valence) {
-      merged.direct_gap_gamma_ev =
-          (at_k.energies_ha[valence] - at_k.energies_ha[valence - 1]) *
-          kEvPerHa;
-      break;
-    }
-  }
-}
-
 }  // namespace
 
 // ------------------------------------------------------------ LocalBackend
@@ -516,7 +458,7 @@ JobResult ShardedEngine::run_impl(const JobRequest& request,
   info.failed_backends = outcome.failed_backends;
 
   const auto terminal = [&](JobStatus status, ErrorKind kind,
-                            const char* message) {
+                            const std::string& message) {
     JobResult result;
     result.status = status;
     result.error = kind;
@@ -559,16 +501,28 @@ JobResult ShardedEngine::run_impl(const JobRequest& request,
   }
 
   // Gather: concatenate in canonical shard order, then recompute the
-  // summary once over the whole k-set.
+  // summary once over the whole k-set. Each part is checked against its
+  // sub-job first: an HttpBackend result was decoded from a remote server,
+  // and the decoder checks member types, not payload shapes.
   JobResult result;
   result.status = JobStatus::kOk;
   result.engine.kind = job_kind(request);
   BandStructurePayload merged;
   for (std::size_t s = 0; s < outcome.results.size(); ++s) {
     const JobResult& sub = *outcome.results[s];
-    NDFT_REQUIRE(sub.band_structure.has_value(),
-                 "band sub-job returned no band payload");
+    if (!sub.band_structure.has_value()) {
+      return terminal(JobStatus::kFailed, ErrorKind::kInternal,
+                      strformat("shard %zu returned no band payload", s));
+    }
     const BandStructurePayload& part = *sub.band_structure;
+    const std::size_t sent =
+        std::get<BandStructureJob>(subs[s]).kpoints.size();
+    if (part.path.size() != sent) {
+      return terminal(
+          JobStatus::kFailed, ErrorKind::kInternal,
+          strformat("shard %zu returned %zu k-points for the %zu it was sent",
+                    s, part.path.size(), sent));
+    }
     if (s == 0) {
       merged.atoms = part.atoms;
       merged.basis_size = part.basis_size;
@@ -587,7 +541,13 @@ JobResult ShardedEngine::run_impl(const JobRequest& request,
   // The merged document reports the sampling the CALLER requested; the
   // sub-jobs' "explicit" form is a transport detail.
   merged.sampling = enum_name(band->sampling);
-  merge_gap_summary(*band, merged);
+  try {
+    summarize_bands(merged, band->valence_bands);
+  } catch (const NdftError& error) {
+    return terminal(JobStatus::kFailed, ErrorKind::kInternal,
+                    std::string("gathered band payload rejected: ") +
+                        error.what());
+  }
   result.band_structure = std::move(merged);
   result.shard = info;
   return finish(std::move(result));

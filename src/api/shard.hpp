@@ -15,11 +15,12 @@
 //     the time-reversal half via band_job_kpoints, exactly as the Engine
 //     itself folds) is chunked contiguously in grid order, and gathered
 //     results keep that order regardless of which backend finished when;
-//   * the gap summary is recomputed ONCE over the concatenated points,
-//     replaying dft::find_gap's arithmetic (weighted band-energy sums
-//     first, a single final normalization by the total weight_sum) —
-//     never by averaging per-shard summaries, whose per-run
-//     normalization would double-divide and break bitwise equality.
+//   * the gap summary is recomputed ONCE over the concatenated points by
+//     summarize_bands — the dft::find_gap call the Engine's band
+//     executor makes (weighted band-energy sums first, a single final
+//     normalization by the total weight_sum) — never by averaging
+//     per-shard summaries, whose per-run normalization would
+//     double-divide and break bitwise equality.
 //
 // Failure model: a backend whose execute() throws NdftError is retried
 // with deterministic backoff, then marked down for the run; its shards
@@ -27,7 +28,10 @@
 // down, the remaining shards degrade to local execution on a private
 // fallback engine (tag "shard:local_fallback"). Cancellation and
 // deadlines are observed between shard dispatches and propagate into
-// sub-job deadline budgets. Fan-out accounting rides JobResult::shard.
+// sub-job deadline budgets. An Ok sub-result that does not fit its
+// sub-job (no band payload, a different k-point count, a point without a
+// conduction band) fails the job as kFailed instead of being merged.
+// Fan-out accounting rides JobResult::shard.
 //
 // See docs/SHARDING.md for topology and semantics.
 

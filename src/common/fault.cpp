@@ -10,7 +10,7 @@
 namespace ndft {
 namespace {
 
-// The site catalog. Order is stable (the fault-sweep smoke iterates it);
+// The site catalog. Order is stable (the fault-site sweep test iterates it);
 // names are part of the spec grammar, so renaming one is a breaking
 // change for saved NDFT_FAULTS strings.
 const std::vector<FaultSite>& catalog() {

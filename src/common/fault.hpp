@@ -61,7 +61,7 @@ struct FaultSite {
 };
 
 /// The static catalog of every injection site compiled into the binary
-/// (the fault-sweep smoke iterates it; specs may only name these or "*").
+/// (the fault-site sweep test iterates it; specs may only name these or "*").
 const std::vector<FaultSite>& fault_sites();
 
 /// One armed rule: fire at `site` with `probability` per draw, at most

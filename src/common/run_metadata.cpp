@@ -1,5 +1,8 @@
 #include "common/run_metadata.hpp"
 
+#include <cstdio>
+#include <string>
+
 #include "common/thread_pool.hpp"
 
 // The SHA header is regenerated by CMake on every build (cmake/
@@ -28,6 +31,16 @@ Json run_metadata_json() {
   meta.set("build_type", build_type());
   meta.set("pool_threads", ThreadPool::instance().threads());
   return meta;
+}
+
+bool write_bench_json(const char* path, const Json& bench) {
+  std::FILE* file = std::fopen(path, "w");
+  if (file == nullptr) return false;
+  const std::string text = bench.dump(2);
+  const bool written =
+      std::fwrite(text.data(), 1, text.size(), file) == text.size() &&
+      std::fputc('\n', file) != EOF;
+  return std::fclose(file) == 0 && written;
 }
 
 }  // namespace ndft

@@ -12,8 +12,6 @@ namespace {
 
 /// Hartree per Rydberg.
 constexpr double kHaPerRy = 0.5;
-/// Hartree to electronvolt.
-constexpr double kEvPerHa = 27.211386;
 
 }  // namespace
 

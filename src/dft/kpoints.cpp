@@ -219,6 +219,7 @@ GapSummary find_gap(const std::vector<BandsAtK>& bands,
   GapSummary summary;
   summary.vbm_ha = -1e18;
   summary.cbm_ha = 1e18;
+  bool seen_gamma = false;
   double weighted_band_energy = 0.0;
   for (const BandsAtK& at_k : bands) {
     NDFT_REQUIRE(at_k.energies_ha.size() > valence,
@@ -232,6 +233,11 @@ GapSummary find_gap(const std::vector<BandsAtK>& bands,
     if (cbm < summary.cbm_ha) {
       summary.cbm_ha = cbm;
       summary.cbm_label = at_k.kpoint.label;
+    }
+    if (!seen_gamma && (at_k.kpoint.label == "Gamma" ||
+                        at_k.kpoint.k.norm2() < 1e-20)) {
+      summary.direct_gap_gamma_ev = (cbm - vbm) * kEvPerHa;
+      seen_gamma = true;
     }
     double occupied = 0.0;
     for (std::size_t v = 0; v < valence; ++v) {

@@ -72,9 +72,10 @@ std::vector<BandsAtK> band_structure(const PlaneWaveBasis& basis,
                                      const std::vector<KPoint>& path,
                                      std::size_t bands);
 
-/// Valence-band maximum, conduction-band minimum and the indirect gap
-/// (eV) over a set of solved k-points, assuming `valence` filled bands
-/// (>= 1), plus the weight-integrated occupied band energy.
+/// Valence-band maximum, conduction-band minimum, the indirect gap (eV)
+/// and the direct gap at the zone centre over a set of solved k-points,
+/// assuming `valence` filled bands (>= 1), plus the weight-integrated
+/// occupied band energy.
 struct GapSummary {
   double vbm_ha = 0.0;
   double cbm_ha = 0.0;
@@ -88,11 +89,17 @@ struct GapSummary {
   /// Total integration weight of the summarised k-set (1 for MP grids,
   /// the point count for unit-weight paths).
   double weight_sum = 0.0;
+  /// Direct gap (eV) at the first zone-centre point in set order: the
+  /// point labelled "Gamma", or the unlabelled k == 0 point an odd
+  /// Monkhorst-Pack grid contains. 0 when the set has no such point.
+  double direct_gap_gamma_ev = 0.0;
 
   double indirect_gap_ev() const noexcept {
-    return (cbm_ha - vbm_ha) * 27.211386;
+    return (cbm_ha - vbm_ha) * kEvPerHa;
   }
 };
+/// Throws NdftError on an empty set, `valence` == 0, or a k-point with no
+/// conduction band (at most `valence` energies).
 GapSummary find_gap(const std::vector<BandsAtK>& bands, std::size_t valence);
 
 }  // namespace ndft::dft

@@ -35,6 +35,9 @@ struct Vec3 {
 /// Conventional silicon lattice constant (5.431 Angstrom) in Bohr.
 inline constexpr double kSiliconLatticeBohr = 10.2631;
 
+/// Electronvolts per Hartree: the one conversion behind every eV figure.
+inline constexpr double kEvPerHa = 27.211386;
+
 /// A periodic crystal: lattice vectors plus atom positions (Cartesian Bohr).
 class Crystal {
  public:

@@ -11,7 +11,6 @@
 namespace ndft::dft {
 namespace {
 
-constexpr double kEvPerHa = 27.211386;
 constexpr double kFourPi = 4.0 * std::numbers::pi;
 
 /// Puts orbital `j` (real coefficients over G) onto the FFT grid and

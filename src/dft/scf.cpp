@@ -24,7 +24,6 @@ std::span<const char* const> enum_names(MixingScheme) noexcept {
 namespace {
 
 constexpr double kFourPi = 4.0 * std::numbers::pi;
-constexpr double kEvPerHa = 27.211386;
 constexpr double kDensityFloor = 1e-12;
 
 /// Puts a real-coefficient orbital onto the FFT grid in real space with

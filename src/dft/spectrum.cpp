@@ -4,11 +4,6 @@
 #include <numbers>
 
 namespace ndft::dft {
-namespace {
-
-constexpr double kEvPerHa = 27.211386;
-
-}  // namespace
 
 std::vector<double> momentum_matrix_elements(const PlaneWaveBasis& basis,
                                              const GroundState& ground,

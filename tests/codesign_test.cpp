@@ -1,8 +1,8 @@
 // Tests of the co-design loop through the Engine: record_trace on real
 // physics jobs, trace serialization on JobResult, the CoDesignJob replay
-// (plan + simulate), and the acceptance bound on the calibrated CPU
-// roofline (estimates within 2x of measured kernel times for the traced
-// run's significant kernels).
+// (calibrate + plan + simulate) of recorded SCF and LR-TDDFT traces, and
+// the acceptance bound on the calibrated CPU roofline (estimates within
+// 2x of measured kernel times for the traced run's significant kernels).
 
 #include <gtest/gtest.h>
 
@@ -30,6 +30,19 @@ ScfJob traced_scf() {
   job.atoms = 8;
   job.ecut_ry = 4.0;
   job.scf.max_iterations = 4;
+  job.record_trace = true;
+  return job;
+}
+
+/// The LR-TDDFT Si_8 run whose trace the co-design loop replays: the
+/// Casida window of 4 valence x 4 conduction bands on the EPM ground
+/// state.
+LrtddftJob traced_lrtddft() {
+  LrtddftJob job;
+  job.atoms = 8;
+  job.ecut_ry = 4.5;
+  job.config.valence_window = 4;
+  job.config.conduction_window = 4;
   job.record_trace = true;
   return job;
 }
@@ -86,43 +99,52 @@ TEST(CoDesignTest, ValidationRejectsEmptyTrace) {
 
 TEST(CoDesignTest, RecordedTraceReplaysThroughEngine) {
   Engine engine(fast_config());
-  const JobResult recorded = engine.run(traced_scf());
-  ASSERT_TRUE(recorded.ok()) << recorded.error_message;
+  for (const JobRequest& source :
+       {JobRequest(traced_scf()), JobRequest(traced_lrtddft())}) {
+    SCOPED_TRACE(job_kind(source));
+    const JobResult recorded = engine.run(source);
+    ASSERT_TRUE(recorded.ok()) << recorded.error_message;
+    ASSERT_TRUE(recorded.trace.has_value());
+    ASSERT_FALSE(recorded.trace->events.empty());
 
-  CoDesignJob replay;
-  replay.trace = *recorded.trace;
-  replay.simulate = true;
-  const JobResult result = engine.run(replay);
-  ASSERT_TRUE(result.ok()) << result.error_message;
-  ASSERT_TRUE(result.codesign.has_value());
-  const CoDesignPayload& payload = *result.codesign;
+    CoDesignJob replay;
+    replay.trace = *recorded.trace;
+    replay.simulate = true;
+    const JobResult result = engine.run(replay);
+    ASSERT_TRUE(result.ok()) << result.error_message;
+    ASSERT_TRUE(result.codesign.has_value());
+    const CoDesignPayload& payload = *result.codesign;
 
-  // The plan covers every schedulable trace event, placements and
-  // crossings included.
-  EXPECT_EQ(payload.trace_events, recorded.trace->events.size());
-  ASSERT_FALSE(payload.plan.placements.empty());
-  EXPECT_LE(payload.plan.placements.size(), payload.trace_events);
-  EXPECT_GT(payload.plan.est_total_ps, 0u);
-  unsigned crossings = 0;
-  for (const PlacementPayload& placement : payload.plan.placements) {
-    if (placement.crossing) ++crossings;
+    // The measured kernel times fitted the CPU roofline.
+    EXPECT_TRUE(payload.calibration.calibrated);
+
+    // The plan covers every schedulable trace event, placements and
+    // crossings included.
+    EXPECT_EQ(payload.trace_events, recorded.trace->events.size());
+    ASSERT_FALSE(payload.plan.placements.empty());
+    EXPECT_LE(payload.plan.placements.size(), payload.trace_events);
+    EXPECT_GT(payload.plan.est_total_ps, 0u);
+    unsigned crossings = 0;
+    for (const PlacementPayload& placement : payload.plan.placements) {
+      if (placement.crossing) ++crossings;
+    }
+    EXPECT_EQ(crossings, payload.plan.crossings);
+
+    // The simulated execution of the planned schedule is attached.
+    ASSERT_TRUE(payload.simulate.has_value());
+    EXPECT_EQ(payload.simulate->kernels.size(),
+              payload.plan.placements.size());
+    EXPECT_GT(payload.simulate->total_ps, 0u);
+    EXPECT_EQ(payload.simulate->atoms, 8u);
+
+    // Placements and crossings are reported in the JobResult JSON and the
+    // document round-trips exactly.
+    const std::string dumped = result.to_json().dump(2);
+    EXPECT_NE(dumped.find("\"placements\""), std::string::npos);
+    EXPECT_NE(dumped.find("\"crossings\""), std::string::npos);
+    const JobResult rebuilt = JobResult::from_json(Json::parse(dumped));
+    EXPECT_EQ(rebuilt.to_json().dump(2), dumped);
   }
-  EXPECT_EQ(crossings, payload.plan.crossings);
-
-  // The simulated execution of the planned schedule is attached.
-  ASSERT_TRUE(payload.simulate.has_value());
-  EXPECT_EQ(payload.simulate->kernels.size(),
-            payload.plan.placements.size());
-  EXPECT_GT(payload.simulate->total_ps, 0u);
-  EXPECT_EQ(payload.simulate->atoms, 8u);
-
-  // Placements and crossings are reported in the JobResult JSON and the
-  // document round-trips exactly.
-  const std::string dumped = result.to_json().dump(2);
-  EXPECT_NE(dumped.find("\"placements\""), std::string::npos);
-  EXPECT_NE(dumped.find("\"crossings\""), std::string::npos);
-  const JobResult rebuilt = JobResult::from_json(Json::parse(dumped));
-  EXPECT_EQ(rebuilt.to_json().dump(2), dumped);
 }
 
 TEST(CoDesignTest, CalibratedCpuEstimatesWithinTwoXOfMeasured) {

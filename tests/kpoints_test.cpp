@@ -13,8 +13,6 @@
 namespace ndft::dft {
 namespace {
 
-constexpr double kEvPerHa = 27.211386;
-
 TEST(PrimitiveCellTest, TwoAtomsAndFccVolume) {
   const Crystal primitive = silicon_primitive();
   EXPECT_EQ(primitive.atom_count(), 2u);

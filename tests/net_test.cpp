@@ -5,7 +5,8 @@
 // the Service route table in-process (auth, rate limits, quotas,
 // malformed-request fuzz with zero engine-state leakage), and the full
 // socket path end to end — including the 16-client concurrent==serial
-// bitwise stress test and deterministic net.accept fault replay.
+// bitwise stress test, the 1/8/64-client keep-alive storm in which every
+// request must succeed, and deterministic net.accept fault replay.
 
 #include <gtest/gtest.h>
 
@@ -690,6 +691,53 @@ TEST(EndToEndTest, SixteenConcurrentClientsMatchSerialBitwise) {
   EXPECT_EQ(metric_value(metrics, "ndft_engine_jobs_pending"), 0u);
   EXPECT_EQ(metric_value(metrics, "ndft_engine_jobs_running"), 0u);
   EXPECT_EQ(ts.service.responses_with_status(200), 17u);  // 16 posts + this
+}
+
+TEST(EndToEndTest, KeepAlivePlanStormsServeEveryRequest) {
+  // 1, 8 and 64 keep-alive clients, each sending 25 long-polled PlanJobs
+  // (submit -> execute -> result in one round trip) over one connection.
+  constexpr std::size_t kRequestsPerClient = 25;
+  TestServer ts(fast_config(/*dispatch_threads=*/4));
+  const std::string body = api::job_request_to_json(api::PlanJob{}).dump();
+  std::uint64_t total = 0;
+  for (const std::size_t clients : {1u, 8u, 64u}) {
+    std::vector<std::size_t> served(clients, 0);
+    std::vector<std::thread> threads;
+    threads.reserve(clients);
+    for (std::size_t c = 0; c < clients; ++c) {
+      threads.emplace_back([&, c] {
+        try {
+          HttpClient client("127.0.0.1", ts.server.port());
+          for (std::size_t i = 0; i < kRequestsPerClient; ++i) {
+            if (client.post("/v1/jobs?wait_ms=60000", body).status == 200) {
+              ++served[c];
+            }
+          }
+        } catch (const NdftError&) {
+          // A lost connection leaves the client's remaining requests
+          // unserved; the count below reports it.
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (std::size_t c = 0; c < clients; ++c) {
+      EXPECT_EQ(served[c], kRequestsPerClient)
+          << "client " << c << " of " << clients;
+    }
+    total += clients * kRequestsPerClient;
+  }
+
+  // /metrics counts the storm exactly.
+  HttpClient client = ts.client();
+  const std::string metrics = client.get("/metrics").body;
+  EXPECT_EQ(metric_value(metrics, "ndft_engine_jobs_submitted_total"), total);
+  EXPECT_EQ(metric_value(metrics, "ndft_engine_jobs_completed_total"), total);
+  EXPECT_EQ(metric_value(metrics, "ndft_engine_jobs_started_total"), total);
+  EXPECT_EQ(metric_value(metrics, "ndft_engine_jobs_cancelled_total"), 0u);
+  EXPECT_EQ(metric_value(metrics, "ndft_engine_jobs_retried_total"), 0u);
+  EXPECT_EQ(metric_value(metrics, "ndft_engine_jobs_pending"), 0u);
+  EXPECT_EQ(metric_value(metrics, "ndft_engine_jobs_running"), 0u);
+  EXPECT_EQ(ts.service.responses_with_status(200), total + 1);  // + this
 }
 
 TEST(EndToEndTest, CancelOverSocketIsCounted) {

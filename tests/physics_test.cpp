@@ -17,8 +17,6 @@
 namespace ndft::dft {
 namespace {
 
-constexpr double kEvPerHa = 27.211386;
-
 TEST(LatticeTest, SupercellFactorsBalanceDims) {
   EXPECT_EQ(Crystal::supercell_factors(1), (std::array<std::size_t, 3>{1, 1, 1}));
   EXPECT_EQ(Crystal::supercell_factors(2), (std::array<std::size_t, 3>{1, 1, 2}));

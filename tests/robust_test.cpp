@@ -1,5 +1,6 @@
 // Adversarial robustness tests: the fault-injection harness (spec
-// grammar, deterministic replay, site catalog), cooperative cancellation
+// grammar, deterministic replay, site catalog, and a sweep holding every
+// registered site to its class contract), cooperative cancellation
 // and deadlines at stage boundaries, the Engine's retry/backoff loop for
 // transient failures, graceful degradation (solver fallbacks, untraced
 // runs), exactly-once cancellation accounting under races, starvation
@@ -13,6 +14,7 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +24,8 @@
 #include "common/fault.hpp"
 #include "common/prng.hpp"
 #include "dft/linalg.hpp"
+#include "net/client.hpp"
+#include "net/server.hpp"
 
 namespace ndft::api {
 namespace {
@@ -331,6 +335,160 @@ TEST_F(DegradationTest, TraceRecorderFaultDowngradesToUntraced) {
   EXPECT_FALSE(result.trace.has_value());  // downgraded, not failed
   ASSERT_FALSE(result.degraded.empty());
   EXPECT_EQ(result.degraded.front(), "trace:recorder_failed");
+}
+
+// ------------------------------------------------------- fault-site sweep
+// Every registered site, armed capped at one fire and then uncapped, is
+// driven through the layer that owns it with a small job and held to the
+// contract of its class. A site with no driver below fails the sweep, so
+// a new site is covered the moment it is registered.
+
+using FaultSweepTest = FaultFixture;
+
+/// A small Engine job that reaches `site`; nullopt for the sites that are
+/// not Engine-level failures (sim.port, net.accept) and unknown ones.
+std::optional<JobRequest> job_for_site(const std::string& site) {
+  if (site == "engine.alloc") return PlanJob{};
+  if (site == "scf.alloc" || site == "trace.recorder") {
+    ScfJob job;
+    job.scf.max_iterations = 2;
+    job.scf.tolerance = 1e-2;
+    job.record_trace = site == "trace.recorder";
+    return job;
+  }
+  if (site == "bands.alloc" || site == "solver.syevd_partial") {
+    BandStructureJob job;
+    job.segments = 1;
+    return job;
+  }
+  if (site == "sim.mem") {
+    SimulateJob job;
+    job.atoms = 16;
+    return job;
+  }
+  return std::nullopt;
+}
+
+/// Transient sites (resource, device): capped, the retry succeeds on
+/// attempt 2; uncapped, the whole retry budget ends in a classified
+/// transient failure. Degradable sites (solver, trace): the job stays Ok
+/// and records how it degraded.
+void sweep_engine_site(const FaultSite& site, const JobRequest& job) {
+  constexpr unsigned kMaxAttempts = 3;
+  const bool transient =
+      site.cls == FaultClass::kResource || site.cls == FaultClass::kDevice;
+  for (const bool capped : {true, false}) {
+    SCOPED_TRACE(capped ? "capped @1" : "uncapped");
+    EngineConfig config = fast_config();
+    config.max_attempts = kMaxAttempts;
+    config.retry_backoff_ms = 0.1;
+    config.fault_spec = std::string(site.name) + (capped ? "=1.0@1" : "=1.0");
+    Engine engine(config);
+    const JobResult result = engine.run(job);
+    if (!transient) {
+      EXPECT_TRUE(result.ok()) << result.error_message;
+      EXPECT_FALSE(result.degraded.empty());
+    } else if (capped) {
+      EXPECT_TRUE(result.ok()) << result.error_message;
+      EXPECT_EQ(result.engine.attempts, 2u);
+    } else {
+      EXPECT_EQ(result.status, JobStatus::kFailed);
+      EXPECT_TRUE(is_transient(result.error)) << to_string(result.error);
+      EXPECT_EQ(result.engine.attempts, kMaxAttempts);
+    }
+  }
+}
+
+/// Sum of every "<group>.fault_delays" statistic of a simulate result.
+double fault_delays(const JobResult& result) {
+  double delays = 0.0;
+  for (const auto& [key, value] : result.simulate->stats) {
+    if (key.ends_with(".fault_delays")) delays += value;
+  }
+  return delays;
+}
+
+/// sim.port never throws: the simulated machine absorbs the dropped
+/// message as a delayed retransmission. The job stays Ok on its first
+/// attempt, the drops surface as fault_delays (exactly one when capped),
+/// and simulated time never shrinks below the fault-free run.
+void sweep_sim_port() {
+  const auto run_once = [](const std::string& spec) {
+    EngineConfig config = fast_config();
+    config.fault_spec = spec;
+    Engine engine(config);
+    SimulateJob job;
+    job.atoms = 16;
+    return engine.run(job);
+  };
+  const JobResult clean = run_once("");
+  ASSERT_TRUE(clean.ok()) << clean.error_message;
+  EXPECT_EQ(fault_delays(clean), 0.0);
+  for (const bool capped : {true, false}) {
+    SCOPED_TRACE(capped ? "capped @1" : "uncapped");
+    const JobResult result =
+        run_once(capped ? "sim.port=1.0@1" : "sim.port=1.0");
+    ASSERT_TRUE(result.ok()) << result.error_message;
+    EXPECT_EQ(result.engine.attempts, 1u);
+    EXPECT_GE(result.simulate->total_ps, clean.simulate->total_ps);
+    if (capped) {
+      EXPECT_EQ(fault_delays(result), 1.0);
+    } else {
+      EXPECT_GT(fault_delays(result), 1.0);
+    }
+  }
+}
+
+/// net.accept fires at the service boundary, not inside a job: a real
+/// loopback server drops the accepted connection, and the client's
+/// reconnect plays the Engine's retry. Capped, exactly the first of two
+/// connections is dropped; uncapped, all three are.
+void sweep_net_accept() {
+  for (const bool capped : {true, false}) {
+    SCOPED_TRACE(capped ? "capped @1" : "uncapped");
+    fault_install(
+        FaultSpec::parse(capped ? "net.accept=1.0@1" : "net.accept=1.0"));
+    net::HttpServer server(net::ServerConfig{}, [](const net::HttpRequest&) {
+      net::HttpResponse response;
+      response.body = "ok";
+      return response;
+    });
+    server.start();
+    const auto served = [&server] {
+      try {
+        net::HttpClient client("127.0.0.1", server.port());
+        return client.get("/").status == 200;
+      } catch (const NdftError&) {
+        return false;  // connection dropped at accept
+      }
+    };
+    if (capped) {
+      EXPECT_FALSE(served());
+      EXPECT_TRUE(served());
+      EXPECT_EQ(server.connections_dropped(), 1u);
+    } else {
+      for (int i = 0; i < 3; ++i) EXPECT_FALSE(served()) << "connection " << i;
+      EXPECT_EQ(server.connections_dropped(), 3u);
+    }
+    server.shutdown();
+  }
+  fault_clear();
+}
+
+TEST_F(FaultSweepTest, EverySiteHonoursItsClassContract) {
+  for (const FaultSite& site : fault_sites()) {
+    const std::string name = site.name;
+    SCOPED_TRACE(name);
+    if (name == "sim.port") {
+      sweep_sim_port();
+    } else if (name == "net.accept") {
+      sweep_net_accept();
+    } else if (const std::optional<JobRequest> job = job_for_site(name)) {
+      sweep_engine_site(site, *job);
+    } else {
+      ADD_FAILURE() << "no sweep driver for fault site " << name;
+    }
+  }
 }
 
 // ------------------------------------------------ cancellation/deadlines
