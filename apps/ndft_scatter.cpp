@@ -7,17 +7,20 @@
 // against a live cluster.
 //
 // Usage: ndft_scatter [options]
-//   --local N           in-process backend engines (default 4 when no
-//                       --connect is given, else 0)
-//   --connect HOST:PORT remote ndft_serve backend (repeatable)
+//   --local N           in-process backend engines, 0-256 (default 4 when
+//                       no --connect is given, else 0)
+//   --connect HOST:PORT remote ndft_serve backend, PORT 1-65535
+//                       (repeatable)
 //   --auth-token T      bearer token sent to remote backends
 //   --job FILE          ndft.job_request.v1 JSON to run ("-" = stdin;
 //                       default: a 4x4x4 Monkhorst-Pack band job)
-//   --mp N              grid of the default band job (default 4)
-//   --shards N          target sub-jobs per backend (default 4)
+//   --mp N              grid of the default band job, 1-64 (default 4)
+//   --shards N          target sub-jobs per backend, 1-1024 (default 4)
 //   --no-fallback       fail instead of degrading to local execution
 //                       when every backend is down
 //   --quiet             suppress the fan-out summary on stderr
+//
+// A malformed or out-of-range number exits with code 2 and a message.
 
 #include <cstdio>
 #include <cstdlib>
@@ -29,6 +32,7 @@
 #include "api/request_json.hpp"
 #include "api/shard.hpp"
 #include "common/json.hpp"
+#include "core/cli.hpp"
 
 namespace {
 
@@ -70,8 +74,16 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage_error(argv[0], arg + " needs a value");
       return argv[++i];
     };
+    const auto number = [&](const std::string& text, long min,
+                            long max) -> long {
+      try {
+        return ndft::core::parse_int(text, min, max, arg);
+      } catch (const ndft::NdftError& error) {
+        usage_error(argv[0], error.what());
+      }
+    };
     if (arg == "--local") {
-      local = static_cast<std::size_t>(std::atoi(value().c_str()));
+      local = static_cast<std::size_t>(number(value(), 0, 256));
       local_set = true;
     } else if (arg == "--connect") {
       const std::string spec = value();
@@ -81,18 +93,18 @@ int main(int argc, char** argv) {
       }
       Remote remote;
       remote.host = spec.substr(0, colon);
-      remote.port =
-          static_cast<std::uint16_t>(std::atoi(spec.c_str() + colon + 1));
+      remote.port = static_cast<std::uint16_t>(
+          number(spec.substr(colon + 1), 1, 65535));
       remotes.push_back(std::move(remote));
     } else if (arg == "--auth-token") {
       bearer = value();
     } else if (arg == "--job") {
       job_path = value();
     } else if (arg == "--mp") {
-      mp = static_cast<unsigned>(std::atoi(value().c_str()));
+      mp = static_cast<unsigned>(number(value(), 1, 64));
     } else if (arg == "--shards") {
       shard_config.shards_per_backend =
-          static_cast<std::size_t>(std::atoi(value().c_str()));
+          static_cast<std::size_t>(number(value(), 1, 1024));
     } else if (arg == "--no-fallback") {
       shard_config.allow_local_fallback = false;
     } else if (arg == "--quiet") {

@@ -4,16 +4,22 @@
 // jobs complete, then exit 0. See docs/SERVICE.md for the protocol.
 //
 // Usage: ndft_serve [options]
-//   --port N            listen port (default 8424; 0 = ephemeral, printed)
+//   --port N            listen port, 0-65535 (default 8424; 0 = ephemeral,
+//                       printed)
 //   --address A         bind address (default 127.0.0.1)
-//   --dispatch N        engine dispatcher threads (default 2)
+//   --dispatch N        engine dispatcher threads, 0-256 (default 2)
 //   --auth-token T      accepted bearer token (repeatable; default: the
 //                       NDFT_AUTH_TOKENS env var, else open access)
-//   --rate-limit R      requests/s per client address (default: off)
-//   --burst B           rate-limit burst size (default: same as rate)
-//   --quota N           max queued+running jobs per client (default: off)
-//   --max-connections N concurrent connections (default 256)
+//   --rate-limit R      whole requests/s per client address, 0-1000000
+//                       (default 0: off)
+//   --burst B           rate-limit burst size, 0-1000000 (default: same as
+//                       rate)
+//   --quota N           max queued+running jobs per client, 0-1000000
+//                       (default 0: off)
+//   --max-connections N concurrent connections, 1-4096 (default 256)
 //   --quiet             disable the per-request log line
+//
+// A malformed or out-of-range number exits with code 2 and a message.
 
 #include <csignal>
 #include <cstdio>
@@ -24,6 +30,7 @@
 #include <vector>
 
 #include "api/engine.hpp"
+#include "core/cli.hpp"
 #include "net/server.hpp"
 #include "net/service.hpp"
 
@@ -53,25 +60,32 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage_error(argv[0], arg + " needs a value");
       return argv[++i];
     };
+    const auto number = [&](long min, long max) -> long {
+      try {
+        return ndft::core::parse_int(value(), min, max, arg);
+      } catch (const ndft::NdftError& error) {
+        usage_error(argv[0], error.what());
+      }
+    };
     if (arg == "--port") {
-      server_config.port = static_cast<std::uint16_t>(std::atoi(value().c_str()));
+      server_config.port = static_cast<std::uint16_t>(number(0, 65535));
     } else if (arg == "--address") {
       server_config.bind_address = value();
     } else if (arg == "--dispatch") {
       engine_config.dispatch_threads =
-          static_cast<std::size_t>(std::atoi(value().c_str()));
+          static_cast<std::size_t>(number(0, 256));
     } else if (arg == "--auth-token") {
       service_config.auth_tokens.push_back(value());
     } else if (arg == "--rate-limit") {
-      service_config.rate_limit_per_s = std::atof(value().c_str());
+      service_config.rate_limit_per_s =
+          static_cast<double>(number(0, 1000000));
     } else if (arg == "--burst") {
-      service_config.rate_burst = std::atof(value().c_str());
+      service_config.rate_burst = static_cast<double>(number(0, 1000000));
     } else if (arg == "--quota") {
-      service_config.queue_quota =
-          static_cast<std::size_t>(std::atoi(value().c_str()));
+      service_config.queue_quota = static_cast<std::size_t>(number(0, 1000000));
     } else if (arg == "--max-connections") {
       server_config.max_connections =
-          static_cast<std::size_t>(std::atoi(value().c_str()));
+          static_cast<std::size_t>(number(1, 4096));
     } else if (arg == "--quiet") {
       service_config.log = nullptr;
     } else if (arg == "--help" || arg == "-h") {

@@ -29,13 +29,15 @@
 #                    co-design loop closes      codesign_test
 #                      CoDesignTest.RecordedTraceReplaysThroughEngine (sim)
 #   --sanitize     additionally build an ASan+UBSan tree (build-asan,
-#                  -DNDFT_SANITIZE=ON) and run the api and robust tiers
-#                  (the robust tier carries the fault-site sweep, so every
-#                  site's fault path runs instrumented) plus the simulator
-#                  unit tests (sim, cache, cpu, mem, noc, ndp: the event
-#                  core's slot reuse and in-place callables, and every
-#                  component queue on it) under it; any sanitizer report
-#                  fails the gate.
+#                  -DNDFT_SANITIZE=ON) and run the api, robust, net and
+#                  shard tiers (the robust tier carries the fault-site
+#                  sweep, so every site's fault path runs instrumented;
+#                  net and shard carry the thread-per-connection server,
+#                  the HTTP client and the scatter workers) plus the
+#                  simulator unit tests (sim, cache, cpu, mem, noc, ndp:
+#                  the event core's slot reuse and in-place callables, and
+#                  every component queue on it) under it; any sanitizer
+#                  report fails the gate.
 #   --portable     additionally build a portable tree (build-portable,
 #                  -DNDFT_NATIVE_ARCH=OFF: no -march=native, so no
 #                  AVX-512 on x86-64) and run the kernel tier under it.
@@ -108,17 +110,18 @@ fi
 
 if [ "$SANITIZE" -eq 1 ]; then
   # Instrumented pass over the tiers that exercise concurrency, fault
-  # paths and cancellation races, and over the simulator unit tests,
-  # where placement-new lifetimes and reused event slots live;
+  # paths, sockets and cancellation races, and over the simulator unit
+  # tests, where placement-new lifetimes and reused event slots live;
   # -fno-sanitize-recover=all makes any report fail the run.
   SAN_DIR="build-asan"
   SIM_UNIT_TESTS='^(sim|cache|cpu|mem|noc|ndp)_test$'
   cmake -B "$SAN_DIR" -S . -DNDFT_SANITIZE=ON
   cmake --build "$SAN_DIR" -j "$JOBS"
-  ctest --test-dir "$SAN_DIR" -L 'api|robust' --output-on-failure -j "$JOBS"
+  ctest --test-dir "$SAN_DIR" -L 'api|robust|net|shard' --output-on-failure \
+    -j "$JOBS"
   ctest --test-dir "$SAN_DIR" -R "$SIM_UNIT_TESTS" --output-on-failure \
     -j "$JOBS"
-  echo "sanitize (api|robust + simulator unit tests): OK ($SAN_DIR)"
+  echo "sanitize (api|robust|net|shard + simulator unit tests): OK ($SAN_DIR)"
 fi
 
 if [ "$PORTABLE" -eq 1 ]; then

@@ -30,7 +30,10 @@ double ms_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-constexpr double kHaPerRy = 0.5;
+/// Not-yet-started jobs submit() accepts before it throws.
+constexpr std::size_t kMaxPendingJobs = 4096;
+/// Ceiling of the doubling retry backoff.
+constexpr double kRetryBackoffCapMs = 50.0;
 
 // ------------------------------------------------------------- executors
 // Each executor wraps the existing free-function internals and distills
@@ -38,7 +41,7 @@ constexpr double kHaPerRy = 0.5;
 
 ScfPayload execute_scf(const ScfJob& job) {
   const dft::Crystal crystal = dft::Crystal::silicon_supercell(job.atoms);
-  const dft::PlaneWaveBasis basis(crystal, job.ecut_ry * kHaPerRy);
+  const dft::PlaneWaveBasis basis(crystal, job.ecut_ry * dft::kHaPerRy);
   const dft::ScfResult scf = dft::solve_scf(basis, job.scf);
 
   ScfPayload payload;
@@ -66,7 +69,7 @@ BandStructurePayload execute_band_structure(const BandStructureJob& job) {
   const dft::Crystal crystal =
       job.atoms == 0 ? dft::silicon_primitive()
                      : dft::Crystal::silicon_supercell(job.atoms);
-  const dft::PlaneWaveBasis basis(crystal, job.ecut_ry * kHaPerRy);
+  const dft::PlaneWaveBasis basis(crystal, job.ecut_ry * dft::kHaPerRy);
   const std::vector<dft::KPoint> path = band_job_kpoints(job, crystal);
   std::vector<dft::BandsAtK> structure =
       dft::band_structure(basis, path, job.bands);
@@ -92,7 +95,7 @@ BandStructurePayload execute_band_structure(const BandStructureJob& job) {
 
 LrtddftPayload execute_lrtddft(const LrtddftJob& job) {
   const dft::Crystal crystal = dft::Crystal::silicon_supercell(job.atoms);
-  const dft::PlaneWaveBasis basis(crystal, job.ecut_ry * kHaPerRy);
+  const dft::PlaneWaveBasis basis(crystal, job.ecut_ry * dft::kHaPerRy);
   const std::size_t bands =
       2 * job.atoms + std::max<std::size_t>(8, job.config.conduction_window);
   const dft::GroundState ground = dft::solve_epm(basis, bands);
@@ -147,7 +150,7 @@ LrtddftPayload execute_lrtddft(const LrtddftJob& job) {
   }
   if (job.oscillator_strengths) {
     for (const dft::OscillatorLine& line :
-         dft::oscillator_strengths(basis, ground, job.config)) {
+         dft::oscillator_strengths(basis, ground, job.config, result)) {
       payload.lines.push_back({line.energy_ev, line.strength});
     }
   }
@@ -467,7 +470,7 @@ TimePs estimate_cost_ps(const JobRequest& request,
       // Per iteration: the dense eigensolve plus the valence density
       // FFTs, at the closed-form basis/grid sizes for the cutoff.
       const dft::SystemDims dims =
-          dft::SystemDims::silicon(job->atoms, job->ecut_ry * 0.5);
+          dft::SystemDims::silicon(job->atoms, job->ecut_ry * dft::kHaPerRy);
       const TimePs fft = price_event(
           sca, KernelClass::kFft, dft::fft_flops(dims.grid_points),
           4ull * dims.grid_points * sizeof(dft::Complex), dims.grid_points);
@@ -510,11 +513,8 @@ TimePs estimate_cost_ps(const JobRequest& request,
       // The analytic iteration evaluated at the job's excitation window,
       // plus the EPM ground-state eigensolve it sits on.
       dft::SystemDims dims =
-          dft::SystemDims::silicon(job->atoms, job->ecut_ry * 0.5);
-      dims.valence_window =
-          job->config.valence_window == 0
-              ? dims.valence_bands
-              : std::min(job->config.valence_window, dims.valence_bands);
+          dft::SystemDims::silicon(job->atoms, job->ecut_ry * dft::kHaPerRy);
+      dims.valence_window = job->config.window_valence(dims.valence_bands);
       dims.conduction_window = job->config.conduction_window;
       dims.pairs = dims.valence_window * dims.conduction_window;
       dims.subspace = 2 * dims.pairs;  // heev's real embedding
@@ -707,7 +707,7 @@ JobHandle Engine::submit(JobRequest request) {
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     NDFT_REQUIRE(!stopping_, "engine is shutting down");
-    NDFT_REQUIRE(queue_.size() < config_.max_pending,
+    NDFT_REQUIRE(queue_.size() < kMaxPendingJobs,
                  "engine queue is full");
     // Cost-aware ordering: cheapest job first, FIFO (by id) among equal
     // estimates. Insertion keeps the deque sorted so the pop side stays
@@ -933,8 +933,7 @@ JobResult Engine::execute(const JobRequest& request,
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(backoff_ms));
       backoff_total_ms += backoff_ms;
-      backoff_ms = std::min(backoff_ms * 2.0,
-                            std::max(0.0, config_.retry_backoff_cap_ms));
+      backoff_ms = std::min(backoff_ms * 2.0, kRetryBackoffCapMs);
     }
   }
   result.timings.backoff_ms = backoff_total_ms;

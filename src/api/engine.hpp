@@ -48,9 +48,6 @@ struct EngineConfig {
   /// jobs execute only inside drain() on the calling thread (deterministic
   /// single-threaded embedding and cancellation tests).
   std::size_t dispatch_threads = 2;
-  /// Upper bound on not-yet-started jobs; submit() throws NdftError when
-  /// the queue is full (backpressure instead of unbounded growth).
-  std::size_t max_pending = 4096;
   /// Aging escape hatch of the cost-aware queue: once the oldest pending
   /// job has waited this long, it runs next regardless of cost, so a
   /// sustained stream of cheap submissions cannot starve a heavy job.
@@ -60,9 +57,8 @@ struct EngineConfig {
   /// pressure, simulated device faults). 1 disables retry.
   unsigned max_attempts = 3;
   /// Deterministic backoff before retry k: retry_backoff_ms * 2^(k-1),
-  /// capped at retry_backoff_cap_ms. No jitter — retry schedules replay.
+  /// capped at 50 ms. No jitter — retry schedules replay.
   double retry_backoff_ms = 1.0;
-  double retry_backoff_cap_ms = 50.0;
   /// Fault-injection spec installed at construction (see
   /// docs/ROBUSTNESS.md for the grammar). Empty = leave the process-wide
   /// fault state alone; the NDFT_FAULTS environment variable is the
@@ -160,8 +156,8 @@ class Engine {
 
   /// Enqueues `request` for asynchronous execution, ordered by the
   /// engine's cost estimate (cheapest jobs drain first; equal estimates
-  /// keep submission order). Throws NdftError when the pending queue is
-  /// full.
+  /// keep submission order). Throws NdftError when 4096 jobs are already
+  /// pending (backpressure instead of unbounded growth).
   JobHandle submit(JobRequest request);
 
   /// Enqueues a batch in order; equivalent to calling submit() per entry.

@@ -25,7 +25,6 @@ void fields(Io& io, LrTddftConfig& c) {
   io("conduction_window", c.conduction_window);
   io("include_xc", c.include_xc);
   io("spin_factor", c.spin_factor);
-  io("keep_eigenvectors", c.keep_eigenvectors);
 }
 
 }  // namespace ndft::dft

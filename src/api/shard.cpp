@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <deque>
 #include <thread>
 #include <utility>
@@ -22,6 +23,13 @@ using Clock = std::chrono::steady_clock;
 double ms_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
+
+/// HttpBackend gives up on a sub-job still pending after this long; the
+/// job-level deadline usually bites first.
+constexpr double kResultDeadlineMs = 600000.0;
+/// Floor on k-points per shard; below it the per-shard basis rebuild
+/// dominates the eigensolves it amortizes.
+constexpr std::size_t kMinPointsPerShard = 2;
 
 }  // namespace
 
@@ -96,11 +104,10 @@ JobResult HttpBackend::execute(const JobRequest& request) {
   // status code cannot distinguish them (mistaking the stub for a result
   // was exactly the long-poll bug this layer's tests pin down). The full
   // result alone carries the "schema" member, so gate on that.
-  const bool bounded = config_.result_deadline_ms > 0.0;
   const Clock::time_point give_up =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double, std::milli>(
-                             bounded ? config_.result_deadline_ms : 0.0));
+                             kResultDeadlineMs));
   const std::string target =
       "/v1/jobs/" + std::to_string(id) + "?wait_ms=" + wait;
   for (;;) {
@@ -113,10 +120,10 @@ JobResult HttpBackend::execute(const JobRequest& request) {
     }
     const Json parsed = Json::parse(polled.body);
     if (parsed.has("schema")) return JobResult::from_json(parsed);
-    if (bounded && Clock::now() >= give_up) {
+    if (Clock::now() >= give_up) {
       throw NdftError(strformat(
           "backend %s: job %llu still pending after %g ms", name_.c_str(),
-          static_cast<unsigned long long>(id), config_.result_deadline_ms));
+          static_cast<unsigned long long>(id), kResultDeadlineMs));
     }
   }
 }
@@ -205,7 +212,9 @@ void ShardedEngine::execute_scatter(const std::vector<JobRequest>& subs,
   outcome.results.assign(subs.size(), std::nullopt);
 
   std::mutex mutex;
+  std::condition_variable changed;  // pending grew or in_flight fell
   std::deque<std::size_t> pending;
+  std::size_t in_flight = 0;
   for (std::size_t i = 0; i < subs.size(); ++i) pending.push_back(i);
 
   const unsigned attempts = std::max(1u, config_.backend_attempts);
@@ -215,10 +224,16 @@ void ShardedEngine::execute_scatter(const std::vector<JobRequest>& subs,
       if (guard.cancelled() || guard.expired()) return;
       std::size_t shard = 0;
       {
-        std::lock_guard<std::mutex> lock(mutex);
+        // An empty queue is not the end while a shard is in flight: its
+        // backend may still fail and re-queue it, and a healthy worker
+        // must be there to take it.
+        std::unique_lock<std::mutex> lock(mutex);
+        changed.wait(lock,
+                     [&] { return !pending.empty() || in_flight == 0; });
         if (pending.empty()) return;
         shard = pending.front();
         pending.pop_front();
+        ++in_flight;
       }
       bool done = false;
       for (unsigned attempt = 1; attempt <= attempts && !done; ++attempt) {
@@ -226,6 +241,7 @@ void ShardedEngine::execute_scatter(const std::vector<JobRequest>& subs,
           JobResult result = backend.execute(subs[shard]);
           std::lock_guard<std::mutex> lock(mutex);
           outcome.results[shard] = std::move(result);
+          --in_flight;
           done = true;
         } catch (const std::exception&) {
           // Backend-level failure (transport, dead engine). Transient
@@ -238,6 +254,7 @@ void ShardedEngine::execute_scatter(const std::vector<JobRequest>& subs,
         }
       }
       if (done) {
+        changed.notify_all();
         shards_exec_.fetch_add(1);
         continue;
       }
@@ -247,9 +264,11 @@ void ShardedEngine::execute_scatter(const std::vector<JobRequest>& subs,
       {
         std::lock_guard<std::mutex> lock(mutex);
         pending.push_front(shard);
+        --in_flight;
         outcome.rerouted += 1;
         outcome.failed_backends += 1;
       }
+      changed.notify_all();
       rerouted_.fetch_add(1);
       backends_failed_.fetch_add(1);
       return;
@@ -400,7 +419,7 @@ JobResult ShardedEngine::run_impl(const JobRequest& request,
     const std::size_t by_points =
         std::max<std::size_t>(1, points.size() /
                                      std::max<std::size_t>(
-                                         1, config_.min_points_per_shard));
+                                         1, kMinPointsPerShard));
     shard_count = std::min({by_backends, by_points, points.size()});
   }
 

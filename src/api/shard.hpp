@@ -91,9 +91,6 @@ class HttpBackend final : public Backend {
     std::string bearer;            ///< "" = no Authorization header
     double timeout_ms = 30000.0;   ///< per HTTP round trip
     double poll_wait_ms = 2000.0;  ///< long-poll slice per request
-    /// Give up waiting for a sub-job after this long (0 = forever); the
-    /// job-level deadline usually bites first.
-    double result_deadline_ms = 600000.0;
   };
 
   explicit HttpBackend(Config config);
@@ -114,9 +111,6 @@ struct ShardedEngineConfig {
   /// smooths uneven per-shard times and lets survivors absorb a failed
   /// backend's shards in small pieces. 1 = one chunk per backend.
   std::size_t shards_per_backend = 4;
-  /// Floor on k-points per shard; below it the per-shard basis rebuild
-  /// dominates the eigensolves it amortizes.
-  std::size_t min_points_per_shard = 2;
   /// execute() attempts per backend before it is marked down for the run
   /// (transient transport blips retry in place; composes with the
   /// Engine's own internal retry of transient faults). 1 disables.

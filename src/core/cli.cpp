@@ -1,8 +1,22 @@
 #include "core/cli.hpp"
 
-#include <cstdlib>
+#include <charconv>
+#include <limits>
 
 namespace ndft::core {
+
+long parse_int(const std::string& text, long min, long max,
+               const std::string& what) {
+  long value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  NDFT_REQUIRE(error == std::errc{} && stop == end,
+               what + " expects an integer, got '" + text + "'");
+  NDFT_REQUIRE(value >= min && value <= max,
+               what + " must lie in [" + std::to_string(min) + ", " +
+                   std::to_string(max) + "], got " + text);
+  return value;
+}
 
 CliArgs::CliArgs(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -31,11 +45,8 @@ long CliArgs::get_int(const std::string& name, long fallback) const {
   if (it == flags_.end()) {
     return fallback;
   }
-  char* end = nullptr;
-  const long value = std::strtol(it->second.c_str(), &end, 10);
-  NDFT_REQUIRE(end != nullptr && *end == '\0' && !it->second.empty(),
-               "flag --" + name + " expects an integer");
-  return value;
+  return parse_int(it->second, std::numeric_limits<long>::min(),
+                   std::numeric_limits<long>::max(), "flag --" + name);
 }
 
 bool CliArgs::has(const std::string& name) const {

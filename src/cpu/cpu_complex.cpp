@@ -71,14 +71,6 @@ void CpuComplex::run(const std::vector<const Trace*>& traces,
   }
 }
 
-void CpuComplex::flush_caches() {
-  for (auto& hierarchy : private_) {
-    hierarchy->l1().flush();
-    hierarchy->l2().flush();
-  }
-  l3_->flush();
-}
-
 void CpuComplex::invalidate_caches() {
   for (auto& hierarchy : private_) {
     hierarchy->l1().invalidate_all();

@@ -46,9 +46,6 @@ class CpuComplex {
   void run(const std::vector<const Trace*>& traces,
            std::function<void()> on_done);
 
-  /// Invalidates all cache levels, writing dirty lines back.
-  void flush_caches();
-
   /// Drops all cached lines without writebacks (between sampled windows).
   void invalidate_caches();
 

@@ -8,18 +8,30 @@
 #include "common/thread_pool.hpp"
 
 namespace ndft::dft {
-namespace {
-
-/// Hartree per Rydberg.
-constexpr double kHaPerRy = 0.5;
-
-}  // namespace
 
 double GroundState::band_gap_ev() const {
   NDFT_REQUIRE(valence_bands > 0 && valence_bands < energies_ha.size(),
                "band gap needs both valence and conduction bands");
   return (energies_ha[valence_bands] - energies_ha[valence_bands - 1]) *
          kEvPerHa;
+}
+
+Grid3 orbital_realspace(const PlaneWaveBasis& basis, const GroundState& ground,
+                        std::size_t band, OpCount* count) {
+  const auto dims = basis.fft_dims();
+  Grid3 grid(dims[0], dims[1], dims[2]);
+  for (std::size_t i = 0; i < basis.size(); ++i) {
+    grid[basis.grid_index(i)] = Complex{ground.orbitals(i, band), 0.0};
+  }
+  fft3d(grid, FftDirection::kInverse, count);
+  // The inverse FFT gives (1/Nr) sum_G c_G e^{iGr}; multiply by
+  // Nr/sqrt(Omega).
+  const double scale = static_cast<double>(grid.size()) /
+                       std::sqrt(basis.crystal().volume());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    grid[i] *= scale;
+  }
+  return grid;
 }
 
 double silicon_form_factor(double g2_units) {
@@ -52,42 +64,41 @@ double epm_potential(const Crystal& crystal, const GVector& g,
   return form * structure;
 }
 
-GroundState solve_epm(const PlaneWaveBasis& basis, std::size_t bands,
-                      OpCount* count) {
+RealMatrix epm_hamiltonian(const PlaneWaveBasis& basis, const Vec3& k,
+                           const char* region) {
+  const std::size_t n = basis.size();
+  const auto& g = basis.gvectors();
+  // Rows of the upper triangle are independent: assemble on the thread
+  // pool, then mirror (each pass writes disjoint rows; the region
+  // aggregates, so the trace shape ignores the chunking).
+  RealMatrix hamiltonian(n, n);
+  TraceRegion trace(KernelClass::kOther, region);
+  trace.set_dims(n, n, 0);
+  trace.add_work(static_cast<Flops>(n) * n * 8,
+                 static_cast<Bytes>(n) * n * sizeof(double));
+  trace.set_io(0, static_cast<Bytes>(n) * n * sizeof(double));
+  parallel_for(0, n, parallel_grain(n), [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      const Vec3 kg = k + g[i].g;
+      hamiltonian(i, i) = 0.5 * kg.norm2();
+      for (std::size_t j = i + 1; j < n; ++j) {
+        hamiltonian(i, j) = epm_potential(basis.crystal(), g[i], g[j]);
+      }
+    }
+  });
+  mirror_upper(hamiltonian);
+  return hamiltonian;
+}
+
+GroundState solve_epm(const PlaneWaveBasis& basis, std::size_t bands) {
   const std::size_t n = basis.size();
   NDFT_REQUIRE(n > 0, "empty plane-wave basis");
-  const auto& g = basis.gvectors();
   const TraceStage trace_stage("epm");
   trace_set_system(basis.crystal().atom_count(), n, basis.fft_size());
 
-  // Rows of the upper triangle are independent: assemble on the thread
-  // pool, then mirror (each pass writes disjoint rows, so the result is
-  // identical for any thread count).
-  RealMatrix hamiltonian(n, n);
-  {
-    TraceRegion region(KernelClass::kOther, "epm.assembly");
-    region.set_dims(n, n, 0);
-    region.add_work(static_cast<Flops>(n) * n * 8,
-                    static_cast<Bytes>(n) * n * sizeof(double));
-    region.set_io(0, static_cast<Bytes>(n) * n * sizeof(double));
-    parallel_for(0, n, parallel_grain(n),
-                 [&](std::size_t lo, std::size_t hi) {
-                   for (std::size_t i = lo; i < hi; ++i) {
-                     hamiltonian(i, i) = 0.5 * g[i].g2;
-                     for (std::size_t j = i + 1; j < n; ++j) {
-                       hamiltonian(i, j) =
-                           epm_potential(basis.crystal(), g[i], g[j]);
-                     }
-                   }
-                 });
-    mirror_upper(hamiltonian);
-  }
-  if (count != nullptr) {
-    count->add(static_cast<Flops>(n) * n * 8,
-               static_cast<Bytes>(n) * n * sizeof(double));
-  }
-
-  EigenResult eigen = syevd(hamiltonian, count);
+  const RealMatrix hamiltonian =
+      epm_hamiltonian(basis, Vec3{}, "epm.assembly");
+  EigenResult eigen = syevd(hamiltonian);
 
   GroundState state;
   state.valence_bands = basis.crystal().atom_count() * 2;  // 4 e- per Si

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "dft/basis.hpp"
+#include "dft/fft.hpp"
 #include "dft/linalg.hpp"
 
 namespace ndft::dft {
@@ -25,6 +26,12 @@ struct GroundState {
   double band_gap_ev() const;
 };
 
+/// Orbital `band` of `ground` on the FFT grid in real space, scaled by
+/// sqrt(Nr/Omega) so that sum_G |c|^2 = 1 implies integral |psi(r)|^2 dr
+/// = 1. `count` accumulates the inverse FFT's tally.
+Grid3 orbital_realspace(const PlaneWaveBasis& basis, const GroundState& ground,
+                        std::size_t band, OpCount* count = nullptr);
+
 /// Cohen-Bergstresser silicon form factors, in Hartree, keyed by
 /// |G|^2 in units of (2*pi/a0)^2 (shells 3, 8 and 11).
 double silicon_form_factor(double g2_units);
@@ -34,10 +41,15 @@ double silicon_form_factor(double g2_units);
 double epm_potential(const Crystal& crystal, const GVector& g,
                      const GVector& gp);
 
+/// The EPM Hamiltonian H(G,G') = 1/2 |k+G|^2 delta_GG' + V(G-G') at `k`,
+/// assembled on the thread pool (rows are independent, so the result is
+/// identical for any thread count) inside one kOther trace region named
+/// `region`.
+RealMatrix epm_hamiltonian(const PlaneWaveBasis& basis, const Vec3& k,
+                           const char* region);
+
 /// Solves the EPM eigenproblem on the basis. `bands` limits how many
-/// eigenpairs are retained (0 keeps all). `count` accumulates the SYEVD
-/// plus Hamiltonian-assembly cost.
-GroundState solve_epm(const PlaneWaveBasis& basis, std::size_t bands = 0,
-                      OpCount* count = nullptr);
+/// eigenpairs are retained (0 keeps all).
+GroundState solve_epm(const PlaneWaveBasis& basis, std::size_t bands = 0);
 
 }  // namespace ndft::dft

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <iterator>
 #include <map>
+#include <thread>
 
 #include "common/cancel.hpp"
 #include "common/fault.hpp"
@@ -125,32 +126,9 @@ BandsAtK solve_epm_at_k(const PlaneWaveBasis& basis, const KPoint& kpoint,
                         std::size_t bands) {
   const std::size_t n = basis.size();
   NDFT_REQUIRE(n > 0, "empty plane-wave basis");
-  const auto& g = basis.gvectors();
   const std::size_t keep = bands == 0 ? n : std::min(bands, n);
 
-  // Rows of the upper triangle are independent: assemble on the thread
-  // pool, then mirror (same deterministic pattern as solve_epm; the
-  // region aggregates, so the trace shape ignores the chunking).
-  RealMatrix hamiltonian(n, n);
-  {
-    TraceRegion region(KernelClass::kOther, "bands.assembly");
-    region.set_dims(n, n, 0);
-    region.add_work(static_cast<Flops>(n) * n * 8,
-                    static_cast<Bytes>(n) * n * sizeof(double));
-    region.set_io(0, static_cast<Bytes>(n) * n * sizeof(double));
-    parallel_for(0, n, parallel_grain(n),
-                 [&](std::size_t lo, std::size_t hi) {
-                   for (std::size_t i = lo; i < hi; ++i) {
-                     const Vec3 kg = kpoint.k + g[i].g;
-                     hamiltonian(i, i) = 0.5 * kg.norm2();
-                     for (std::size_t j = i + 1; j < n; ++j) {
-                       hamiltonian(i, j) =
-                           epm_potential(basis.crystal(), g[i], g[j]);
-                     }
-                   }
-                 });
-    mirror_upper(hamiltonian);
-  }
+  RealMatrix hamiltonian = epm_hamiltonian(basis, kpoint.k, "bands.assembly");
   // Band windows below the basis size only need the lowest eigenpairs.
   EigenResult eigen = keep < n ? syevd_partial(hamiltonian, keep)
                                : syevd(hamiltonian);
@@ -194,18 +172,33 @@ std::vector<BandsAtK> band_structure(const PlaneWaveBasis& basis,
   // between batches instead of only after the whole grid. Each k-point's
   // arithmetic is identical to the serial loop's, so the result is
   // bitwise identical for any thread count and batch size.
+  // A k-point solved on a pool worker tallies its linalg time there; it is
+  // credited to the calling (job) thread afterwards, so the job's linalg
+  // time does not depend on the pool width.
   const std::size_t batch =
       std::max<std::size_t>(std::size_t{1},
                             ThreadPool::instance().threads()) *
       2;
+  const std::thread::id job_thread = std::this_thread::get_id();
+  std::vector<double> worker_ms(path.size(), 0.0);
+  std::vector<LinalgStageTimes> worker_stages(path.size());
   for (std::size_t start = 0; start < path.size(); start += batch) {
     cancel_point();  // batch stage boundary (calling thread)
     const std::size_t stop = std::min(path.size(), start + batch);
     parallel_for(start, stop, 1, [&](std::size_t lo, std::size_t hi) {
+      const bool worker = std::this_thread::get_id() != job_thread;
       for (std::size_t i = lo; i < hi; ++i) {
+        if (worker) linalg_timer_reset();
         result[i] = solve_epm_at_k(basis, path[i], bands);
+        if (worker) {
+          worker_ms[i] = linalg_timer_ms();
+          worker_stages[i] = linalg_stage_times();
+        }
       }
     });
+  }
+  for (std::size_t i = 0; i < path.size(); ++i) {
+    linalg_timer_add(worker_ms[i], worker_stages[i]);
   }
   return result;
 }

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cstddef>
+#include <numbers>
 #include <vector>
 
 #include "common/error.hpp"
@@ -37,6 +38,12 @@ inline constexpr double kSiliconLatticeBohr = 10.2631;
 
 /// Electronvolts per Hartree: the one conversion behind every eV figure.
 inline constexpr double kEvPerHa = 27.211386;
+
+/// Hartree per Rydberg: cutoffs and form factors are quoted in Rydberg.
+inline constexpr double kHaPerRy = 0.5;
+
+/// 4 pi, the Coulomb kernel's and the unit sphere's solid-angle factor.
+inline constexpr double kFourPi = 4.0 * std::numbers::pi;
 
 /// A periodic crystal: lattice vectors plus atom positions (Cartesian Bohr).
 class Crystal {

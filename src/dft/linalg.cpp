@@ -25,8 +25,10 @@ namespace {
 //
 // Per-thread wall-clock tally of time spent inside top-level linalg entry
 // points. Jobs execute on one engine thread, so reset-before / read-after
-// brackets exactly the linalg share of that job. The depth counter keeps
-// nested entries (GEMM called from inside syevd) from double counting.
+// brackets the linalg share of that job; a job that hands whole solves to
+// pool workers credits their time back with linalg_timer_add. The depth
+// counter keeps nested entries (GEMM called from inside syevd) from
+// double counting.
 
 thread_local double tl_linalg_ms = 0.0;
 thread_local unsigned tl_linalg_depth = 0;
@@ -2661,6 +2663,14 @@ void linalg_timer_reset() noexcept {
 double linalg_timer_ms() noexcept { return tl_linalg_ms; }
 
 LinalgStageTimes linalg_stage_times() noexcept { return tl_stage_times; }
+
+void linalg_timer_add(double total_ms,
+                      const LinalgStageTimes& stages) noexcept {
+  tl_linalg_ms += total_ms;
+  tl_stage_times.reduce_ms += stages.reduce_ms;
+  tl_stage_times.tridiag_ms += stages.tridiag_ms;
+  tl_stage_times.backtransform_ms += stages.backtransform_ms;
+}
 
 void mirror_upper(RealMatrix& symmetric) {
   const std::size_t n = symmetric.rows();

@@ -169,6 +169,12 @@ struct LinalgStageTimes {
 /// linalg_timer_reset().
 LinalgStageTimes linalg_stage_times() noexcept;
 
+/// Adds linalg time that another thread measured (a pool worker solving
+/// part of this thread's job) to the calling thread's tallies, so they
+/// sum the job's linalg time over every thread that did it.
+void linalg_timer_add(double total_ms,
+                      const LinalgStageTimes& stages) noexcept;
+
 /// Frobenius norm of (A*x - lambda*x) for result verification in tests.
 double eigen_residual(const RealMatrix& symmetric, const EigenResult& result);
 

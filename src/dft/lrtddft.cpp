@@ -9,34 +9,6 @@
 #include "common/thread_pool.hpp"
 
 namespace ndft::dft {
-namespace {
-
-constexpr double kFourPi = 4.0 * std::numbers::pi;
-
-/// Puts orbital `j` (real coefficients over G) onto the FFT grid and
-/// transforms it to real space. Returns the real-space values.
-Grid3 orbital_to_grid(const PlaneWaveBasis& basis, const GroundState& ground,
-                      std::size_t band, KernelCounts& counts) {
-  const auto dims = basis.fft_dims();
-  Grid3 grid(dims[0], dims[1], dims[2]);
-  for (std::size_t i = 0; i < basis.size(); ++i) {
-    grid[basis.grid_index(i)] = Complex{ground.orbitals(i, band), 0.0};
-  }
-  fft3d(grid, FftDirection::kInverse, &counts[KernelClass::kFft]);
-  // Scale so that sum_r |psi(r)|^2 * (Omega/Nr) = 1 when sum_G |c|^2 = 1:
-  // the inverse FFT divides by Nr, so multiply by Nr/sqrt(Omega) ... we
-  // keep psi(r) = sqrt(Nr/Omega) * sum_G c_G e^{iGr} / ... Concretely:
-  // ifft gives (1/Nr) sum_G c_G e^{iGr}; multiply by Nr/sqrt(Omega).
-  const double scale = static_cast<double>(grid.size()) /
-                       std::sqrt(basis.crystal().volume());
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    grid[i] *= scale;
-  }
-  return grid;
-}
-
-}  // namespace
-
 double LrTddftResult::lowest_ev() const {
   NDFT_REQUIRE(!excitations_ha.empty(), "no excitations computed");
   return excitations_ha.front() * kEvPerHa;
@@ -45,9 +17,7 @@ double LrTddftResult::lowest_ev() const {
 std::vector<double> transition_energies(const GroundState& ground,
                                         const LrTddftConfig& config) {
   const std::size_t nv_total = ground.valence_bands;
-  const std::size_t nv = (config.valence_window == 0)
-                             ? nv_total
-                             : std::min(config.valence_window, nv_total);
+  const std::size_t nv = config.window_valence(nv_total);
   const std::size_t nc = config.conduction_window;
   NDFT_REQUIRE(ground.energies_ha.size() >= nv_total + nc,
                "ground state carries too few conduction bands");
@@ -69,9 +39,7 @@ LrTddftResult solve_lrtddft(const PlaneWaveBasis& basis,
   KernelCounts& counts = result.counts;
 
   const std::size_t nv_total = ground.valence_bands;
-  const std::size_t nv = (config.valence_window == 0)
-                             ? nv_total
-                             : std::min(config.valence_window, nv_total);
+  const std::size_t nv = config.window_valence(nv_total);
   const std::size_t nc = config.conduction_window;
   NDFT_REQUIRE(nc > 0, "need at least one conduction band");
   NDFT_REQUIRE(ground.energies_ha.size() >= nv_total + nc,
@@ -86,15 +54,16 @@ LrTddftResult solve_lrtddft(const PlaneWaveBasis& basis,
   trace_set_system(basis.crystal().atom_count(), basis.size(), nr);
 
   // Real-space orbitals for the window (valence then conduction).
+  OpCount* const fft_count = &counts[KernelClass::kFft];
   std::vector<Grid3> valence;
   valence.reserve(nv);
   for (std::size_t v = nv_total - nv; v < nv_total; ++v) {
-    valence.push_back(orbital_to_grid(basis, ground, v, counts));
+    valence.push_back(orbital_realspace(basis, ground, v, fft_count));
   }
   std::vector<Grid3> conduction;
   conduction.reserve(nc);
   for (std::size_t c = nv_total; c < nv_total + nc; ++c) {
-    conduction.push_back(orbital_to_grid(basis, ground, c, counts));
+    conduction.push_back(orbital_realspace(basis, ground, c, fft_count));
   }
 
   // Ground-state density for the ALDA kernel: n0(r) = 2 sum_v |psi_v|^2
@@ -108,7 +77,7 @@ LrTddftResult solve_lrtddft(const PlaneWaveBasis& basis,
     if (v >= window_start) {
       grid = &valence[v - window_start];
     } else {
-      scratch = orbital_to_grid(basis, ground, v, counts);
+      scratch = orbital_realspace(basis, ground, v, fft_count);
       grid = &scratch;
     }
     for (std::size_t i = 0; i < nr; ++i) {
@@ -301,9 +270,7 @@ LrTddftResult solve_lrtddft(const PlaneWaveBasis& basis,
 
   HermitianEigenResult eigen = heev(a_matrix, &counts[KernelClass::kSyevd]);
   result.excitations_ha = std::move(eigen.eigenvalues);
-  if (config.keep_eigenvectors) {
-    result.eigenvectors = std::move(eigen.eigenvectors);
-  }
+  result.eigenvectors = std::move(eigen.eigenvectors);
   return result;
 }
 

@@ -12,6 +12,7 @@
 // tallies its flop/byte cost per kernel class so the analytic workload
 // descriptors (workload.hpp) can be validated against real numerics.
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -35,8 +36,13 @@ struct LrTddftConfig {
   bool include_xc = true;
   /// Spin factor for singlet excitations (2 K in the A matrix).
   double spin_factor = 2.0;
-  /// Keep the Casida eigenvectors (needed for oscillator strengths).
-  bool keep_eigenvectors = false;
+
+  /// Valence bands in the window out of `valence_bands` filled ones: the
+  /// highest `valence_window` of them, or all when it is 0.
+  std::size_t window_valence(std::size_t valence_bands) const noexcept {
+    return valence_window == 0 ? valence_bands
+                               : std::min(valence_window, valence_bands);
+  }
 };
 
 /// Result of an LR-TDDFT calculation.
@@ -44,10 +50,10 @@ struct LrTddftResult {
   std::vector<double> excitations_ha;  ///< excitation energies, ascending
   std::size_t pair_count = 0;          ///< dimension of the response matrix
   KernelCounts counts;                 ///< per-kernel operation tallies
-  /// Casida eigenvectors (pair x excitation), populated only when
-  /// LrTddftConfig::keep_eigenvectors is set. Complex: the Casida matrix
-  /// is Hermitian for a general orbital gauge (degenerate multiplets come
-  /// out of the eigensolver in an arbitrary orientation).
+  /// Casida eigenvectors (pair x excitation), column j pairing with
+  /// excitations_ha[j]. Complex: the Casida matrix is Hermitian for a
+  /// general orbital gauge (degenerate multiplets come out of the
+  /// eigensolver in an arbitrary orientation).
   ComplexMatrix eigenvectors;
 
   /// Lowest excitation in eV.

@@ -7,8 +7,6 @@
 namespace ndft::dft {
 namespace {
 
-constexpr double kFourPi = 4.0 * std::numbers::pi;
-
 /// Real spherical harmonics * radial form for the 4 KB channels.
 /// Channel 0: s. Channels 1-3: p_x, p_y, p_z.
 double channel_angular(std::size_t channel, const Vec3& g, double gnorm) {

@@ -23,27 +23,7 @@ std::span<const char* const> enum_names(MixingScheme) noexcept {
 }
 namespace {
 
-constexpr double kFourPi = 4.0 * std::numbers::pi;
 constexpr double kDensityFloor = 1e-12;
-
-/// Puts a real-coefficient orbital onto the FFT grid in real space with
-/// the sqrt(Nr/Omega) normalisation used throughout (sum_G |c|^2 = 1
-/// implies integral |psi(r)|^2 dr = 1).
-Grid3 orbital_realspace(const PlaneWaveBasis& basis,
-                        const RealMatrix& orbitals, std::size_t band) {
-  const auto dims = basis.fft_dims();
-  Grid3 grid(dims[0], dims[1], dims[2]);
-  for (std::size_t i = 0; i < basis.size(); ++i) {
-    grid[basis.grid_index(i)] = Complex{orbitals(i, band), 0.0};
-  }
-  fft3d(grid, FftDirection::kInverse);
-  const double scale = static_cast<double>(grid.size()) /
-                       std::sqrt(basis.crystal().volume());
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    grid[i] *= scale;
-  }
-  return grid;
-}
 
 }  // namespace
 
@@ -319,7 +299,7 @@ ScfResult solve_scf(const PlaneWaveBasis& basis, const ScfConfig& config) {
     // --- new density from the occupied orbitals.
     std::vector<double> fresh(nr, 0.0);
     for (std::size_t v = 0; v < valence; ++v) {
-      const Grid3 orbital = orbital_realspace(basis, state.orbitals, v);
+      const Grid3 orbital = orbital_realspace(basis, state, v);
       for (std::size_t i = 0; i < nr; ++i) {
         fresh[i] += 2.0 * std::norm(orbital[i]);
       }

@@ -5,51 +5,20 @@
 
 namespace ndft::dft {
 
-std::vector<double> momentum_matrix_elements(const PlaneWaveBasis& basis,
-                                             const GroundState& ground,
-                                             const LrTddftConfig& config) {
-  const std::size_t nv_total = ground.valence_bands;
-  const std::size_t nv = (config.valence_window == 0)
-                             ? nv_total
-                             : std::min(config.valence_window, nv_total);
-  const std::size_t nc = config.conduction_window;
-  NDFT_REQUIRE(ground.energies_ha.size() >= nv_total + nc,
-               "ground state carries too few conduction bands");
-  const auto& g = basis.gvectors();
-
-  std::vector<double> result;
-  result.reserve(nv * nc);
-  for (std::size_t v = nv_total - nv; v < nv_total; ++v) {
-    for (std::size_t c = nv_total; c < nv_total + nc; ++c) {
-      // <v| p |c> = sum_G conj(c_v(G)) (G) c_c(G): for real coefficients
-      // the matrix element is purely imaginary; accumulate |.|^2 per
-      // Cartesian direction.
-      Vec3 moment{};
-      for (std::size_t i = 0; i < basis.size(); ++i) {
-        const double w = ground.orbitals(i, v) * ground.orbitals(i, c);
-        moment = moment + g[i].g * w;
-      }
-      result.push_back(moment.norm2());
-    }
-  }
-  return result;
-}
-
 std::vector<OscillatorLine> oscillator_strengths(
     const PlaneWaveBasis& basis, const GroundState& ground,
-    const LrTddftConfig& config) {
-  LrTddftConfig solve_config = config;
-  solve_config.keep_eigenvectors = true;
-  const LrTddftResult result =
-      solve_lrtddft(basis, ground, solve_config);
-
-  // Per-pair momentum vectors (directional, not squared): recompute the
-  // three components so excitation amplitudes can interfere correctly.
+    const LrTddftConfig& config, const LrTddftResult& result) {
+  // Per-pair momentum vectors <v| p |c> = sum_G c_v(G) G c_c(G) (real
+  // coefficients), kept directional so excitation amplitudes can
+  // interfere, in solve_lrtddft's pair order.
   const std::size_t nv_total = ground.valence_bands;
-  const std::size_t nv = (config.valence_window == 0)
-                             ? nv_total
-                             : std::min(config.valence_window, nv_total);
+  const std::size_t nv = config.window_valence(nv_total);
   const std::size_t nc = config.conduction_window;
+  NDFT_REQUIRE(nv * nc == result.pair_count &&
+                   result.eigenvectors.rows() == result.pair_count &&
+                   result.eigenvectors.cols() ==
+                       result.excitations_ha.size(),
+               "LR-TDDFT result does not match the excitation window");
   const auto& g = basis.gvectors();
   std::vector<Vec3> moments;
   moments.reserve(nv * nc);

@@ -1,6 +1,6 @@
 #pragma once
-// Optical observables on top of the LR-TDDFT solution: momentum (velocity
-// gauge) transition matrix elements, oscillator strengths, and the
+// Optical observables on top of the LR-TDDFT solution: oscillator
+// strengths from velocity-gauge transition moments, and the
 // Lorentzian-broadened absorption spectrum — what a user of the paper's
 // system would actually plot.
 
@@ -18,21 +18,14 @@ struct OscillatorLine {
   double strength = 0.0;  ///< dimensionless f_I >= 0
 };
 
-/// Velocity-gauge transition moments |<psi_v| p |psi_c>|^2 summed over
-/// Cartesian directions, for every (v, c) pair in the window, in the same
-/// pair ordering as solve_lrtddft.
-std::vector<double> momentum_matrix_elements(const PlaneWaveBasis& basis,
-                                             const GroundState& ground,
-                                             const LrTddftConfig& config);
-
-/// Oscillator strengths for every excitation of an LR-TDDFT result:
-/// f_I = (2 / (3 omega_I)) * sum_dir |sum_vc X^I_vc <v|p_dir|c>|^2.
-/// Requires the eigenvectors, so this variant re-runs the solve internally
-/// when given only a result without vectors; use the returned lines for
-/// plotting.
+/// Oscillator strengths for every excitation of an LR-TDDFT result
+/// computed on `ground` with `config`:
+/// f_I = (2 / (3 omega_I)) * sum_dir |sum_vc X^I_vc <v|p_dir|c>|^2, from
+/// the result's Casida eigenvectors X^I and the velocity-gauge moments of
+/// the window's (v, c) pairs.
 std::vector<OscillatorLine> oscillator_strengths(
     const PlaneWaveBasis& basis, const GroundState& ground,
-    const LrTddftConfig& config);
+    const LrTddftConfig& config, const LrTddftResult& result);
 
 /// Lorentzian-broadened absorption cross-section on an energy grid:
 /// sigma(E) = sum_I f_I * (gamma/pi) / ((E - E_I)^2 + gamma^2).

@@ -31,12 +31,6 @@ NdpStack::NdpStack(const std::string& name, sim::EventQueue& queue,
   }
 }
 
-void NdpStack::flush_caches() {
-  for (auto& l1 : l1s_) {
-    l1->flush();
-  }
-}
-
 void NdpStack::invalidate_caches() {
   for (auto& l1 : l1s_) {
     l1->invalidate_all();

@@ -45,9 +45,6 @@ class NdpStack {
   Spm& spm() noexcept { return *spm_; }
   const NdpStackConfig& config() const noexcept { return config_; }
 
-  /// Invalidates all NDP L1s, writing dirty lines back.
-  void flush_caches();
-
   /// Drops all cached lines without writebacks (between sampled windows).
   void invalidate_caches();
 

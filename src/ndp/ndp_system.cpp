@@ -190,12 +190,6 @@ void NdpSystem::run(const std::vector<const cpu::Trace*>& traces,
   }
 }
 
-void NdpSystem::flush_caches() {
-  for (auto& stack : stacks_) {
-    stack->flush_caches();
-  }
-}
-
 void NdpSystem::invalidate_caches() {
   for (auto& stack : stacks_) {
     stack->invalidate_caches();

@@ -81,9 +81,6 @@ class NdpSystem {
     return global_core % stack_count();
   }
 
-  /// Flushes every NDP L1, writing dirty lines back.
-  void flush_caches();
-
   /// Drops all cached lines without writebacks (between sampled windows).
   void invalidate_caches();
 

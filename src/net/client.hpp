@@ -38,9 +38,6 @@ class HttpClient {
     return request("DELETE", target);
   }
 
-  /// Drops the kept-alive connection (next request reconnects).
-  void disconnect() { socket_.close(); }
-
  private:
   HttpResponse round_trip(const std::string& wire);
 

@@ -25,8 +25,10 @@ void HttpServer::start() {
 void HttpServer::shutdown() {
   if (!running_.exchange(false)) return;
   stopping_.store(true);
-  listener_.close();
+  // The accept thread polls the listener in 100 ms slices and sees the
+  // flag; closing the listener before it has left would race its accept.
   if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.close();
   // Connection threads observe stopping_ between requests (and between
   // read slices) and wind down; join them all.
   std::vector<std::unique_ptr<Connection>> connections;
@@ -58,7 +60,6 @@ void HttpServer::accept_loop() {
       reap_finished();
       continue;
     }
-    connections_accepted_.fetch_add(1);
     if (fault_fires("net.accept")) {
       connections_dropped_.fetch_add(1);
       continue;  // Socket destructor closes the connection

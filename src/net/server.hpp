@@ -60,9 +60,6 @@ class HttpServer {
   bool running() const noexcept { return running_.load(); }
 
   // Counters (monotonic over the server's lifetime).
-  std::uint64_t connections_accepted() const noexcept {
-    return connections_accepted_.load();
-  }
   std::uint64_t connections_dropped() const noexcept {
     return connections_dropped_.load();
   }
@@ -90,7 +87,6 @@ class HttpServer {
   std::mutex connections_mutex_;
   std::vector<std::unique_ptr<Connection>> connections_;
 
-  std::atomic<std::uint64_t> connections_accepted_{0};
   std::atomic<std::uint64_t> connections_dropped_{0};
   std::atomic<std::uint64_t> requests_served_{0};
   std::atomic<std::size_t> live_connections_{0};

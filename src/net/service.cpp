@@ -14,6 +14,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Terminal jobs kept for GET after completion; oldest are evicted.
+constexpr std::size_t kMaxRetainedJobs = 4096;
+
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
@@ -391,7 +394,7 @@ void Service::retain_locked(std::uint64_t id, JobEntry entry) {
   job_order_.push_back(id);
   // Evict the oldest TERMINAL entries over the cap; live handles are
   // never dropped (clients could no longer poll or cancel them).
-  while (jobs_.size() > config_.max_retained_jobs && !job_order_.empty()) {
+  while (jobs_.size() > kMaxRetainedJobs && !job_order_.empty()) {
     bool evicted = false;
     for (auto it = job_order_.begin(); it != job_order_.end(); ++it) {
       const auto jt = jobs_.find(*it);

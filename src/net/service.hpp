@@ -43,8 +43,6 @@ struct ServiceConfig {
   /// Max simultaneously queued-or-running jobs per client address;
   /// 0 = unlimited.
   std::size_t queue_quota = 0;
-  /// Terminal jobs kept for GET after completion; oldest are evicted.
-  std::size_t max_retained_jobs = 4096;
   /// Structured request log destination; nullptr silences logging.
   std::FILE* log = stderr;
 };

@@ -192,8 +192,8 @@ Socket Listener::accept(double timeout_ms) {
       return sock;
     }
     if (errno == EINTR) continue;
-    // The listener may have been closed by shutdown() between poll and
-    // accept, or the pending connection was already reset: not fatal.
+    // The pending connection was already reset (or the listener was
+    // closed under us): not fatal.
     if (errno == EBADF || errno == EINVAL || errno == ECONNABORTED) {
       return Socket();
     }

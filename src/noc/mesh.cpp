@@ -58,8 +58,6 @@ class Mesh::Router {
     }
   }
 
-  std::size_t staged() const noexcept { return staged_.size(); }
-
  private:
   struct Staged {
     MeshPacket packet;
@@ -190,14 +188,6 @@ double Mesh::energy_nj() const noexcept {
     link_bytes += static_cast<double>(bytes);
   }
   return link_bytes * 8.0 * config_.link_pj_per_bit * 1e-3;  // pJ -> nJ
-}
-
-std::size_t Mesh::staged_packets() const noexcept {
-  std::size_t total = 0;
-  for (const auto& router : routers_) {
-    total += router->staged();
-  }
-  return total;
 }
 
 void Mesh::send(unsigned src, unsigned dst, Bytes bytes,

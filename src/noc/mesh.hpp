@@ -73,11 +73,6 @@ class Mesh : public sim::SimObject {
   /// per-bit-hop cost.
   double energy_nj() const noexcept;
 
-  /// Packets currently waiting in injection staging across all routers
-  /// (back-pressure visible at the edge; in-network queues stay bounded
-  /// by link_queue).
-  std::size_t staged_packets() const noexcept;
-
   const MeshConfig& config() const noexcept { return config_; }
 
  private:

@@ -13,12 +13,15 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "api/engine.hpp"
 #include "api/request_json.hpp"
 #include "common/json.hpp"
+#include "common/thread_pool.hpp"
 #include "dft/kpoints.hpp"
 #include "ndp/ndp_system.hpp"
 #include "runtime/profile_store.hpp"
@@ -613,6 +616,23 @@ TEST(WireStrictnessTest, UnknownMemberWrongTypeAndRangeThrowEverywhere) {
   }
 }
 
+TEST(WireStrictnessTest, RequestWithKeepEigenvectorsIsRefused) {
+  // LrTddftConfig no longer has keep_eigenvectors (every solve returns its
+  // Casida vectors); a request that still sends it is refused like any
+  // other unknown member, not silently accepted.
+  const Json doc = Json::parse(
+      read_file(std::string(NDFT_SOURCE_DIR) +
+                "/tests/data/wire/request_lrtddft.json"));
+  Json config = doc.at("job").at("config");
+  config.set("keep_eigenvectors", Json(true));
+  Json job = doc.at("job");
+  job.set("config", std::move(config));
+  Json request = doc;
+  request.set("job", std::move(job));
+  EXPECT_NO_THROW(job_request_from_json(doc));
+  EXPECT_THROW(job_request_from_json(request), NdftError);
+}
+
 // ------------------------------------------------- async queue semantics
 
 TEST(EngineTest, ManualDrainExecutesQueuedJobs) {
@@ -752,6 +772,77 @@ TEST(JobTimingsTest, EigensolverStageSplitIsAdditiveAndSerialized) {
   EXPECT_EQ(rebuilt.timings.reduce_ms, t.reduce_ms);
   EXPECT_EQ(rebuilt.timings.tridiag_ms, t.tridiag_ms);
   EXPECT_EQ(rebuilt.timings.backtransform_ms, t.backtransform_ms);
+}
+
+TEST(JobTimingsTest, BandLinalgTimeDoesNotShrinkWithPoolWidth) {
+  // linalg_ms sums the job's dense-algebra time over every thread that
+  // did it: k-points a band job hands to pool workers count as well, so
+  // a wider pool cannot make the tally smaller than the serial one.
+  if (std::thread::hardware_concurrency() < 4) {
+    GTEST_SKIP() << "needs 4 hardware threads";
+  }
+  ThreadPool& pool = ThreadPool::instance();
+  const std::size_t original = pool.threads();
+  Engine engine(fast_config(/*dispatch_threads=*/0));
+  const BandStructureJob job;  // the default 41-point path
+  double serial_ms = std::numeric_limits<double>::infinity();
+  double wide_ms = serial_ms;
+  for (int round = 0; round < 3; ++round) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      pool.resize(threads);
+      const JobResult result = engine.run(job);
+      ASSERT_TRUE(result.ok()) << result.error_message;
+      double& best = threads == 1 ? serial_ms : wide_ms;
+      best = std::min(best, result.timings.linalg_ms);
+    }
+  }
+  pool.resize(original);
+  EXPECT_GE(wide_ms, 0.75 * serial_ms)
+      << "pool width 4: " << wide_ms << " ms, width 1: " << serial_ms
+      << " ms";
+}
+
+// ------------------------------------------------ one LR-TDDFT pass
+
+/// Everything a trace event records except its measured time.
+using EventShape =
+    std::tuple<KernelClass, std::string, std::string, Flops, Bytes,
+               std::uint64_t, std::uint64_t, std::uint64_t>;
+
+std::vector<EventShape> event_shapes(const KernelTrace& trace) {
+  std::vector<EventShape> shapes;
+  for (const TraceEvent& e : trace.events) {
+    shapes.emplace_back(e.cls, e.name, e.stage, e.flops, e.bytes, e.dims[0],
+                        e.dims[1], e.dims[2]);
+  }
+  return shapes;
+}
+
+TEST(LrtddftJobTest, OscillatorStrengthsReuseTheCasidaSolve) {
+  // The optical lines are read off the Casida eigenvectors of the job's
+  // one LR-TDDFT solve, so asking for them traces the same kernels, event
+  // for event, as a job without them.
+  Engine engine(fast_config(/*dispatch_threads=*/0));
+  LrtddftJob job;
+  job.record_trace = true;
+  const JobResult plain = engine.run(job);
+  job.oscillator_strengths = true;
+  const JobResult with_lines = engine.run(job);
+  ASSERT_TRUE(plain.ok()) << plain.error_message;
+  ASSERT_TRUE(with_lines.ok()) << with_lines.error_message;
+  ASSERT_TRUE(plain.trace.has_value());
+  ASSERT_TRUE(with_lines.trace.has_value());
+  EXPECT_FALSE(plain.trace->events.empty());
+  ASSERT_EQ(with_lines.trace->events.size(), plain.trace->events.size());
+  EXPECT_EQ(event_shapes(*with_lines.trace), event_shapes(*plain.trace));
+
+  ASSERT_TRUE(plain.lrtddft.has_value());
+  ASSERT_TRUE(with_lines.lrtddft.has_value());
+  EXPECT_TRUE(plain.lrtddft->lines.empty());
+  EXPECT_EQ(with_lines.lrtddft->excitations_ha,
+            plain.lrtddft->excitations_ha);
+  EXPECT_EQ(with_lines.lrtddft->lines.size(),
+            with_lines.lrtddft->excitations_ha.size());
 }
 
 // --------------------------------------------- concurrency determinism

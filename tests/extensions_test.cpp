@@ -111,41 +111,49 @@ class SpectrumFixture : public ::testing::Test {
   SpectrumFixture()
       : crystal(dft::Crystal::silicon_supercell(8)),
         basis(crystal, 2.25),
-        ground(dft::solve_epm(basis, 24)) {
-    config.valence_window = 4;
-    config.conduction_window = 4;
+        ground(dft::solve_epm(basis, 24)),
+        config(window(4, 4)),
+        lines(dft::oscillator_strengths(
+            basis, ground, config,
+            dft::solve_lrtddft(basis, ground, config))) {}
+
+  static dft::LrTddftConfig window(std::size_t valence,
+                                   std::size_t conduction) {
+    dft::LrTddftConfig config;
+    config.valence_window = valence;
+    config.conduction_window = conduction;
+    return config;
   }
 
   dft::Crystal crystal;
   dft::PlaneWaveBasis basis;
   dft::GroundState ground;
   dft::LrTddftConfig config;
+  std::vector<dft::OscillatorLine> lines;
 };
 
-TEST_F(SpectrumFixture, MomentumElementsNonNegative) {
-  const std::vector<double> p2 =
-      dft::momentum_matrix_elements(basis, ground, config);
-  EXPECT_EQ(p2.size(), 16u);
-  double total = 0.0;
-  for (const double value : p2) {
-    EXPECT_GE(value, 0.0);
-    total += value;
-  }
-  EXPECT_GT(total, 0.0);  // silicon absorbs light
-}
-
 TEST_F(SpectrumFixture, OscillatorStrengthsNonNegativeAndFinite) {
-  const auto lines = dft::oscillator_strengths(basis, ground, config);
   EXPECT_EQ(lines.size(), 16u);
+  double total = 0.0;
   for (const auto& line : lines) {
     EXPECT_GT(line.energy_ev, 0.0);
     EXPECT_GE(line.strength, 0.0);
     EXPECT_TRUE(std::isfinite(line.strength));
+    total += line.strength;
   }
+  EXPECT_GT(total, 0.0);  // silicon absorbs light
+}
+
+TEST_F(SpectrumFixture, OscillatorStrengthsRejectAMismatchedResult) {
+  // A result solved on a different window has other pairs: reading its
+  // eigenvectors against this window's moments would index past them.
+  const dft::LrTddftResult other =
+      dft::solve_lrtddft(basis, ground, window(2, 4));
+  EXPECT_THROW(dft::oscillator_strengths(basis, ground, config, other),
+               NdftError);
 }
 
 TEST_F(SpectrumFixture, SpectrumPeaksNearStrongLines) {
-  const auto lines = dft::oscillator_strengths(basis, ground, config);
   // Find the strongest line and evaluate the broadened spectrum on/off it.
   const auto strongest =
       std::max_element(lines.begin(), lines.end(),
@@ -162,7 +170,6 @@ TEST_F(SpectrumFixture, SpectrumPeaksNearStrongLines) {
 TEST_F(SpectrumFixture, BroadeningConservesArea) {
   // The integral of each Lorentzian is its oscillator strength; on a wide
   // dense grid the summed spectrum area approximates sum(f_I).
-  const auto lines = dft::oscillator_strengths(basis, ground, config);
   double total_strength = 0.0;
   for (const auto& line : lines) total_strength += line.strength;
   std::vector<double> grid;
@@ -377,6 +384,27 @@ TEST(CliArgsTest, RejectsMalformedIntegers) {
   const core::CliArgs args(3, argv);
   EXPECT_THROW(args.get_int("atoms", 0), NdftError);
   EXPECT_EQ(args.get_int("absent", 7), 7);
+}
+
+TEST(CliArgsTest, ParseIntEnforcesItsRange) {
+  // The daemons' numeric flags: a port must fit 16 bits and a count must
+  // not wrap to SIZE_MAX, so each is read whole and range-checked.
+  EXPECT_EQ(core::parse_int("8424", 0, 65535, "--port"), 8424);
+  EXPECT_EQ(core::parse_int("0", 0, 65535, "--port"), 0);
+  EXPECT_EQ(core::parse_int("65535", 0, 65535, "--port"), 65535);
+  EXPECT_EQ(core::parse_int("-3", -5, 5, "--offset"), -3);
+  for (const char* bad : {"-1", "70000", "8x", "", " 8", "+8", "0x10",
+                          "99999999999999999999999"}) {
+    EXPECT_THROW(core::parse_int(bad, 0, 65535, "--port"), NdftError)
+        << "'" << bad << "'";
+  }
+  try {
+    core::parse_int("70000", 0, 65535, "--port");
+    FAIL() << "70000 accepted as a port";
+  } catch (const NdftError& error) {
+    EXPECT_NE(std::string(error.what()).find("--port"), std::string::npos)
+        << error.what();
+  }
 }
 
 // ---------------------------------------------------------- planned runs

@@ -214,6 +214,84 @@ TEST(ShardedEngineTest, FaultedBackendReroutesAndPayloadStaysBitwise) {
   EXPECT_EQ(sharded.backends_failed(), 1u);
 }
 
+/// Backend that counts the shards it has finished.
+class CountingBackend final : public Backend {
+ public:
+  explicit CountingBackend(std::shared_ptr<Backend> inner)
+      : inner_(std::move(inner)) {}
+  const std::string& name() const noexcept override { return inner_->name(); }
+  JobResult execute(const JobRequest& request) override {
+    JobResult result = inner_->execute(request);
+    finished_.fetch_add(1);
+    return result;
+  }
+  int finished() const noexcept { return finished_.load(); }
+
+ private:
+  std::shared_ptr<Backend> inner_;
+  std::atomic<int> finished_{0};
+};
+
+/// Backend that holds the one shard it is given until `partner` has
+/// finished `partner_shards` others (the rest of the queue), then fails.
+class LateFailingBackend final : public Backend {
+ public:
+  LateFailingBackend(const CountingBackend& partner, int partner_shards)
+      : partner_(partner), partner_shards_(partner_shards) {}
+  const std::string& name() const noexcept override { return name_; }
+  JobResult execute(const JobRequest&) override {
+    calls_.fetch_add(1);
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (partner_.finished() < partner_shards_ &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    // Give the partner's worker time to find the queue empty.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    throw NdftError("backend failed after the queue drained");
+  }
+  int calls() const noexcept { return calls_.load(); }
+
+ private:
+  const CountingBackend& partner_;
+  const int partner_shards_;
+  const std::string name_ = "late-failing";
+  std::atomic<int> calls_{0};
+};
+
+TEST(ShardedEngineTest, LateBackendFailureReroutesToADrainedSurvivor) {
+  // The healthy backend empties the queue while the other backend still
+  // holds a shard; when that backend then fails, the re-queued shard must
+  // go to the healthy backend, not fail the job (no local fallback here).
+  const JobRequest request = mp_band_job();
+  const std::string expected = reference_payload(request);
+
+  Engine engine(fast_config());
+  const auto healthy = std::make_shared<CountingBackend>(
+      std::make_shared<LocalBackend>(engine, "healthy"));
+  // 2 backends x 2 shards each: 4 shards, so the healthy backend finishes
+  // the other 3 before the late one fails.
+  const auto late = std::make_shared<LateFailingBackend>(*healthy, 3);
+  ShardedEngineConfig config;
+  config.shards_per_backend = 2;
+  config.backend_attempts = 1;
+  config.retry_backoff_ms = 0.0;
+  config.allow_local_fallback = false;
+  ShardedEngine sharded({healthy, late}, config);
+
+  const JobResult result = sharded.run(request);
+  ASSERT_TRUE(result.ok()) << result.error_message;
+  EXPECT_EQ(result.to_json().at("payload").dump(), expected);
+  EXPECT_TRUE(result.degraded.empty());
+  ASSERT_TRUE(result.shard.has_value());
+  EXPECT_EQ(result.shard->shards, 4u);
+  EXPECT_EQ(result.shard->failed_backends, 1u);
+  EXPECT_EQ(result.shard->rerouted, 1u);
+  EXPECT_EQ(late->calls(), 1);
+  EXPECT_EQ(healthy->finished(), 4);
+}
+
 TEST(ShardedEngineTest, AllBackendsDownDegradesToLocalFallback) {
   const JobRequest request = mp_band_job();
   const std::string expected = reference_payload(request);

@@ -1,6 +1,6 @@
 // Tests for the analytic workload model: system dimensions, kernel
-// descriptors, cross-validation against the instrumented functional
-// kernels, and the virtual-MPI alltoall.
+// descriptors, and cross-validation against the instrumented functional
+// kernels.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "dft/fft.hpp"
 #include "dft/lattice.hpp"
 #include "dft/lrtddft.hpp"
-#include "dft/parallel.hpp"
 #include "dft/workload.hpp"
 
 namespace ndft::dft {
@@ -210,72 +209,6 @@ TEST(WorkloadTest, TotalsAggregate) {
   }
   EXPECT_EQ(w.total_flops(), flops);
   EXPECT_EQ(w.total_dram_bytes(), bytes);
-}
-
-// ------------------------------------------------------------ virtual MPI
-
-TEST(VirtualCommTest, AlltoallMovesChunksCorrectly) {
-  VirtualComm comm(4);
-  std::vector<std::vector<int>> send(4, std::vector<int>(8));
-  for (unsigned p = 0; p < 4; ++p) {
-    for (unsigned i = 0; i < 8; ++i) {
-      send[p][i] = static_cast<int>(p * 100 + i);
-    }
-  }
-  const auto recv = comm.alltoall(send);
-  // Chunk q of rank p lands at chunk p of rank q.
-  for (unsigned p = 0; p < 4; ++p) {
-    for (unsigned q = 0; q < 4; ++q) {
-      for (unsigned i = 0; i < 2; ++i) {
-        EXPECT_EQ(recv[q][p * 2 + i], static_cast<int>(p * 100 + q * 2 + i));
-      }
-    }
-  }
-}
-
-TEST(VirtualCommTest, TrafficAccounting) {
-  VirtualComm comm(4);
-  std::vector<std::vector<double>> send(4, std::vector<double>(16, 1.0));
-  comm.alltoall(send);
-  // Each rank sends 3/4 of its buffer off-rank: 4 * 12 doubles.
-  EXPECT_EQ(comm.off_node_bytes(), 4u * 12 * sizeof(double));
-  EXPECT_EQ(comm.local_bytes(), 4u * 4 * sizeof(double));
-}
-
-TEST(VirtualCommTest, AlltoallIsInvolutionForSymmetricLayout) {
-  VirtualComm comm(3);
-  std::vector<std::vector<int>> send(3, std::vector<int>(9));
-  int counter = 0;
-  for (auto& buffer : send) {
-    for (int& value : buffer) value = counter++;
-  }
-  const auto once = comm.alltoall(send);
-  const auto twice = comm.alltoall(once);
-  EXPECT_EQ(twice, send);  // alltoall of alltoall restores the layout
-}
-
-TEST(VirtualCommTest, RejectsRaggedBuffers) {
-  VirtualComm comm(2);
-  std::vector<std::vector<int>> bad{std::vector<int>(4),
-                                    std::vector<int>(6)};
-  EXPECT_THROW(comm.alltoall(bad), NdftError);
-  std::vector<std::vector<int>> odd(2, std::vector<int>(3));
-  EXPECT_THROW(comm.alltoall(odd), NdftError);
-}
-
-TEST(BlockDistributionTest, CoversAllRowsOnce) {
-  BlockDistribution dist{103, 8};
-  std::size_t total = 0;
-  for (unsigned r = 0; r < 8; ++r) {
-    EXPECT_EQ(dist.row_end(r) - dist.row_begin(r), dist.rows_of(r));
-    total += dist.rows_of(r);
-    if (r > 0) {
-      EXPECT_EQ(dist.row_begin(r), dist.row_end(r - 1));
-    }
-  }
-  EXPECT_EQ(total, 103u);
-  // Balanced to within one row.
-  EXPECT_LE(dist.rows_of(0) - dist.rows_of(7), 1u);
 }
 
 }  // namespace
