@@ -33,11 +33,15 @@
 #                  shard tiers (the robust tier carries the fault-site
 #                  sweep, so every site's fault path runs instrumented;
 #                  net and shard carry the thread-per-connection server,
-#                  the HTTP client and the scatter workers) plus the
+#                  the HTTP client and the scatter workers), the
 #                  simulator unit tests (sim, cache, cpu, mem, noc, ndp:
 #                  the event core's slot reuse and in-place callables, and
-#                  every component queue on it) under it; any sanitizer
-#                  report fails the gate.
+#                  every component queue on it) and linalg_test and
+#                  kpoints_test (the window solver's reused workspace
+#                  buffers, GEMM pack regions and per-thread k-point
+#                  solvers) under it; any sanitizer report fails the
+#                  gate. physics_test stays out: its goldens drift under
+#                  ASan (ROADMAP item 1).
 #   --portable     additionally build a portable tree (build-portable,
 #                  -DNDFT_NATIVE_ARCH=OFF: no -march=native, so no
 #                  AVX-512 on x86-64) and run the kernel tier under it.
@@ -110,18 +114,20 @@ fi
 
 if [ "$SANITIZE" -eq 1 ]; then
   # Instrumented pass over the tiers that exercise concurrency, fault
-  # paths, sockets and cancellation races, and over the simulator unit
-  # tests, where placement-new lifetimes and reused event slots live;
-  # -fno-sanitize-recover=all makes any report fail the run.
+  # paths, sockets and cancellation races, over the simulator unit
+  # tests, where placement-new lifetimes and reused event slots live, and
+  # over the window solver's tests, where workspace buffers are reused
+  # across solves and threads; -fno-sanitize-recover=all makes any report
+  # fail the run.
   SAN_DIR="build-asan"
-  SIM_UNIT_TESTS='^(sim|cache|cpu|mem|noc|ndp)_test$'
+  UNIT_TESTS='^(sim|cache|cpu|mem|noc|ndp|linalg|kpoints)_test$'
   cmake -B "$SAN_DIR" -S . -DNDFT_SANITIZE=ON
   cmake --build "$SAN_DIR" -j "$JOBS"
   ctest --test-dir "$SAN_DIR" -L 'api|robust|net|shard' --output-on-failure \
     -j "$JOBS"
-  ctest --test-dir "$SAN_DIR" -R "$SIM_UNIT_TESTS" --output-on-failure \
+  ctest --test-dir "$SAN_DIR" -R "$UNIT_TESTS" --output-on-failure \
     -j "$JOBS"
-  echo "sanitize (api|robust|net|shard + simulator unit tests): OK ($SAN_DIR)"
+  echo "sanitize (api|robust|net|shard + simulator, linalg, kpoints unit tests): OK ($SAN_DIR)"
 fi
 
 if [ "$PORTABLE" -eq 1 ]; then

@@ -897,11 +897,11 @@ JobResult Engine::execute(const JobRequest& request,
 
   // Retry loop: transient failures (allocation pressure, simulated
   // device faults) re-execute with capped exponential backoff. The
-  // schedule is deterministic — base * 2^(attempt-1), no jitter — so a
-  // replayed fault spec replays the same attempt pattern.
+  // schedule is deterministic — min(base * 2^(attempt-1), cap), no
+  // jitter — so a replayed fault spec replays the same attempt pattern.
   const unsigned max_attempts = std::max(1u, config_.max_attempts);
-  double backoff_ms =
-      std::max(0.0, config_.retry_backoff_ms);
+  double backoff_ms = std::min(std::max(0.0, config_.retry_backoff_ms),
+                               kRetryBackoffCapMs);
   double backoff_total_ms = 0.0;
   unsigned attempt = 0;
   for (;;) {

@@ -64,14 +64,14 @@ double epm_potential(const Crystal& crystal, const GVector& g,
   return form * structure;
 }
 
-RealMatrix epm_hamiltonian(const PlaneWaveBasis& basis, const Vec3& k,
-                           const char* region) {
+RealMatrix epm_potential_matrix(const PlaneWaveBasis& basis,
+                                const char* region) {
   const std::size_t n = basis.size();
   const auto& g = basis.gvectors();
   // Rows of the upper triangle are independent: assemble on the thread
   // pool, then mirror (each pass writes disjoint rows; the region
   // aggregates, so the trace shape ignores the chunking).
-  RealMatrix hamiltonian(n, n);
+  RealMatrix potential(n, n);
   TraceRegion trace(KernelClass::kOther, region);
   trace.set_dims(n, n, 0);
   trace.add_work(static_cast<Flops>(n) * n * 8,
@@ -79,14 +79,27 @@ RealMatrix epm_hamiltonian(const PlaneWaveBasis& basis, const Vec3& k,
   trace.set_io(0, static_cast<Bytes>(n) * n * sizeof(double));
   parallel_for(0, n, parallel_grain(n), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
-      const Vec3 kg = k + g[i].g;
-      hamiltonian(i, i) = 0.5 * kg.norm2();
       for (std::size_t j = i + 1; j < n; ++j) {
-        hamiltonian(i, j) = epm_potential(basis.crystal(), g[i], g[j]);
+        potential(i, j) = epm_potential(basis.crystal(), g[i], g[j]);
       }
     }
   });
-  mirror_upper(hamiltonian);
+  mirror_upper(potential);
+  return potential;
+}
+
+void set_epm_kinetic(const PlaneWaveBasis& basis, const Vec3& k,
+                     RealMatrix& hamiltonian) {
+  const auto& g = basis.gvectors();
+  for (std::size_t i = 0; i < basis.size(); ++i) {
+    hamiltonian(i, i) = 0.5 * (k + g[i].g).norm2();
+  }
+}
+
+RealMatrix epm_hamiltonian(const PlaneWaveBasis& basis, const Vec3& k,
+                           const char* region) {
+  RealMatrix hamiltonian = epm_potential_matrix(basis, region);
+  set_epm_kinetic(basis, k, hamiltonian);
   return hamiltonian;
 }
 

@@ -41,10 +41,22 @@ double silicon_form_factor(double g2_units);
 double epm_potential(const Crystal& crystal, const GVector& g,
                      const GVector& gp);
 
-/// The EPM Hamiltonian H(G,G') = 1/2 |k+G|^2 delta_GG' + V(G-G') at `k`,
-/// assembled on the thread pool (rows are independent, so the result is
-/// identical for any thread count) inside one kOther trace region named
-/// `region`.
+/// The k-independent part of the EPM Hamiltonian: V(G_i - G_j) off the
+/// diagonal and zero on it (V(0) has no form factor), assembled on the
+/// thread pool (rows are independent, so the result is identical for any
+/// thread count) inside one kOther trace region named `region`.
+RealMatrix epm_potential_matrix(const PlaneWaveBasis& basis,
+                                const char* region);
+
+/// Sets the diagonal of `hamiltonian`, an epm_potential_matrix() or a
+/// copy of one, to the kinetic energies 1/2 |k+G_i|^2, making it the EPM
+/// Hamiltonian at `k`.
+void set_epm_kinetic(const PlaneWaveBasis& basis, const Vec3& k,
+                     RealMatrix& hamiltonian);
+
+/// The EPM Hamiltonian H(G,G') = 1/2 |k+G|^2 delta_GG' + V(G-G') at `k`:
+/// epm_potential_matrix() with set_epm_kinetic(). Solves at many k share
+/// one potential matrix instead.
 RealMatrix epm_hamiltonian(const PlaneWaveBasis& basis, const Vec3& k,
                            const char* region);
 

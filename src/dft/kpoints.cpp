@@ -4,7 +4,10 @@
 #include <cmath>
 #include <iterator>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <thread>
+#include <utility>
 
 #include "common/cancel.hpp"
 #include "common/fault.hpp"
@@ -122,22 +125,47 @@ std::vector<KPoint> fold_time_reversal(const std::vector<KPoint>& grid) {
   return folded;
 }
 
+namespace {
+
+/// What one thread needs to solve k-points: a copy of the potential
+/// matrix, whose diagonal each k-point overwrites with its kinetic
+/// energies (the solvers only read it), and the eigensolver's workspace.
+struct KPointSolver {
+  explicit KPointSolver(RealMatrix potential)
+      : hamiltonian(std::move(potential)) {}
+
+  RealMatrix hamiltonian;
+  EigenWorkspace workspace;
+};
+
+/// The lowest `keep` EPM energies at `k`: the potential plus the kinetic
+/// diagonal at k, bitwise the matrix epm_hamiltonian() builds, solved
+/// for eigenvalues only. A window below the basis size runs the partial
+/// solver.
+std::vector<double> energies_at_k(const PlaneWaveBasis& basis, const Vec3& k,
+                                  std::size_t keep, KPointSolver& solver) {
+  set_epm_kinetic(basis, k, solver.hamiltonian);
+  if (keep < basis.size()) {
+    return syevd_partial_values(solver.hamiltonian, keep, nullptr,
+                                &solver.workspace);
+  }
+  return syevd(solver.hamiltonian).eigenvalues;
+}
+
+std::size_t kept_bands(const PlaneWaveBasis& basis, std::size_t bands) {
+  NDFT_REQUIRE(basis.size() > 0, "empty plane-wave basis");
+  return bands == 0 ? basis.size() : std::min(bands, basis.size());
+}
+
+}  // namespace
+
 BandsAtK solve_epm_at_k(const PlaneWaveBasis& basis, const KPoint& kpoint,
                         std::size_t bands) {
-  const std::size_t n = basis.size();
-  NDFT_REQUIRE(n > 0, "empty plane-wave basis");
-  const std::size_t keep = bands == 0 ? n : std::min(bands, n);
-
-  RealMatrix hamiltonian = epm_hamiltonian(basis, kpoint.k, "bands.assembly");
-  // Band windows below the basis size only need the lowest eigenpairs.
-  EigenResult eigen = keep < n ? syevd_partial(hamiltonian, keep)
-                               : syevd(hamiltonian);
-
+  const std::size_t keep = kept_bands(basis, bands);
+  KPointSolver solver(epm_potential_matrix(basis, "bands.assembly"));
   BandsAtK result;
   result.kpoint = kpoint;
-  result.energies_ha.assign(
-      eigen.eigenvalues.begin(),
-      eigen.eigenvalues.begin() + static_cast<std::ptrdiff_t>(keep));
+  result.energies_ha = energies_at_k(basis, kpoint.k, keep, solver);
   return result;
 }
 
@@ -147,12 +175,19 @@ std::vector<BandsAtK> band_structure(const PlaneWaveBasis& basis,
   trace_set_system(basis.crystal().atom_count(), basis.size(),
                    basis.fft_size());
   std::vector<BandsAtK> result(path.size());
+  if (path.empty()) return result;
+  const std::size_t keep = kept_bands(basis, bands);
+  // V(G_i - G_j) does not depend on k: one assembly serves every
+  // k-point, which only writes its kinetic diagonal.
+  RealMatrix potential = epm_potential_matrix(basis, "bands.assembly");
+  for (std::size_t i = 0; i < path.size(); ++i) result[i].kpoint = path[i];
   if (trace_active() || fault_enabled()) {
     // Traced runs keep the serial k-loop: per-k stage events stay in
     // program order with a pool-width-independent shape (kernels inside a
     // parallel k-loop would record or not depending on which thread ran
     // them). Fault-armed runs serialize too, so injection decisions and
     // degradation notes stay on the job thread and replay bitwise.
+    KPointSolver solver(std::move(potential));
     for (std::size_t i = 0; i < path.size(); ++i) {
       cancel_point();               // per-k stage boundary
       fault_point("bands.alloc");
@@ -162,13 +197,13 @@ std::vector<BandsAtK> band_structure(const PlaneWaveBasis& basis,
               ? strformat("bands[%zu]%s%s", i, kp.label.empty() ? "" : ":",
                           kp.label.c_str())
               : std::string());
-      result[i] = solve_epm_at_k(basis, kp, bands);
+      result[i].energies_ha = energies_at_k(basis, kp.k, keep, solver);
     }
     return result;
   }
-  // Independent k-points across the pool (each is a dense assembly plus
-  // an eigensolve; nested kernels degrade to serial inline), in batches
-  // so the calling thread hits a cancellation/deadline checkpoint
+  // Independent k-points across the pool (each is a kinetic diagonal
+  // plus an eigensolve; nested kernels degrade to serial inline), in
+  // batches so the calling thread hits a cancellation/deadline checkpoint
   // between batches instead of only after the whole grid. Each k-point's
   // arithmetic is identical to the serial loop's, so the result is
   // bitwise identical for any thread count and batch size.
@@ -182,14 +217,31 @@ std::vector<BandsAtK> band_structure(const PlaneWaveBasis& basis,
   const std::thread::id job_thread = std::this_thread::get_id();
   std::vector<double> worker_ms(path.size(), 0.0);
   std::vector<LinalgStageTimes> worker_stages(path.size());
+  // One solver per thread that works on this job's k-points, made on its
+  // first k-point and dropped with the job. Which thread solves which
+  // k-point does not matter: a solver carries no state between solves.
+  std::mutex solvers_mutex;
+  std::vector<std::pair<std::thread::id, std::unique_ptr<KPointSolver>>>
+      solvers;
+  const auto this_threads_solver = [&]() -> KPointSolver& {
+    const std::thread::id self = std::this_thread::get_id();
+    const std::lock_guard<std::mutex> lock(solvers_mutex);
+    for (auto& [id, solver] : solvers) {
+      if (id == self) return *solver;
+    }
+    solvers.emplace_back(self, std::make_unique<KPointSolver>(potential));
+    return *solvers.back().second;
+  };
   for (std::size_t start = 0; start < path.size(); start += batch) {
     cancel_point();  // batch stage boundary (calling thread)
     const std::size_t stop = std::min(path.size(), start + batch);
     parallel_for(start, stop, 1, [&](std::size_t lo, std::size_t hi) {
       const bool worker = std::this_thread::get_id() != job_thread;
+      KPointSolver& solver = this_threads_solver();
       for (std::size_t i = lo; i < hi; ++i) {
         if (worker) linalg_timer_reset();
-        result[i] = solve_epm_at_k(basis, path[i], bands);
+        result[i].energies_ha =
+            energies_at_k(basis, path[i].k, keep, solver);
         if (worker) {
           worker_ms[i] = linalg_timer_ms();
           worker_stages[i] = linalg_stage_times();

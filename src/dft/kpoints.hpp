@@ -59,15 +59,19 @@ std::vector<KPoint> fold_time_reversal(const std::vector<KPoint>& grid);
 
 /// EPM eigenvalues at one k (lowest `bands`, clamped to the basis size;
 /// 0 keeps all). A nonzero window below the basis size runs the
-/// partial-spectrum eigensolver (syevd_partial).
+/// partial-spectrum eigensolver for eigenvalues only
+/// (syevd_partial_values).
 BandsAtK solve_epm_at_k(const PlaneWaveBasis& basis, const KPoint& kpoint,
                         std::size_t bands = 0);
 
-/// EPM band structure along a path or grid: one partial eigensolve per
-/// k-point. Independent k-points split across the thread pool (results
-/// bitwise identical for any thread count); traced runs solve the
-/// k-points serially instead, so the per-k stage events keep program
-/// order and a pool-width-independent shape.
+/// EPM band structure along a path or grid, bitwise the energies
+/// solve_epm_at_k() gives at each point: the k-independent potential is
+/// assembled once per call, and each k-point writes its kinetic diagonal
+/// and runs one eigenvalue-only solve. Independent k-points split across
+/// the thread pool, one reused solver workspace per working thread
+/// (results bitwise identical for any thread count); traced and
+/// fault-armed runs solve the k-points serially instead, so the per-k
+/// stage events keep program order and a pool-width-independent shape.
 std::vector<BandsAtK> band_structure(const PlaneWaveBasis& basis,
                                      const std::vector<KPoint>& path,
                                      std::size_t bands);

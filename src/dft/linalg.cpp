@@ -4,7 +4,9 @@
 #include <chrono>
 #include <cstdint>
 #include <cmath>
+#include <iterator>
 #include <numeric>
+#include <optional>
 #include <type_traits>
 #include <vector>
 
@@ -99,9 +101,6 @@ typedef double V8d __attribute__((vector_size(64)));
 /// Element-wise compare results (0 or -1) and counters for V8d.
 typedef std::int64_t V8l __attribute__((vector_size(64)));
 
-#if defined(__GNUC__) && defined(__AVX512F__)
-#define NDFT_GEMM_SIMD 1
-
 V8d v8_load(const double* p) {
   V8d v;
   __builtin_memcpy(&v, p, sizeof(v));  // unaligned load, folds to vmovupd
@@ -111,6 +110,12 @@ V8d v8_load(const double* p) {
 void v8_store(double* p, V8d v) {
   __builtin_memcpy(p, &v, sizeof(v));  // unaligned store, folds to vmovupd
 }
+
+/// Every lane set to `x`, sign of zero included.
+V8d v8_splat(double x) { return V8d{x, x, x, x, x, x, x, x}; }
+
+#if defined(__GNUC__) && defined(__AVX512F__)
+#define NDFT_GEMM_SIMD 1
 
 /// a*b + c as one fused instruction. The build pins -ffp-contract=off so
 /// the compiler never fuses on its own (fusion would make results depend
@@ -124,39 +129,65 @@ V8d v8_fma(V8d a, V8d b, V8d c) {
 }
 #endif
 
-/// Dot product of x[begin:end) with y[begin:end) over fixed-width
-/// independent partial sums: breaks the FP add latency chain that makes a
-/// naive dot run at ~1 element per 4 cycles under -ffp-contract=off, and
-/// vectorises on AVX-512 builds. The accumulation order depends only on
-/// the index range, so results are identical for any thread count.
-double dot_range(const double* __restrict x, const double* __restrict y,
-                 std::size_t begin, std::size_t end) {
+/// Dot products of R rows x[i][begin:end) with one y[begin:end) over
+/// fixed-width independent partial sums: breaks the FP add latency chain
+/// that makes a naive dot run at ~1 element per 4 cycles under
+/// -ffp-contract=off, and vectorises on AVX-512 builds. Each row keeps
+/// its own partial sums, horizontal sum and scalar tail, in the order
+/// dot_range (R = 1) uses; several rows side by side only overlap those
+/// latency chains, which dominate short rows. The accumulation order
+/// depends only on the index range, so results are identical for any
+/// thread count and any R.
+template <std::size_t R>
+void dot_rows(const double* const (&x)[R], const double* __restrict y,
+              std::size_t begin, std::size_t end, double* out) {
   std::size_t c = begin;
-  double head = 0.0;
+  double head[R];
 #if NDFT_GEMM_SIMD
-  V8d acc0{};
-  V8d acc1{};
+  V8d acc0[R] = {};
+  V8d acc1[R] = {};
   for (; c + 16 <= end; c += 16) {
-    acc0 += v8_load(x + c) * v8_load(y + c);
-    acc1 += v8_load(x + c + 8) * v8_load(y + c + 8);
+    const V8d y0 = v8_load(y + c);
+    const V8d y1 = v8_load(y + c + 8);
+    for (std::size_t i = 0; i < R; ++i) {
+      acc0[i] += v8_load(x[i] + c) * y0;
+      acc1[i] += v8_load(x[i] + c + 8) * y1;
+    }
   }
-  const V8d acc = acc0 + acc1;
-  double lanes[8];
-  __builtin_memcpy(lanes, &acc, sizeof(lanes));
-  head = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
-         ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
+  for (std::size_t i = 0; i < R; ++i) {
+    const V8d acc = acc0[i] + acc1[i];
+    double lanes[8];
+    __builtin_memcpy(lanes, &acc, sizeof(lanes));
+    head[i] = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
+              ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
+  }
 #else
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+  double s[R][4] = {};
   for (; c + 4 <= end; c += 4) {
-    s0 += x[c] * y[c];
-    s1 += x[c + 1] * y[c + 1];
-    s2 += x[c + 2] * y[c + 2];
-    s3 += x[c + 3] * y[c + 3];
+    for (std::size_t i = 0; i < R; ++i) {
+      s[i][0] += x[i][c] * y[c];
+      s[i][1] += x[i][c + 1] * y[c + 1];
+      s[i][2] += x[i][c + 2] * y[c + 2];
+      s[i][3] += x[i][c + 3] * y[c + 3];
+    }
   }
-  head = (s0 + s1) + (s2 + s3);
+  for (std::size_t i = 0; i < R; ++i) {
+    head[i] = (s[i][0] + s[i][1]) + (s[i][2] + s[i][3]);
+  }
 #endif
-  for (; c < end; ++c) head += x[c] * y[c];
-  return head;
+  for (; c < end; ++c) {
+    for (std::size_t i = 0; i < R; ++i) head[i] += x[i][c] * y[c];
+  }
+  for (std::size_t i = 0; i < R; ++i) out[i] = head[i];
+}
+
+/// Dot product of x[begin:end) with y[begin:end): dot_rows for one row.
+double dot_range(const double* x, const double* y, std::size_t begin,
+                 std::size_t end) {
+  const double* const rows[1] = {x};
+  double out;
+  dot_rows<1>(rows, y, begin, end, &out);
+  return out;
 }
 
 /// Householder reduction of a real symmetric matrix to tridiagonal form
@@ -305,6 +336,51 @@ void tql2(std::vector<double>& d, std::vector<double>& e, RealMatrix& z) {
 
 constexpr std::size_t kEigBlock = 32;  ///< reduction/back-transform panel
 
+/// Reusable GEMM pack storage (gemm_blocked): `b` holds the packed op(B)
+/// block and `a` one packed op(A) region per row block, so the pool's
+/// concurrent row-block tasks never share one. Packing writes every
+/// element the microkernel then reads, so stale contents are harmless.
+template <typename T>
+struct GemmPacks {
+  std::vector<T> a;
+  std::vector<T> b;
+};
+
+/// gemm() without the timer and trace entry, packing into `packs` (null:
+/// fresh buffers per call, as gemm() does). The eigensolvers' products
+/// run through it; they are nested inside a solver entry point, where
+/// gemm()'s own timer and trace event would fold away anyway. Defined
+/// with the GEMM layer below.
+void gemm_packed(const RealMatrix& a, const RealMatrix& b, RealMatrix& c,
+                 double alpha, double beta, bool transpose_a,
+                 bool transpose_b, GemmPacks<double>* packs);
+
+/// Per-panel temporaries of blocked_tridiagonalize, reused from panel to
+/// panel and, inside an EigenWorkspace, from solve to solve.
+struct ReductionBuffers {
+  std::vector<double> v;  ///< contiguous copy of the active reflector
+  std::vector<double> wtv;
+  std::vector<double> vtv;
+  RealMatrix w;   ///< the panel's W accumulator (dlatrd)
+  RealMatrix vp;  ///< the panel's V, copied out of the matrix
+  RealMatrix vt;  ///< the panel's V, transposed
+  RealMatrix wt;  ///< the panel's W, transposed
+  RealMatrix left_t;   ///< [V | W]^T of the trailing rows
+  RealMatrix right_t;  ///< [W | V]^T of the trailing rows
+  RealMatrix trailing;
+};
+
+/// Per-panel temporaries of apply_q_panels, reused likewise.
+struct QPanelBuffers {
+  std::vector<std::size_t> panel_starts;
+  RealMatrix v;
+  RealMatrix t;
+  RealMatrix gram;
+  RealMatrix zs;
+  RealMatrix x1;
+  RealMatrix x2;
+};
+
 /// The eigensolver issues many short-lived stages (per-column gemv, panel
 /// copies); waking the pool costs more than such a stage is worth, so
 /// these dispatch only above ~1M flops per call. The chunky stages (GEMM,
@@ -316,46 +392,84 @@ std::size_t eig_grain(std::size_t work_per_index) {
       1, kEigDispatchWork / std::max<std::size_t>(1, work_per_index));
 }
 
-/// dst(r, col) -= sum_p (v(r, v0 + p) cv[p] + w(r, p) cw[p]) over p in
-/// [0, len), for rows r in [begin, end): the two dlatrd panel folds. Each
-/// row's sum is one p-ordered chain of dependent adds, so a row at a time
-/// runs at the add latency; four rows per pass keep four independent
-/// chains in flight. Every row still sums in its own p order, so the
-/// result does not depend on the interleaving.
-void fold_panel_rows(RealMatrix& dst, std::size_t col, const RealMatrix& v,
-                     std::size_t v0, const RealMatrix& w, const double* cv,
+/// dst(r, col) -= sum_p (vt(p, r) cv[p] + wt(p, r) cw[p]) over p in
+/// [0, len), for rows r in [begin, end): the two dlatrd panel folds, read
+/// from transposed copies of the panel's V and W columns. Each row's sum
+/// is one p-ordered chain of dependent adds, s = s + (v cv + w cw); a
+/// vector runs that chain for eight rows at once, and two vectors per
+/// pass keep two chains in flight. Every row still sums in its own p
+/// order, so the result does not depend on how rows are grouped.
+void fold_panel_rows(RealMatrix& dst, std::size_t col, const RealMatrix& vt,
+                     const RealMatrix& wt, const double* cv,
                      const double* cw, std::size_t len, std::size_t begin,
                      std::size_t end) {
   std::size_t r = begin;
-  for (; r + 4 <= end; r += 4) {
-    const double* v_0 = v.row(r) + v0;
-    const double* v_1 = v.row(r + 1) + v0;
-    const double* v_2 = v.row(r + 2) + v0;
-    const double* v_3 = v.row(r + 3) + v0;
-    const double* w_0 = w.row(r);
-    const double* w_1 = w.row(r + 1);
-    const double* w_2 = w.row(r + 2);
-    const double* w_3 = w.row(r + 3);
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+  for (; r + 16 <= end; r += 16) {
+    V8d s0{};
+    V8d s1{};
     for (std::size_t p = 0; p < len; ++p) {
-      s0 += v_0[p] * cv[p] + w_0[p] * cw[p];
-      s1 += v_1[p] * cv[p] + w_1[p] * cw[p];
-      s2 += v_2[p] * cv[p] + w_2[p] * cw[p];
-      s3 += v_3[p] * cv[p] + w_3[p] * cw[p];
+      const V8d c_v = v8_splat(cv[p]);
+      const V8d c_w = v8_splat(cw[p]);
+      const double* v = vt.row(p) + r;
+      const double* w = wt.row(p) + r;
+      s0 += v8_load(v) * c_v + v8_load(w) * c_w;
+      s1 += v8_load(v + 8) * c_v + v8_load(w + 8) * c_w;
     }
-    dst(r, col) -= s0;
-    dst(r + 1, col) -= s1;
-    dst(r + 2, col) -= s2;
-    dst(r + 3, col) -= s3;
+    for (std::size_t l = 0; l < 8; ++l) {
+      dst(r + l, col) -= s0[l];
+      dst(r + 8 + l, col) -= s1[l];
+    }
+  }
+  for (; r + 8 <= end; r += 8) {
+    V8d s0{};
+    for (std::size_t p = 0; p < len; ++p) {
+      s0 += v8_load(vt.row(p) + r) * v8_splat(cv[p]) +
+            v8_load(wt.row(p) + r) * v8_splat(cw[p]);
+    }
+    for (std::size_t l = 0; l < 8; ++l) dst(r + l, col) -= s0[l];
   }
   for (; r < end; ++r) {
-    const double* v_r = v.row(r) + v0;
-    const double* w_r = w.row(r);
     double s = 0.0;
-    for (std::size_t p = 0; p < len; ++p) s += v_r[p] * cv[p] + w_r[p] * cw[p];
+    for (std::size_t p = 0; p < len; ++p) {
+      s += vt(p, r) * cv[p] + wt(p, r) * cw[p];
+    }
     dst(r, col) -= s;
   }
 }
+
+/// wtv[p] = sum_r w(r, p) v[r] and vtv[p] = sum_r vp(r, p) v[r] for p in
+/// [0, len) over rows r in [begin, end), each sum adding its rows in
+/// ascending order. `w` and `vp` rows hold kEigBlock columns, zero past
+/// the panel's finished ones, so eight sums share a vector, held in a
+/// register across the whole row loop (NB = ceil(len / 8) vectors).
+template <std::size_t NB>
+void panel_sums(const RealMatrix& w, const RealMatrix& vp, const double* v,
+                std::size_t len, std::size_t begin, std::size_t end,
+                double* wtv, double* vtv) {
+  V8d sw[NB] = {};
+  V8d sv[NB] = {};
+  for (std::size_t r = begin; r < end; ++r) {
+    const V8d vr = v8_splat(v[r]);
+    const double* w_r = w.row(r);
+    const double* v_r = vp.row(r);
+    for (std::size_t b = 0; b < NB; ++b) {
+      sw[b] += v8_load(w_r + 8 * b) * vr;
+      sv[b] += v8_load(v_r + 8 * b) * vr;
+    }
+  }
+  for (std::size_t p = 0; p < len; ++p) {
+    wtv[p] = sw[p / 8][p % 8];
+    vtv[p] = sv[p / 8][p % 8];
+  }
+}
+
+/// panel_sums by vector count: entry b serves b + 1 vectors.
+constexpr void (*kPanelSums[])(const RealMatrix&, const RealMatrix&,
+                               const double*, std::size_t, std::size_t,
+                               std::size_t, double*, double*) = {
+    panel_sums<1>, panel_sums<2>, panel_sums<3>, panel_sums<4>};
+static_assert(std::size(kPanelSums) * 8 == kEigBlock,
+              "one entry per eight panel columns");
 
 /// Blocked Householder reduction to tridiagonal form (dsytrd/dlatrd
 /// lineage, lower-triangle convention). On return `d` is the diagonal,
@@ -363,22 +477,35 @@ void fold_panel_rows(RealMatrix& dst, std::size_t col, const RealMatrix& v,
 /// reflector j's vector sits in a(j+1:n, j) with its leading 1 stored
 /// explicitly at a(j+1, j) for the back-transformation.
 void blocked_tridiagonalize(RealMatrix& a, std::vector<double>& d,
-                            std::vector<double>& e,
-                            std::vector<double>& tau) {
+                            std::vector<double>& e, std::vector<double>& tau,
+                            ReductionBuffers& buffers,
+                            GemmPacks<double>& packs) {
   const std::size_t n = a.rows();
   d.assign(n, 0.0);
   e.assign(n, 0.0);
   tau.assign(n, 0.0);
-  std::vector<double> v(n, 0.0);  // contiguous copy of the active reflector
+  std::vector<double>& v = buffers.v;
+  v.assign(n, 0.0);
+  // The panel's W, and its V copied out of `a`, each n x kEigBlock
+  // whatever the panel width, for the row-outer panel sums; and both
+  // again transposed (row p holds column p over all n rows) for the
+  // folds, which run down the rows.
+  RealMatrix& w = buffers.w;
+  RealMatrix& vp = buffers.vp;
+  RealMatrix& vt = buffers.vt;
+  RealMatrix& wt = buffers.wt;
   for (std::size_t i0 = 0; i0 + 2 < n;) {
     const std::size_t kb = std::min(kEigBlock, n - 2 - i0);
-    RealMatrix w(n, kb);  // the panel's W accumulator (dlatrd)
+    w.reset(n, kEigBlock);
+    vp.reset(n, kEigBlock);
+    vt.reset(kb, n);
+    wt.reset(kb, n);
     for (std::size_t jj = 0; jj < kb; ++jj) {
       const std::size_t j = i0 + jj;
       // Fold the panel's previous reflectors into column j:
       // a(j:n, j) -= V(j:n, 0:jj) w(j, 0:jj)^T + W(j:n, 0:jj) v(j, 0:jj)^T.
       if (jj > 0) {
-        fold_panel_rows(a, j, a, i0, w, w.row(j), a.row(j) + i0, jj, j, n);
+        fold_panel_rows(a, j, vt, wt, w.row(j), a.row(j) + i0, jj, j, n);
       }
       // Householder reflector annihilating a(j+2:n, j).
       double tail2 = 0.0;
@@ -396,30 +523,38 @@ void blocked_tridiagonalize(RealMatrix& a, std::vector<double>& d,
       e[j + 1] = beta;
       a(j + 1, j) = 1.0;  // leading 1 of v_j, kept for the back-transform
       for (std::size_t r = 0; r < n; ++r) v[r] = (r > j) ? a(r, j) : 0.0;
+      std::copy(v.begin(), v.end(), vt.row(jj));
+      for (std::size_t r = j + 1; r < n; ++r) vp(r, jj) = v[r];
       // w_j = tau (A_t v - V (W^T v) - W (V^T v)) - (tau/2)(w^T v) v, with
       // A_t the trailing square as of panel start. The matrix-vector
-      // product dominates the panel work; rows are independent.
+      // product dominates the panel work; rows are independent, and four
+      // at a time overlap their dot products' latency chains.
       parallel_for(j + 1, n, eig_grain(n - j),
                    [&](std::size_t lo, std::size_t hi) {
-                     for (std::size_t r = lo; r < hi; ++r) {
+                     std::size_t r = lo;
+                     for (; r + 4 <= hi; r += 4) {
+                       const double* const rows[4] = {
+                           a.row(r), a.row(r + 1), a.row(r + 2),
+                           a.row(r + 3)};
+                       double dots[4];
+                       dot_rows<4>(rows, v.data(), j + 1, n, dots);
+                       for (std::size_t i = 0; i < 4; ++i) {
+                         w(r + i, jj) = dots[i];
+                       }
+                     }
+                     for (; r < hi; ++r) {
                        w(r, jj) = dot_range(a.row(r), v.data(), j + 1, n);
                      }
                    });
       if (jj > 0) {
-        // Row-outer accumulation: the W / V panel rows are contiguous and
-        // the jj partial sums are independent chains.
-        std::vector<double> wtv(jj, 0.0);
-        std::vector<double> vtv(jj, 0.0);
-        for (std::size_t r = j + 1; r < n; ++r) {
-          const double* wrow = w.row(r);
-          const double* arow = a.row(r) + i0;
-          const double vr = v[r];
-          for (std::size_t p = 0; p < jj; ++p) {
-            wtv[p] += wrow[p] * vr;
-            vtv[p] += arow[p] * vr;
-          }
-        }
-        fold_panel_rows(w, jj, a, i0, w, wtv.data(), vtv.data(), jj, j + 1,
+        // W^T v and V^T v: row-outer, the jj sums are independent chains.
+        std::vector<double>& wtv = buffers.wtv;
+        std::vector<double>& vtv = buffers.vtv;
+        wtv.resize(jj);
+        vtv.resize(jj);
+        kPanelSums[ceil_div(jj, std::size_t{8}) - 1](
+            w, vp, v.data(), jj, j + 1, n, wtv.data(), vtv.data());
+        fold_panel_rows(w, jj, vt, wt, wtv.data(), vtv.data(), jj, j + 1,
                         n);
       }
       double dot = 0.0;
@@ -428,37 +563,45 @@ void blocked_tridiagonalize(RealMatrix& a, std::vector<double>& d,
         dot += w(r, jj) * v[r];
       }
       const double correction = -0.5 * tau_j * dot;
+      double* wt_row = wt.row(jj);
       for (std::size_t r = j + 1; r < n; ++r) {
         w(r, jj) += correction * v[r];
+        wt_row[r] = w(r, jj);
       }
     }
     // Trailing rank-2k update A_t -= V W^T + W V^T, expressed as the
     // single blocked GEMM A_t += (-[V | W]) [W | V]^T over the full
     // trailing square (the update is symmetric, so full storage stays
-    // consistent for the next panel's matrix-vector products).
+    // consistent for the next panel's matrix-vector products). Both
+    // operands are stored transposed, [V | W]^T and [W | V]^T, rows
+    // copied from the transposed panels; the GEMM packs the same values
+    // either way, and contiguous rows pack faster.
     const std::size_t t0 = i0 + kb;
     const std::size_t m = n - t0;
     if (m > 0) {
-      RealMatrix left(m, 2 * kb);
-      RealMatrix right(m, 2 * kb);
-      RealMatrix trailing(m, m);
-      parallel_for(0, m, eig_grain(4 * kb + m),
+      RealMatrix& left_t = buffers.left_t;
+      RealMatrix& right_t = buffers.right_t;
+      RealMatrix& trailing = buffers.trailing;
+      left_t.reset(2 * kb, m);
+      right_t.reset(2 * kb, m);
+      trailing.reset(m, m);
+      for (std::size_t p = 0; p < kb; ++p) {
+        const double* v_p = vt.row(p) + t0;
+        const double* w_p = wt.row(p) + t0;
+        std::copy(v_p, v_p + m, left_t.row(p));
+        std::copy(w_p, w_p + m, left_t.row(kb + p));
+        std::copy(w_p, w_p + m, right_t.row(p));
+        std::copy(v_p, v_p + m, right_t.row(kb + p));
+      }
+      parallel_for(0, m, eig_grain(m),
                    [&](std::size_t lo, std::size_t hi) {
                      for (std::size_t r = lo; r < hi; ++r) {
-                       for (std::size_t p = 0; p < kb; ++p) {
-                         const double vv = a(t0 + r, i0 + p);
-                         const double ww = w(t0 + r, p);
-                         left(r, p) = vv;
-                         left(r, kb + p) = ww;
-                         right(r, p) = ww;
-                         right(r, kb + p) = vv;
-                       }
                        std::copy(a.row(t0 + r) + t0, a.row(t0 + r) + n,
                                  trailing.row(r));
                      }
                    });
-      gemm(left, right, trailing, -1.0, 1.0, /*transpose_a=*/false,
-           /*transpose_b=*/true);
+      gemm_packed(left_t, right_t, trailing, -1.0, 1.0, /*transpose_a=*/true,
+                  /*transpose_b=*/false, &packs);
       parallel_for(0, m, eig_grain(m),
                    [&](std::size_t lo, std::size_t hi) {
                      for (std::size_t r = lo; r < hi; ++r) {
@@ -479,9 +622,11 @@ void blocked_tridiagonalize(RealMatrix& a, std::vector<double>& d,
 /// blocked_tridiagonalize, offset b the full->band reduction.
 /// Panels are applied in reverse order as compact-WY updates (dlarft
 /// forward factor, then three GEMMs per panel restricted to the rows the
-/// panel touches).
+/// panel touches). Temporaries come from `buffers`, GEMM packs from
+/// `packs` (null: fresh per product).
 void apply_q_panels(const RealMatrix& a, const std::vector<double>& tau,
-                    RealMatrix& z, std::size_t offset) {
+                    RealMatrix& z, std::size_t offset,
+                    QPanelBuffers& buffers, GemmPacks<double>* packs) {
   const std::size_t n = a.rows();
   if (n < offset + 2) return;
   // The WY grouping here is independent of the panel width the reduction
@@ -490,7 +635,8 @@ void apply_q_panels(const RealMatrix& a, const std::vector<double>& tau,
   // per-panel fixed costs scale with the panel count while the GEMM flop
   // total stays constant.
   constexpr std::size_t kApplyBlock = 4 * kEigBlock;
-  std::vector<std::size_t> panel_starts;
+  std::vector<std::size_t>& panel_starts = buffers.panel_starts;
+  panel_starts.clear();
   for (std::size_t i0 = 0; i0 + offset + 1 < n;
        i0 += std::min(kApplyBlock, n - offset - 1 - i0)) {
     panel_starts.push_back(i0);
@@ -504,7 +650,8 @@ void apply_q_panels(const RealMatrix& a, const std::vector<double>& tau,
     // V (m x kb): column p is reflector i0+p, unit at global row
     // i0+p+offset, zero above (zero-initialised storage provides the
     // zeros).
-    RealMatrix v(m, kb);
+    RealMatrix& v = buffers.v;
+    v.reset(m, kb);
     for (std::size_t rr = 0; rr < m; ++rr) {
       const std::size_t r = r0 + rr;
       for (std::size_t p = 0; p < kb && i0 + p + offset <= r; ++p) {
@@ -513,12 +660,14 @@ void apply_q_panels(const RealMatrix& a, const std::vector<double>& tau,
     }
     // Compact-WY factor (dlarft, forward columnwise): the panel's product
     // of reflectors is I - V T V^T with T upper triangular.
-    RealMatrix t(kb, kb);
+    RealMatrix& t = buffers.t;
+    t.reset(kb, kb);
     // All the reflector inner products the dlarft recurrence needs are
     // entries of the Gram matrix V^T V - one GEMM instead of kb^2/2
     // stride-kb scalar dot products.
-    RealMatrix gram;
-    gemm(v, v, gram, 1.0, 0.0, /*transpose_a=*/true);
+    RealMatrix& gram = buffers.gram;
+    gemm_packed(v, v, gram, 1.0, 0.0, /*transpose_a=*/true,
+                /*transpose_b=*/false, packs);
     for (std::size_t p = 0; p < kb; ++p) {
       const double tau_p = tau[i0 + p];
       if (tau_p == 0.0) continue;  // H = I: the zero row/column is exact
@@ -561,7 +710,8 @@ void apply_q_panels(const RealMatrix& a, const std::vector<double>& tau,
       t(p, p) = tau_p;
     }
     // z(r0:n, :) -= V (T (V^T z(r0:n, :))).
-    RealMatrix zs(m, cols);
+    RealMatrix& zs = buffers.zs;
+    zs.reset(m, cols);
     parallel_for(0, m, eig_grain(cols),
                  [&](std::size_t lo, std::size_t hi) {
                    for (std::size_t rr = lo; rr < hi; ++rr) {
@@ -569,11 +719,12 @@ void apply_q_panels(const RealMatrix& a, const std::vector<double>& tau,
                                zs.row(rr));
                    }
                  });
-    RealMatrix x1;
-    gemm(v, zs, x1, 1.0, 0.0, /*transpose_a=*/true);
-    RealMatrix x2;
-    gemm(t, x1, x2);
-    gemm(v, x2, zs, -1.0, 1.0);
+    RealMatrix& x1 = buffers.x1;
+    gemm_packed(v, zs, x1, 1.0, 0.0, /*transpose_a=*/true,
+                /*transpose_b=*/false, packs);
+    RealMatrix& x2 = buffers.x2;
+    gemm_packed(t, x1, x2, 1.0, 0.0, false, false, packs);
+    gemm_packed(v, x2, zs, -1.0, 1.0, false, false, packs);
     parallel_for(0, m, eig_grain(cols),
                  [&](std::size_t lo, std::size_t hi) {
                    for (std::size_t rr = lo; rr < hi; ++rr) {
@@ -1829,14 +1980,20 @@ void tridiag_shifted_solve(const std::vector<double>& d,
   }
 }
 
-/// Lowest-m eigenpairs of the tridiagonal matrix (d, e): eigenvalues by
-/// bisection, eigenvectors by inverse iteration (dstein shape: clusters
-/// of close eigenvalues are orthogonalised against their earlier members
-/// every iteration, with ulp-scale shift perturbations separating exact
-/// degeneracies). Vectors land in the rows of `vt` (m x n).
-void tridiag_lowest(const std::vector<double>& d, const std::vector<double>& e,
-                    std::size_t m, std::vector<double>& eigenvalues,
-                    RealMatrix& vt) {
+/// The scales bisection derives from the tridiagonal matrix, which
+/// inverse iteration reuses: the zero-pivot guard and the Gershgorin
+/// norm bound.
+struct TridiagScales {
+  double pivmin = 0.0;
+  double anorm = 0.0;
+};
+
+/// Lowest m eigenvalues of the tridiagonal matrix (d, e) by bisection,
+/// ascending, into `eigenvalues`.
+TridiagScales tridiag_lowest_values(const std::vector<double>& d,
+                                    const std::vector<double>& e,
+                                    std::size_t m,
+                                    std::vector<double>& eigenvalues) {
   const std::size_t n = d.size();
   std::vector<double> e2(n, 0.0);
   double emax2 = 1.0;
@@ -1884,7 +2041,23 @@ void tridiag_lowest(const std::vector<double>& d, const std::vector<double>& e,
           }
         }
       });
+  return {pivmin, anorm};
+}
 
+/// Eigenvectors of the tridiagonal matrix (d, e) for its lowest
+/// eigenvalues (tridiag_lowest_values, which also supplied `scales`) by
+/// inverse iteration (dstein shape: clusters of close eigenvalues are
+/// orthogonalised against their earlier members every iteration, with
+/// ulp-scale shift perturbations separating exact degeneracies). Vectors
+/// land in the rows of `vt` (m x n).
+void tridiag_lowest_vectors(const std::vector<double>& d,
+                            const std::vector<double>& e,
+                            const std::vector<double>& eigenvalues,
+                            TridiagScales scales, RealMatrix& vt) {
+  const std::size_t n = d.size();
+  const std::size_t m = eigenvalues.size();
+  const double pivmin = scales.pivmin;
+  const double anorm = scales.anorm;
   // Cluster boundaries: consecutive eigenvalues closer than the dstein
   // orthogonalisation threshold iterate as one group, so their vectors
   // are re-orthogonalised against each other every inverse-iteration
@@ -1899,7 +2072,7 @@ void tridiag_lowest(const std::vector<double>& d, const std::vector<double>& e,
   }
   cluster_starts.push_back(m);
 
-  vt = RealMatrix(m, n);
+  vt.reset(m, n);
   const double eps = std::numeric_limits<double>::epsilon();
   parallel_for(
       0, cluster_starts.size() - 1, 1, [&](std::size_t clo, std::size_t chi) {
@@ -2165,15 +2338,23 @@ void gemm_prepare(const Matrix<T>& a, const Matrix<T>& b, Matrix<T>& c,
   NDFT_REQUIRE(b_rows == k, "gemm: inner dimensions must agree");
   if (c.rows() != m || c.cols() != n) {
     NDFT_REQUIRE(beta == T{}, "gemm: beta != 0 requires a sized C");
-    c = Matrix<T>(m, n);
+    c.reset(m, n);
   }
 }
 
+/// `packs` null: the pack buffers are allocated for this call (op(A)
+/// per row-block task). Otherwise they come from `packs`, which grows
+/// to the largest product it has served.
 template <bool TransposeA, bool TransposeB, bool ConjA, typename T>
 void gemm_blocked(const Matrix<T>& a, const Matrix<T>& b, Matrix<T>& c,
                   T alpha, T beta, std::size_t m, std::size_t n,
-                  std::size_t k) {
-  std::vector<T> b_pack(kKc * std::min(kNc, round_up(n, kNr)));
+                  std::size_t k, GemmPacks<T>* packs) {
+  const std::size_t row_blocks = ceil_div(m, kMc);
+  const std::size_t a_stride = kMc * std::min(kKc, k);
+  std::vector<T> own_b_pack;
+  std::vector<T>& b_pack = packs != nullptr ? packs->b : own_b_pack;
+  b_pack.resize(std::min(kKc, k) * std::min(kNc, round_up(n, kNr)));
+  if (packs != nullptr) packs->a.resize(row_blocks * a_stride);
   for (std::size_t jc = 0; jc < n; jc += kNc) {
     const std::size_t nc = std::min(kNc, n - jc);
     for (std::size_t pc = 0; pc < k; pc += kKc) {
@@ -2181,20 +2362,28 @@ void gemm_blocked(const Matrix<T>& a, const Matrix<T>& b, Matrix<T>& c,
       const bool first_k_block = (pc == 0);
       pack_b_block<TransposeB>(b, pc, jc, kc, nc, b_pack.data());
 
-      const std::size_t row_blocks = ceil_div(m, kMc);
       parallel_for(0, row_blocks, 1, [&](std::size_t lo, std::size_t hi) {
-        std::vector<T> a_pack(kMc * kc);
+        // A task packs its row blocks one after another into the region
+        // of its first block.
+        std::vector<T> own_a_pack;
+        T* a_pack = nullptr;
+        if (packs != nullptr) {
+          a_pack = packs->a.data() + lo * a_stride;
+        } else {
+          own_a_pack.resize(kMc * kc);
+          a_pack = own_a_pack.data();
+        }
         T acc[kMr * kNr];
         for (std::size_t block = lo; block < hi; ++block) {
           const std::size_t ic = block * kMc;
           const std::size_t mc = std::min(kMc, m - ic);
-          pack_a_block<TransposeA, ConjA>(a, ic, pc, mc, kc, a_pack.data());
+          pack_a_block<TransposeA, ConjA>(a, ic, pc, mc, kc, a_pack);
           for (std::size_t jp = 0; jp < nc; jp += kNr) {
             const std::size_t cols = std::min(kNr, nc - jp);
             const T* b_panel = b_pack.data() + (jp / kNr) * kNr * kc;
             for (std::size_t ip = 0; ip < mc; ip += kMr) {
               const std::size_t rows = std::min(kMr, mc - ip);
-              const T* a_panel = a_pack.data() + (ip / kMr) * kMr * kc;
+              const T* a_panel = a_pack + (ip / kMr) * kMr * kc;
               std::fill(acc, acc + kMr * kNr, T{});
               micro_kernel(kc, a_panel, b_panel, acc);
               for (std::size_t i = 0; i < rows; ++i) {
@@ -2286,7 +2475,8 @@ void gemm_3m(const ComplexMatrix& a, const ComplexMatrix& b,
 
 template <typename T>
 void gemm_impl(const Matrix<T>& a, const Matrix<T>& b, Matrix<T>& c, T alpha,
-               T beta, bool transpose_a, bool transpose_b) {
+               T beta, bool transpose_a, bool transpose_b,
+               GemmPacks<T>* packs = nullptr) {
   std::size_t m, n, k;
   gemm_prepare(a, b, c, beta, transpose_a, transpose_b, m, n, k);
   if (m * n * k <= kSmallGemmVolume) {
@@ -2301,18 +2491,27 @@ void gemm_impl(const Matrix<T>& a, const Matrix<T>& b, Matrix<T>& c, T alpha,
   } else {
     if (transpose_a) {
       if (transpose_b) {
-        gemm_blocked<true, true, true>(a, b, c, alpha, beta, m, n, k);
+        gemm_blocked<true, true, true>(a, b, c, alpha, beta, m, n, k, packs);
       } else {
-        gemm_blocked<true, false, true>(a, b, c, alpha, beta, m, n, k);
+        gemm_blocked<true, false, true>(a, b, c, alpha, beta, m, n, k,
+                                        packs);
       }
     } else {
       if (transpose_b) {
-        gemm_blocked<false, true, true>(a, b, c, alpha, beta, m, n, k);
+        gemm_blocked<false, true, true>(a, b, c, alpha, beta, m, n, k,
+                                        packs);
       } else {
-        gemm_blocked<false, false, true>(a, b, c, alpha, beta, m, n, k);
+        gemm_blocked<false, false, true>(a, b, c, alpha, beta, m, n, k,
+                                         packs);
       }
     }
   }
+}
+
+void gemm_packed(const RealMatrix& a, const RealMatrix& b, RealMatrix& c,
+                 double alpha, double beta, bool transpose_a,
+                 bool transpose_b, GemmPacks<double>* packs) {
+  gemm_impl(a, b, c, alpha, beta, transpose_a, transpose_b, packs);
 }
 
 }  // namespace
@@ -2436,7 +2635,9 @@ EigenResult syevd(const RealMatrix& symmetric, OpCount* count) {
     StageTimerScope stage(&LinalgStageTimes::backtransform_ms);
     apply_chase_rotations(chase_log, chase_groups, chase_j_groups,
                           s);                 // s <- Q2 s
-    apply_q_panels(reduced, tau, s, band_width(n));  // s <- Q1 s
+    QPanelBuffers panel_buffers;
+    apply_q_panels(reduced, tau, s, band_width(n), panel_buffers,
+                   nullptr);  // s <- Q1 s
   }
 
   result.eigenvalues = std::move(d);
@@ -2461,6 +2662,25 @@ EigenResult syevd_naive(const RealMatrix& symmetric, OpCount* count) {
   return result;
 }
 
+/// The window solver's scratch: the working copy of the matrix, the
+/// reduction's outputs and per-panel temporaries, the GEMM pack buffers
+/// under both stages, the tridiagonal eigenvectors and the
+/// back-transform's temporaries.
+struct EigenWorkspace::Buffers {
+  RealMatrix reduced;  ///< working copy, reduced in place
+  std::vector<double> d;
+  std::vector<double> e;
+  std::vector<double> tau;
+  ReductionBuffers reduction;
+  GemmPacks<double> packs;
+  RealMatrix tridiag_vectors;  ///< one per row
+  QPanelBuffers q_panels;
+};
+
+EigenWorkspace::EigenWorkspace() : buffers_(std::make_unique<Buffers>()) {}
+
+EigenWorkspace::~EigenWorkspace() = default;
+
 namespace {
 
 /// Full-spectrum answer cut down to the lowest m pairs: the fallback the
@@ -2482,23 +2702,27 @@ EigenResult partial_from_full(const RealMatrix& symmetric, std::size_t m,
   return result;
 }
 
-}  // namespace
-
-EigenResult syevd_partial(const RealMatrix& symmetric, std::size_t m,
-                          OpCount* count) {
+/// The lowest-m window solve behind syevd_partial (`vectors`) and
+/// syevd_partial_values (not `vectors`, which stops after the bisection
+/// and leaves `eigenvectors` empty; the fallbacks to the full solver
+/// still return them). Scratch comes from `workspace`, or from a
+/// workspace of this call's own when it is null.
+EigenResult window_solve(const RealMatrix& symmetric, std::size_t m,
+                         bool vectors, OpCount* count,
+                         EigenWorkspace* workspace) {
   LinalgTimerScope timer;
-  KernelTimer trace(KernelClass::kSyevd, "syevd.partial");
+  KernelTimer trace(KernelClass::kSyevd,
+                    vectors ? "syevd.partial" : "syevd.partial.values");
   NDFT_REQUIRE(symmetric.rows() == symmetric.cols(),
                "syevd_partial: matrix must be square");
   const std::size_t n = symmetric.rows();
   NDFT_REQUIRE(m >= 1 && m <= n,
                "syevd_partial: eigenpair count must be in [1, n]");
+  const SyevdCost cost = syevd_partial_cost(n, m, vectors);
   trace.set_dims(n, m, 0);
-  {
-    const SyevdCost cost = syevd_partial_cost(n, m);
-    trace.set_work(cost.flops, cost.bytes);
-  }
-  trace.set_io(n * n * sizeof(double), (n * m + m) * sizeof(double));
+  trace.set_work(cost.flops, cost.bytes);
+  trace.set_io(n * n * sizeof(double),
+               ((vectors ? n * m : 0) + m) * sizeof(double));
 
   if (fault_fires("solver.syevd_partial")) {
     // Injected solver fault: degrade to the always-available full
@@ -2514,6 +2738,9 @@ EigenResult syevd_partial(const RealMatrix& symmetric, std::size_t m,
     return partial_from_full(symmetric, m, count);
   }
 
+  std::optional<EigenWorkspace> own_workspace;
+  if (workspace == nullptr) workspace = &own_workspace.emplace();
+  EigenWorkspace::Buffers& ws = workspace->buffers();
   try {
     // The direct Householder reduction, not the full solver's two-stage
     // one: swapping band_reduce + the bulge chase into this path (the
@@ -2521,42 +2748,45 @@ EigenResult syevd_partial(const RealMatrix& symmetric, std::size_t m,
     // n=179, m=24, the Si_8 SCF solve (4-vCPU AVX-512 Xeon, 1-2 threads).
     // This path can go once the SCF window no longer needs a dense
     // partial solve every iteration.
-    RealMatrix reduced = symmetric;
-    std::vector<double> d;
-    std::vector<double> e;
-    std::vector<double> tau;
+    ws.reduced = symmetric;  // keeps the workspace's storage once warm
     {
       StageTimerScope stage(&LinalgStageTimes::reduce_ms);
-      blocked_tridiagonalize(reduced, d, e, tau);
+      blocked_tridiagonalize(ws.reduced, ws.d, ws.e, ws.tau, ws.reduction,
+                             ws.packs);
     }
 
     EigenResult result;
-    RealMatrix vt;  // tridiagonal eigenvectors, one per row
     {
       StageTimerScope stage(&LinalgStageTimes::tridiag_ms);
-      tridiag_lowest(d, e, m, result.eigenvalues, vt);
+      const TridiagScales scales =
+          tridiag_lowest_values(ws.d, ws.e, m, result.eigenvalues);
+      if (vectors) {
+        tridiag_lowest_vectors(ws.d, ws.e, result.eigenvalues, scales,
+                               ws.tridiag_vectors);
+      }
     }
 
-    // Assemble the n x m eigenvector block and push it through the same
-    // compact-WY panels as the full solver — O(n^2 m) instead of O(n^3).
-    RealMatrix z(n, m);
-    {
+    if (vectors) {
+      // Assemble the n x m eigenvector block and push it through the same
+      // compact-WY panels as the full solver — O(n^2 m) instead of
+      // O(n^3).
+      RealMatrix z(n, m);
       StageTimerScope stage(&LinalgStageTimes::backtransform_ms);
       parallel_for(0, n, eig_grain(m),
                    [&](std::size_t lo, std::size_t hi) {
                      for (std::size_t r = lo; r < hi; ++r) {
                        double* row = z.row(r);
-                       for (std::size_t c = 0; c < m; ++c) row[c] = vt(c, r);
+                       for (std::size_t c = 0; c < m; ++c) {
+                         row[c] = ws.tridiag_vectors(c, r);
+                       }
                      }
                    });
-      apply_q_panels(reduced, tau, z, 1);  // z <- Q z
+      apply_q_panels(ws.reduced, ws.tau, z, 1, ws.q_panels,
+                     &ws.packs);  // z <- Q z
+      result.eigenvectors = std::move(z);
     }
-    result.eigenvectors = std::move(z);
 
-    if (count != nullptr) {
-      const SyevdCost cost = syevd_partial_cost(n, m);
-      count->add(cost.flops, cost.bytes);
-    }
+    if (count != nullptr) count->add(cost.flops, cost.bytes);
     return result;
   } catch (const NdftError&) {
     // The partial path rejected the problem (e.g. a degenerate cluster
@@ -2567,12 +2797,30 @@ EigenResult syevd_partial(const RealMatrix& symmetric, std::size_t m,
   }
 }
 
-SyevdCost syevd_partial_cost(std::size_t n, std::size_t m) noexcept {
+}  // namespace
+
+EigenResult syevd_partial(const RealMatrix& symmetric, std::size_t m,
+                          OpCount* count, EigenWorkspace* workspace) {
+  return window_solve(symmetric, m, /*vectors=*/true, count, workspace);
+}
+
+std::vector<double> syevd_partial_values(const RealMatrix& symmetric,
+                                         std::size_t m, OpCount* count,
+                                         EigenWorkspace* workspace) {
+  return window_solve(symmetric, m, /*vectors=*/false, count, workspace)
+      .eigenvalues;
+}
+
+SyevdCost syevd_partial_cost(std::size_t n, std::size_t m,
+                             bool vectors) noexcept {
   if (2 * m > n) return syevd_cost(n);
   const auto nn = static_cast<Flops>(n) * n;
-  // Reduction (~4/3 n^3), WY back-transform (~2 n^2 m), bisection +
-  // inverse iteration (~60 Sturm sweeps and a few O(n) solves per pair).
-  return {nn * n * 4 / 3 + 2 * nn * m + 400ull * n * m,
+  // Reduction (~4/3 n^3) and bisection (~60 Sturm sweeps of ~5 flops per
+  // row and pair); the vectors add inverse iteration (a few O(n) solves
+  // per pair) and the WY back-transform (~2 n^2 m).
+  const Flops values = nn * n * 4 / 3 + 300ull * n * m;
+  if (!vectors) return {values, (2 * nn + m) * sizeof(double)};
+  return {values + 100ull * n * m + 2 * nn * m,
           (2 * nn + 2 * static_cast<Bytes>(n) * m) * sizeof(double)};
 }
 

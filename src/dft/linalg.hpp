@@ -15,6 +15,9 @@
 //    reduction straight to tridiagonal form (trailing rank-2k updates as
 //    GEMM), bisection plus inverse iteration for the m wanted pairs, and
 //    the same compact-WY back-transformation restricted to m columns.
+//    Callers that read no vectors (`syevd_partial_values`) stop after the
+//    bisection; repeated solves can keep their scratch memory in a
+//    caller-owned `EigenWorkspace`.
 //
 // The serial EISPACK-lineage tred2/tql2 pair is kept as `syevd_naive`,
 // the reference both production paths are tested and benchmarked against.
@@ -23,6 +26,7 @@
 // large complex GEMMs are computed with a 3M split (three real products
 // on the real microkernel).
 
+#include <memory>
 #include <vector>
 
 #include "dft/matrix.hpp"
@@ -109,10 +113,36 @@ EigenResult syevd_naive(const RealMatrix& symmetric,
 
 /// Analytic cost tally of a partial eigensolve returning the lowest `m`
 /// pairs: the full reduction (~(4/3)n^3) survives, but the tridiagonal
-/// eigensolve and the back-transformation shrink to O(n^2 m). Collapses to
-/// syevd_cost(n) in the regime where syevd_partial() delegates to the
-/// full solver.
-SyevdCost syevd_partial_cost(std::size_t n, std::size_t m) noexcept;
+/// eigensolve and the back-transformation shrink to O(n^2 m). With
+/// `vectors` false it prices syevd_partial_values(): reduction and
+/// bisection only. Collapses to syevd_cost(n) in the regime where the
+/// window solvers delegate to the full solver.
+SyevdCost syevd_partial_cost(std::size_t n, std::size_t m,
+                             bool vectors = true) noexcept;
+
+/// Caller-owned scratch memory for repeated window solves: the working
+/// copy of the matrix, the reduction's per-panel matrices, the GEMM pack
+/// buffers under them and the back-transformation's temporaries. Every
+/// buffer grows to the largest solve it has served and is reused after
+/// that, so a warm solve of the same shape makes no large allocation and
+/// touches no fresh pages. Results never depend on it: a solve on a
+/// warm, a cold or no workspace is bitwise identical. One workspace
+/// serves one solve at a time (concurrent solves need one each), and it
+/// holds its largest solve's memory until destroyed, so keep it no
+/// longer than the job whose solves it serves.
+class EigenWorkspace {
+ public:
+  EigenWorkspace();
+  ~EigenWorkspace();
+  EigenWorkspace(const EigenWorkspace&) = delete;
+  EigenWorkspace& operator=(const EigenWorkspace&) = delete;
+
+  struct Buffers;  ///< the solver's scratch, defined in linalg.cpp
+  Buffers& buffers() noexcept { return *buffers_; }
+
+ private:
+  std::unique_ptr<Buffers> buffers_;
+};
 
 /// Solves for the lowest `m` eigenpairs of a real symmetric matrix
 /// (1 <= m <= n). Runs the blocked Householder reduction, then replaces
@@ -125,9 +155,21 @@ SyevdCost syevd_partial_cost(std::size_t n, std::size_t m) noexcept;
 /// match the full solver to ~n*eps*||A||; eigenvectors match to sign
 /// within nondegenerate multiplets (clustered eigenvalues are
 /// re-orthogonalised, spanning the same invariant subspace). Results are
-/// bitwise identical for any thread count.
+/// bitwise identical for any thread count. Scratch memory comes from
+/// `workspace` when given.
 EigenResult syevd_partial(const RealMatrix& symmetric, std::size_t m,
-                          OpCount* count = nullptr);
+                          OpCount* count = nullptr,
+                          EigenWorkspace* workspace = nullptr);
+
+/// The eigenvalues syevd_partial() returns, bitwise, without the
+/// eigenvectors: the same reduction and bisection, then no inverse
+/// iteration and no back-transformation. For callers that read no
+/// vectors (band energies). Same fallbacks, fault site and `count`
+/// convention (tallied at syevd_partial_cost(n, m, false)).
+std::vector<double> syevd_partial_values(const RealMatrix& symmetric,
+                                         std::size_t m,
+                                         OpCount* count = nullptr,
+                                         EigenWorkspace* workspace = nullptr);
 
 /// Result of a Hermitian eigensolve.
 struct HermitianEigenResult {

@@ -59,6 +59,15 @@ class Matrix {
     std::fill(data_.begin(), data_.end(), value);
   }
 
+  /// Becomes a zero rows x cols matrix, like assigning Matrix(rows, cols),
+  /// but keeps the storage when it is large enough: scratch matrices that
+  /// are reshaped on every call stop allocating once warm.
+  void reset(std::size_t rows, std::size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.assign(rows * cols, T{});
+  }
+
   /// Returns the transpose (conjugation not applied).
   Matrix<T> transposed() const {
     Matrix<T> result(cols_, rows_);

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <iterator>
 #include <numbers>
+#include <utility>
 
 #include "common/cancel.hpp"
 #include "common/fault.hpp"
@@ -206,6 +207,10 @@ ScfResult solve_scf(const PlaneWaveBasis& basis, const ScfConfig& config) {
   std::vector<double> prev_density;
   std::vector<double> prev_residual;
 
+  // Every iteration rewrites the whole Hamiltonian and solves the same
+  // window shape, so both keep their memory across the loop.
+  RealMatrix hamiltonian(n_g, n_g);
+  EigenWorkspace eigen_workspace;
   GroundState state;
   for (unsigned iteration = 0; iteration < config.max_iterations;
        ++iteration) {
@@ -254,7 +259,6 @@ ScfResult solve_scf(const PlaneWaveBasis& basis, const ScfConfig& config) {
     fft3d(veff_grid, FftDirection::kForward);
     const double veff_norm = 1.0 / static_cast<double>(nr);
 
-    RealMatrix hamiltonian(n_g, n_g);
     {
       TraceRegion region(KernelClass::kOther, "scf.hamiltonian");
       region.set_dims(n_g, n_g, 0);
@@ -283,18 +287,13 @@ ScfResult solve_scf(const PlaneWaveBasis& basis, const ScfConfig& config) {
 
     // Only the lowest `bands` pairs feed the density and the band window;
     // the partial solver skips the full-spectrum QL and back-transform.
-    EigenResult eigen = syevd_partial(hamiltonian, bands);
+    // The solve returns exactly `bands` pairs, n_g x bands vectors.
+    EigenResult eigen =
+        syevd_partial(hamiltonian, bands, nullptr, &eigen_workspace);
 
     state.valence_bands = valence;
-    state.energies_ha.assign(
-        eigen.eigenvalues.begin(),
-        eigen.eigenvalues.begin() + static_cast<std::ptrdiff_t>(bands));
-    state.orbitals = RealMatrix(n_g, bands);
-    for (std::size_t b = 0; b < bands; ++b) {
-      for (std::size_t i = 0; i < n_g; ++i) {
-        state.orbitals(i, b) = eigen.eigenvectors(i, b);
-      }
-    }
+    state.energies_ha = std::move(eigen.eigenvalues);
+    state.orbitals = std::move(eigen.eigenvectors);
 
     // --- new density from the occupied orbitals.
     std::vector<double> fresh(nr, 0.0);

@@ -751,14 +751,15 @@ TEST(EngineQueueTest, CheapBandJobOutranksLargeScfJob) {
 // ------------------------------------------------- stage timing telemetry
 
 TEST(JobTimingsTest, EigensolverStageSplitIsAdditiveAndSerialized) {
-  // Any eigensolver-backed job must report the reduce/tridiag/
-  // backtransform split: each bucket non-negative, their sum bounded by
-  // the linalg total (they are disjoint sub-spans of it), and the fields
-  // must survive the v1 JSON round trip.
+  // A job whose solves return eigenvectors must report the
+  // reduce/tridiag/backtransform split: each bucket non-negative, their
+  // sum bounded by the linalg total (they are disjoint sub-spans of it),
+  // and the fields must survive the v1 JSON round trip.
   Engine engine(fast_config(/*dispatch_threads=*/0));
-  BandStructureJob band;
-  band.segments = 2;
-  const JobResult result = engine.run(band);
+  ScfJob scf;
+  scf.scf.max_iterations = 2;
+  scf.scf.tolerance = 1e-1;
+  const JobResult result = engine.run(scf);
   ASSERT_TRUE(result.ok());
   const JobTimings& t = result.timings;
   EXPECT_GT(t.reduce_ms, 0.0);
@@ -772,6 +773,33 @@ TEST(JobTimingsTest, EigensolverStageSplitIsAdditiveAndSerialized) {
   EXPECT_EQ(rebuilt.timings.reduce_ms, t.reduce_ms);
   EXPECT_EQ(rebuilt.timings.tridiag_ms, t.tridiag_ms);
   EXPECT_EQ(rebuilt.timings.backtransform_ms, t.backtransform_ms);
+}
+
+TEST(JobTimingsTest, BandJobSolvesForEnergiesOnly) {
+  // A band payload holds energies only, so the default job's window
+  // solves stop after the bisection: no back-transform time at all, and
+  // the energies are bitwise those of per-k solves with eigenvectors.
+  Engine engine(fast_config(/*dispatch_threads=*/0));
+  const BandStructureJob job;
+  const JobResult result = engine.run(job);
+  ASSERT_TRUE(result.ok()) << result.error_message;
+  const JobTimings& t = result.timings;
+  EXPECT_EQ(t.backtransform_ms, 0.0);
+  EXPECT_GT(t.reduce_ms, 0.0);
+  EXPECT_GT(t.tridiag_ms, 0.0);
+  EXPECT_LE(t.reduce_ms + t.tridiag_ms, t.linalg_ms + 1e-9);
+
+  const dft::Crystal primitive = dft::silicon_primitive();
+  const dft::PlaneWaveBasis basis(primitive, job.ecut_ry * dft::kHaPerRy);
+  ASSERT_TRUE(result.band_structure.has_value());
+  const BandStructurePayload& payload = *result.band_structure;
+  ASSERT_EQ(payload.path.size(), 41u);
+  for (const BandsAtKPayload& point : payload.path) {
+    const dft::RealMatrix h = dft::epm_hamiltonian(
+        basis, dft::Vec3{point.k[0], point.k[1], point.k[2]}, "reference");
+    EXPECT_EQ(point.energies_ha,
+              dft::syevd_partial(h, job.bands).eigenvalues);
+  }
 }
 
 TEST(JobTimingsTest, BandLinalgTimeDoesNotShrinkWithPoolWidth) {

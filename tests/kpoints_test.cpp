@@ -6,7 +6,9 @@
 #include <array>
 #include <cmath>
 #include <numbers>
+#include <vector>
 
+#include "common/kernel_trace.hpp"
 #include "common/thread_pool.hpp"
 #include "dft/kpoints.hpp"
 
@@ -341,6 +343,73 @@ TEST_F(BandStructureFixture, PoolParallelKLoopBitwiseMatchesSerial) {
       }
     }
   }
+}
+
+TEST_F(BandStructureFixture, SharedPotentialMatchesPerKHamiltonianBitwise) {
+  // band_structure assembles V(G - G') once and writes only the kinetic
+  // diagonal per k-point, then solves for energies only. Both must leave
+  // the answer bitwise that of a fresh epm_hamiltonian at each k solved
+  // with eigenvectors, for windows on the partial path (6), on its
+  // full-solver delegation (the whole basis) and unwindowed (0), at
+  // every pool width.
+  std::vector<KPoint> points = fcc_kpath(kSiliconLatticeBohr, 2);
+  for (const KPoint& kp : monkhorst_pack(primitive, 2, 2, 2)) {
+    points.push_back(kp);
+  }
+  ThreadPool& pool = ThreadPool::instance();
+  const std::size_t original = pool.threads();
+  for (const std::size_t bands : {std::size_t{6}, basis.size(),
+                                  std::size_t{0}}) {
+    std::vector<std::vector<double>> expected;
+    for (const KPoint& kp : points) {
+      const RealMatrix h = epm_hamiltonian(basis, kp.k, "reference");
+      expected.push_back(bands == 6 ? syevd_partial(h, bands).eigenvalues
+                                    : syevd(h).eigenvalues);
+    }
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      pool.resize(threads);
+      const auto structure = band_structure(basis, points, bands);
+      ASSERT_EQ(structure.size(), points.size());
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        EXPECT_EQ(structure[i].energies_ha, expected[i])
+            << "point " << i << ", bands " << bands << ", " << threads
+            << " threads";
+      }
+    }
+  }
+  pool.resize(original);
+}
+
+TEST_F(BandStructureFixture, TracedRunAssemblesThePotentialOnce) {
+  // One potential-assembly event per band structure, then one
+  // eigenvalue-only solve per k-point, each priced below the vector
+  // solve it replaces.
+  const auto path = fcc_kpath(kSiliconLatticeBohr, 2);
+  TraceRecorder recorder;
+  {
+    const TraceScope scope(recorder);
+    (void)band_structure(basis, path, 8);
+  }
+  const KernelTrace trace = recorder.take();
+  std::size_t assemblies = 0;
+  std::size_t solves = 0;
+  const SyevdCost values = syevd_partial_cost(basis.size(), 8, false);
+  for (const TraceEvent& event : trace.events) {
+    if (event.name == "bands.assembly") {
+      ++assemblies;
+      EXPECT_EQ(event.stage, "");
+    }
+    if (event.cls == KernelClass::kSyevd) {
+      ++solves;
+      EXPECT_EQ(event.name, "syevd.partial.values");
+      EXPECT_EQ(event.flops, values.flops);
+      EXPECT_EQ(event.bytes, values.bytes);
+    }
+  }
+  EXPECT_EQ(assemblies, 1u);
+  EXPECT_EQ(solves, path.size());
+  EXPECT_LT(values.flops, syevd_partial_cost(basis.size(), 8).flops);
+  EXPECT_LT(values.bytes, syevd_partial_cost(basis.size(), 8).bytes);
 }
 
 TEST(FoldingTest, SupercellGammaReproducesPrimitiveCosetGap) {

@@ -5,14 +5,68 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
+#include <new>
 #include <tuple>
 #include <vector>
 
 #include "common/prng.hpp"
 #include "common/thread_pool.hpp"
 #include "dft/linalg.hpp"
+
+// Counts heap allocations of 64 KiB or more, the sizes that fault in
+// fresh pages, so a test can assert that a warm window solve makes none.
+// Every form of operator new and delete is replaced, so each block is
+// allocated and freed by the same pair (malloc and free) whatever the
+// runtime underneath (ASan supplies forms of its own). Out of line, so no
+// caller sees the malloc or free under them.
+namespace {
+constexpr std::size_t kLargeAllocation = 64 * 1024;
+std::atomic<std::size_t> large_allocations{0};
+
+void* counted_malloc(std::size_t size) noexcept {
+  if (size >= kLargeAllocation) {
+    large_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  return std::malloc(size == 0 ? 1 : size);
+}
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (void* p = counted_malloc(size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  if (void* p = counted_malloc(size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+[[gnu::noinline]] void* operator new[](std::size_t size,
+                                       const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p,
+                                         const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace ndft::dft {
 namespace {
@@ -905,6 +959,85 @@ TEST(SyevdPartialTest, BisectionMatchesScalarSturmOracle) {
   }
 }
 
+TEST(SyevdPartialTest, ValuesOnlyMatchTheVectorPathBitwise) {
+  // syevd_partial_values stops after the bisection; its eigenvalues must
+  // be the vector solve's bit for bit at panel-edge sizes (kEigBlock =
+  // 32), on the bisection path and on the full-solver delegation
+  // (2m > n), at every pool width, and on one workspace that changes
+  // shape between calls.
+  struct Case {
+    RealMatrix matrix;
+    std::size_t m;
+    std::vector<double> reference;  // the vector path at one thread
+  };
+  ThreadPool& pool = ThreadPool::instance();
+  const std::size_t original = pool.threads();
+  pool.resize(1);
+  std::vector<Case> cases;
+  for (const std::size_t n : {32u, 33u, 64u, 65u, 137u}) {
+    for (const std::size_t m : {1u, 8u, 24u, 25u}) {
+      Case c{random_symmetric(n, 500 + n), m, {}};
+      c.reference = syevd_partial(c.matrix, m).eigenvalues;
+      cases.push_back(std::move(c));
+    }
+  }
+  EigenWorkspace workspace;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    pool.resize(threads);
+    for (const Case& c : cases) {
+      const std::size_t n = c.matrix.rows();
+      EXPECT_EQ(syevd_partial_values(c.matrix, c.m), c.reference)
+          << "n=" << n << " m=" << c.m << " at " << threads << " threads";
+      EXPECT_EQ(syevd_partial_values(c.matrix, c.m, nullptr, &workspace),
+                c.reference)
+          << "workspace, n=" << n << " m=" << c.m << " at " << threads
+          << " threads";
+      EXPECT_EQ(syevd_partial(c.matrix, c.m, nullptr, &workspace).eigenvalues,
+                c.reference)
+          << "vectors on the workspace, n=" << n << " m=" << c.m << " at "
+          << threads << " threads";
+    }
+  }
+  pool.resize(original);
+}
+
+TEST(SyevdPartialTest, WarmSolveOnAWorkspaceMakesNoLargeAllocation) {
+  // The production shapes: the Si_8 SCF's vector solve (179, 24) and the
+  // default band job's eigenvalue-only solve (137, 8). Once a workspace
+  // has served a shape, solving it again allocates nothing of 64 KiB or
+  // more: no working copy, no per-panel matrices, no GEMM packs and no
+  // back-transform temporaries. The solves are bitwise those of a fresh
+  // workspace.
+  ThreadPool& pool = ThreadPool::instance();
+  const std::size_t original = pool.threads();
+  const RealMatrix scf_like = random_symmetric(179, 61);
+  const RealMatrix band_like = random_symmetric(137, 62);
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    pool.resize(threads);
+    EigenWorkspace workspace;
+    const EigenResult cold = syevd_partial(scf_like, 24, nullptr, &workspace);
+    (void)syevd_partial_values(band_like, 8, nullptr, &workspace);
+
+    const std::size_t before = large_allocations.load();
+    const EigenResult warm = syevd_partial(scf_like, 24, nullptr, &workspace);
+    const std::vector<double> values =
+        syevd_partial_values(band_like, 8, nullptr, &workspace);
+    EXPECT_EQ(large_allocations.load() - before, 0u)
+        << "at " << threads << " threads";
+
+    EXPECT_EQ(warm.eigenvalues, cold.eigenvalues);
+    ASSERT_EQ(warm.eigenvectors.rows(), cold.eigenvectors.rows());
+    ASSERT_EQ(warm.eigenvectors.cols(), cold.eigenvectors.cols());
+    for (std::size_t i = 0; i < 179; ++i) {
+      for (std::size_t k = 0; k < 24; ++k) {
+        ASSERT_EQ(warm.eigenvectors(i, k), cold.eigenvectors(i, k));
+      }
+    }
+    EXPECT_EQ(values, syevd_partial(band_like, 8).eigenvalues);
+  }
+  pool.resize(original);
+}
+
 TEST(SyevdPartialTest, RejectsBadWindows) {
   const RealMatrix matrix = random_symmetric(8, 91);
   EXPECT_THROW(syevd_partial(matrix, 0), NdftError);
@@ -914,11 +1047,15 @@ TEST(SyevdPartialTest, RejectsBadWindows) {
 
 TEST(SyevdPartialTest, CountsLessWorkThanFullSolve) {
   const RealMatrix matrix = random_symmetric(96, 93);
+  OpCount values;
   OpCount partial;
   OpCount full;
+  (void)syevd_partial_values(matrix, 8, &values);
   (void)syevd_partial(matrix, 8, &partial);
   (void)syevd(matrix, &full);
-  EXPECT_GT(partial.flops, 0u);
+  EXPECT_GT(values.flops, 0u);
+  EXPECT_LT(values.flops, partial.flops);
+  EXPECT_LT(values.bytes, partial.bytes);
   EXPECT_LT(partial.flops, full.flops);
   // Near the full window the call delegates and costs the full solve.
   OpCount wide;

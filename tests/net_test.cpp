@@ -658,23 +658,31 @@ TEST(EndToEndTest, SixteenConcurrentClientsMatchSerialBitwise) {
   TestServer ts(fast_config(/*dispatch_threads=*/8));
   std::vector<std::string> actual(requests.size());
   std::vector<int> statuses(requests.size(), 0);
+  // An exception escaping a client thread would std::terminate the whole
+  // binary; each client records it instead and the test fails with it.
+  std::vector<std::string> errors(requests.size());
   std::vector<std::thread> clients;
   clients.reserve(requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
     clients.emplace_back([&, i] {
-      HttpClient client("127.0.0.1", ts.server.port());
-      const HttpResponse response =
-          client.post("/v1/jobs?wait_ms=60000",
-                      api::job_request_to_json(requests[i]).dump());
-      statuses[i] = response.status;
-      if (response.status == 200) {
-        actual[i] = Json::parse(response.body).at("payload").dump();
+      try {
+        HttpClient client("127.0.0.1", ts.server.port());
+        const HttpResponse response =
+            client.post("/v1/jobs?wait_ms=60000",
+                        api::job_request_to_json(requests[i]).dump());
+        statuses[i] = response.status;
+        if (response.status == 200) {
+          actual[i] = Json::parse(response.body).at("payload").dump();
+        }
+      } catch (const std::exception& error) {
+        errors[i] = error.what();
       }
     });
   }
   for (std::thread& thread : clients) thread.join();
 
   for (std::size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_EQ(errors[i], "") << "client " << i << " threw";
     ASSERT_EQ(statuses[i], 200) << "client " << i;
     EXPECT_EQ(actual[i], expected[i])
         << "job " << i << " diverged over the socket";

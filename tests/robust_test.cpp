@@ -232,6 +232,19 @@ TEST_F(EngineRetryTest, SubmitPathPreservesAttemptCount) {
   EXPECT_EQ(engine.jobs_retried(), 1u);
 }
 
+TEST_F(EngineRetryTest, FirstRetryBackoffIsCapped) {
+  // The cap holds from the first retry on: a 200 ms base sleeps
+  // min(200 * 2^0, 50) = 50 ms before retry 1, not 200.
+  EngineConfig config = fast_config();
+  config.fault_spec = "engine.alloc=1@1";
+  config.retry_backoff_ms = 200.0;
+  Engine engine(config);
+  const JobResult result = engine.run(PlanJob{});
+  ASSERT_TRUE(result.ok()) << result.error_message;
+  EXPECT_EQ(result.engine.attempts, 2u);
+  EXPECT_EQ(result.timings.backoff_ms, 50.0);
+}
+
 TEST_F(EngineRetryTest, ExhaustedRetriesSurfaceClassified) {
   EngineConfig config = fast_config();
   config.fault_spec = "engine.alloc=1.0";  // every attempt fails
