@@ -5,7 +5,7 @@
 # their startup cost.
 #
 # Usage: scripts/verify.sh [--tier LABEL] [--bench-smoke] [--sanitize]
-#                          [--portable] [build-dir]
+#                          [--tsan] [--portable] [build-dir]
 #   (default build-dir: build)
 #   --tier LABEL   build, then run only the ctest tier LABEL (kernel,
 #                  physics, api, robust, trace, net, shard or sim) and
@@ -36,12 +36,24 @@
 #                  the HTTP client and the scatter workers), the
 #                  simulator unit tests (sim, cache, cpu, mem, noc, ndp:
 #                  the event core's slot reuse and in-place callables, and
-#                  every component queue on it) and linalg_test and
+#                  every component queue on it), common_test (the thread
+#                  pool's join/close hand-off) and linalg_test and
 #                  kpoints_test (the window solver's reused workspace
 #                  buffers, GEMM pack regions and per-thread k-point
 #                  solvers) under it; any sanitizer report fails the
 #                  gate. physics_test stays out: its goldens drift under
 #                  ASan (ROADMAP item 1).
+#   --tsan         additionally build a ThreadSanitizer tree (build-tsan,
+#                  `cmake --preset tsan`: -fsanitize=thread) and run
+#                  common_test (the thread pool, with its join/close
+#                  stress and placement tests), linalg_test and
+#                  kpoints_test (the pool's heaviest callers: GEMM row
+#                  blocks and the band k-loop) under it; a race report
+#                  makes the test exit nonzero and fails the gate. The
+#                  api, net and shard tiers are not in it yet:
+#                  EndToEndTest.SixteenConcurrentClientsMatchSerialBitwise
+#                  outruns its 30 s client timeout under TSan (ROADMAP
+#                  item 1).
 #   --portable     additionally build a portable tree (build-portable,
 #                  -DNDFT_NATIVE_ARCH=OFF: no -march=native, so no
 #                  AVX-512 on x86-64) and run the kernel tier under it.
@@ -54,6 +66,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BENCH_SMOKE=0
 SANITIZE=0
+TSAN=0
 PORTABLE=0
 TIER=""
 BUILD_DIR="build"
@@ -61,6 +74,7 @@ while [ "$#" -gt 0 ]; do
   case "$1" in
     --bench-smoke) BENCH_SMOKE=1 ;;
     --sanitize) SANITIZE=1 ;;
+    --tsan) TSAN=1 ;;
     --portable) PORTABLE=1 ;;
     --tier)
       [ "$#" -ge 2 ] || { echo "verify.sh: --tier needs a label" >&2; exit 2; }
@@ -72,10 +86,11 @@ while [ "$#" -gt 0 ]; do
 done
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
-if [ -n "$TIER" ] && { [ "$BENCH_SMOKE" -eq 1 ] || [ "$PORTABLE" -eq 1 ]; }; then
+if [ -n "$TIER" ] && { [ "$BENCH_SMOKE" -eq 1 ] || [ "$PORTABLE" -eq 1 ] ||
+                       [ "$TSAN" -eq 1 ]; }; then
   # --tier is an iteration shortcut that stops after one ctest label; it
   # would silently skip the extra gates the caller asked for.
-  echo "verify.sh: --tier cannot be combined with --bench-smoke or --portable" >&2
+  echo "verify.sh: --tier cannot be combined with --bench-smoke, --tsan or --portable" >&2
   exit 2
 fi
 
@@ -116,18 +131,30 @@ if [ "$SANITIZE" -eq 1 ]; then
   # Instrumented pass over the tiers that exercise concurrency, fault
   # paths, sockets and cancellation races, over the simulator unit
   # tests, where placement-new lifetimes and reused event slots live, and
-  # over the window solver's tests, where workspace buffers are reused
-  # across solves and threads; -fno-sanitize-recover=all makes any report
-  # fail the run.
+  # over the pool's tests (the join/close hand-off) and the window
+  # solver's, where workspace buffers are reused across solves and
+  # threads; -fno-sanitize-recover=all makes any report fail the run.
   SAN_DIR="build-asan"
-  UNIT_TESTS='^(sim|cache|cpu|mem|noc|ndp|linalg|kpoints)_test$'
+  UNIT_TESTS='^(sim|cache|cpu|mem|noc|ndp|common|linalg|kpoints)_test$'
   cmake -B "$SAN_DIR" -S . -DNDFT_SANITIZE=ON
   cmake --build "$SAN_DIR" -j "$JOBS"
   ctest --test-dir "$SAN_DIR" -L 'api|robust|net|shard' --output-on-failure \
     -j "$JOBS"
   ctest --test-dir "$SAN_DIR" -R "$UNIT_TESTS" --output-on-failure \
     -j "$JOBS"
-  echo "sanitize (api|robust|net|shard + simulator, linalg, kpoints unit tests): OK ($SAN_DIR)"
+  echo "sanitize (api|robust|net|shard + simulator, common, linalg, kpoints unit tests): OK ($SAN_DIR)"
+fi
+
+if [ "$TSAN" -eq 1 ]; then
+  # Race detector over the pool and its heaviest callers. TSan exits
+  # nonzero from a run that reported a race, so ctest fails it.
+  TSAN_DIR="build-tsan"
+  cmake --preset tsan
+  cmake --build "$TSAN_DIR" -j "$JOBS" --target common_test linalg_test \
+    kpoints_test
+  ctest --test-dir "$TSAN_DIR" -R '^(common|linalg|kpoints)_test$' \
+    --output-on-failure -j "$JOBS"
+  echo "tsan (common, linalg, kpoints): OK ($TSAN_DIR)"
 fi
 
 if [ "$PORTABLE" -eq 1 ]; then

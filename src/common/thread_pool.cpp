@@ -10,6 +10,10 @@
 #include <thread>
 #include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "common/error.hpp"
 
 namespace ndft {
@@ -18,6 +22,38 @@ namespace {
 /// True while the current thread is executing chunks of some parallel_for;
 /// nested calls run inline to avoid deadlock and oversubscription.
 thread_local bool t_in_parallel_region = false;
+
+/// The CPU the calling thread runs on, or -1 where that is unknown.
+int current_cpu() noexcept {
+#if defined(__linux__)
+  return sched_getcpu();
+#else
+  return -1;
+#endif
+}
+
+/// Moves the calling thread off `cpu` without pinning it: one
+/// sched_setaffinity to the thread's allowed set minus `cpu` (the kernel
+/// migrates it at once), then straight back to the full set. A woken
+/// worker that the kernel placed on its waker's CPU otherwise only runs
+/// while the waker blocks, so the region runs serially. Does nothing when
+/// the thread may run on one CPU only, when a call fails, or off Linux.
+void leave_cpu(int cpu) noexcept {
+#if defined(__linux__)
+  cpu_set_t allowed;
+  if (cpu < 0 || sched_getaffinity(0, sizeof(allowed), &allowed) != 0 ||
+      CPU_COUNT(&allowed) < 2) {
+    return;
+  }
+  cpu_set_t others = allowed;
+  CPU_CLR(cpu, &others);
+  if (sched_setaffinity(0, sizeof(others), &others) == 0) {
+    sched_setaffinity(0, sizeof(allowed), &allowed);
+  }
+#else
+  (void)cpu;
+#endif
+}
 
 std::size_t hardware_thread_count() {
   const unsigned hw = std::thread::hardware_concurrency();
@@ -88,14 +124,22 @@ struct ThreadPool::Impl {
   // serialize here (workers never touch this mutex, so there is no
   // deadlock; nested calls already run inline before reaching it).
   std::mutex submit_mutex;
-  // Broadcast job state: every worker (plus the caller) pulls chunk
-  // indices from `next_chunk` until the job is drained.
+  // Broadcast job state. The caller publishes a job and opens it, pulls
+  // chunk indices from `next_chunk` until the job is drained, closes it,
+  // and then waits only for the workers that joined while it was open. A
+  // worker joins only an open job with chunks left; one that wakes after
+  // the close (or after the caller drained the job) goes back to sleep and
+  // nobody waits on it, so a short region never pays for a worker that
+  // has not yet started.
   std::mutex mutex;
   std::condition_variable job_ready;
   std::condition_variable job_done;
   std::vector<std::thread> workers;
   std::uint64_t generation = 0;
   bool stopping = false;
+  bool open = false;
+  std::size_t joined = 0;
+  int caller_cpu = -1;
 
   const std::function<void(std::size_t, std::size_t)>* body = nullptr;
   std::size_t job_begin = 0;
@@ -103,7 +147,6 @@ struct ThreadPool::Impl {
   std::size_t chunk_size = 1;
   std::size_t chunk_count = 0;
   std::atomic<std::size_t> next_chunk{0};
-  std::size_t active_workers = 0;
   std::exception_ptr first_error;
 
   void run_chunks() {
@@ -135,11 +178,18 @@ struct ThreadPool::Impl {
       job_ready.wait(lock, [&] { return stopping || generation != seen; });
       if (stopping) return;
       seen = generation;
+      if (!open || next_chunk.load() >= chunk_count) continue;
+      ++joined;
+      const int cpu = caller_cpu;
       lock.unlock();
+      // The job fields stay fixed until `joined` drops back to zero.
+      if (current_cpu() == cpu) {
+        leave_cpu(cpu);
+      }
       run_chunks();
       lock.lock();
-      if (--active_workers == 0) {
-        job_done.notify_all();
+      if (--joined == 0 && !open) {
+        job_done.notify_one();
       }
     }
   }
@@ -216,14 +266,16 @@ void ThreadPool::parallel_for(
     impl.chunk_size = chunk_size;
     impl.chunk_count = (range + chunk_size - 1) / chunk_size;
     impl.next_chunk.store(0);
-    impl.active_workers = impl.workers.size();
     impl.first_error = nullptr;
+    impl.caller_cpu = current_cpu();
+    impl.open = true;
     ++impl.generation;
   }
   impl.job_ready.notify_all();
   impl.run_chunks();
   std::unique_lock<std::mutex> lock(impl.mutex);
-  impl.job_done.wait(lock, [&] { return impl.active_workers == 0; });
+  impl.open = false;
+  impl.job_done.wait(lock, [&] { return impl.joined == 0; });
   impl.body = nullptr;
   if (impl.first_error) {
     std::rethrow_exception(impl.first_error);

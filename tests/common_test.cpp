@@ -3,9 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -306,6 +313,183 @@ TEST(ThreadPoolTest, PropagatesExceptions) {
       NdftError);
   pool.resize(original_threads);
 }
+
+TEST(ThreadPoolTest, JoinCloseStressKeepsEveryContract) {
+  // Regions end as soon as their chunks are drained, while late workers
+  // may still be waking; every contract must hold across that hand-off.
+  ThreadPool& pool = ThreadPool::instance();
+  const std::size_t original_threads = pool.threads();
+  for (const std::size_t width : {2u, 4u, 8u}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    pool.resize(width);
+    Prng rng(0x9001 + width);
+
+    // Every index runs exactly once, in grain-sized and long regions; some
+    // regions throw from one chunk, which must reach the caller after
+    // every other chunk has run.
+    for (int region = 0; region < 400; ++region) {
+      const std::size_t grain = 1 + rng.next_below(64);
+      const bool long_region = region % 8 == 0;
+      const std::size_t range =
+          long_region ? grain * (32 + rng.next_below(160))
+                      : grain + 1 + rng.next_below(grain);
+      const std::size_t begin = rng.next_below(1000);
+      const bool throws = region % 5 == 0;
+      const std::size_t throw_at = begin + rng.next_below(range);
+      std::vector<unsigned char> hits(range, 0);
+      std::atomic<std::uint64_t> sink{0};
+      auto body = [&](std::size_t lo, std::size_t hi) {
+        std::uint64_t work = lo;
+        for (std::size_t i = lo; i < hi; ++i) {
+          ++hits[i - begin];
+          if (long_region) {
+            for (int step = 0; step < 64; ++step) work = work * 31 + step;
+          }
+        }
+        sink.fetch_add(work, std::memory_order_relaxed);
+        if (throws && lo <= throw_at && throw_at < hi) {
+          throw NdftError("chunk failed");
+        }
+      };
+      if (throws) {
+        EXPECT_THROW(parallel_for(begin, begin + range, grain, body),
+                     NdftError);
+      } else {
+        parallel_for(begin, begin + range, grain, body);
+      }
+      ASSERT_TRUE(std::all_of(hits.begin(), hits.end(),
+                              [](unsigned char h) { return h == 1; }))
+          << "region " << region << " range " << range << " grain "
+          << grain;
+    }
+
+    // Three top-level callers at once: their regions serialize, so no
+    // chunk of one caller's job runs while a chunk of another's does.
+    constexpr int kCallers = 3;
+    std::array<std::atomic<int>, kCallers> in_flight{};
+    std::atomic<int> overlaps{0};
+    std::atomic<int> miscounted{0};
+    std::vector<std::thread> callers;
+    for (int caller = 0; caller < kCallers; ++caller) {
+      callers.emplace_back([&, caller] {
+        Prng caller_rng(0x77 + caller * 13 + width);
+        for (int region = 0; region < 60; ++region) {
+          const std::size_t grain = 1 + caller_rng.next_below(16);
+          const std::size_t range = grain * (2 + caller_rng.next_below(24));
+          std::vector<unsigned char> hits(range, 0);
+          parallel_for(0, range, grain, [&](std::size_t lo, std::size_t hi) {
+            in_flight[caller].fetch_add(1);
+            for (int other = 0; other < kCallers; ++other) {
+              if (other != caller && in_flight[other].load() != 0) {
+                overlaps.fetch_add(1);
+              }
+            }
+            for (std::size_t i = lo; i < hi; ++i) ++hits[i];
+            in_flight[caller].fetch_sub(1);
+          });
+          if (!std::all_of(hits.begin(), hits.end(),
+                           [](unsigned char h) { return h == 1; })) {
+            miscounted.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (std::thread& caller : callers) caller.join();
+    EXPECT_EQ(overlaps.load(), 0);
+    EXPECT_EQ(miscounted.load(), 0);
+
+    // resize() straight after a burst of tiny regions, while workers the
+    // burst woke may still be on their way back to sleep.
+    for (int burst = 0; burst < 10; ++burst) {
+      std::atomic<int> runs{0};
+      for (int region = 0; region < 200; ++region) {
+        parallel_for(0, 2, 1, [&](std::size_t lo, std::size_t hi) {
+          runs.fetch_add(static_cast<int>(hi - lo));
+        });
+      }
+      EXPECT_EQ(runs.load(), 400);
+      pool.resize(burst % 2 == 0 ? width : width / 2);
+    }
+    EXPECT_EQ(pool.threads(), width / 2);
+  }
+  pool.resize(original_threads);
+}
+
+#if defined(__linux__)
+void busy_for(std::chrono::microseconds duration) {
+  const auto until = std::chrono::steady_clock::now() + duration;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+TEST(ThreadPoolTest, WorkerLeavesTheCallersCpu) {
+  // The kernel often wakes the pool's worker on its waker's CPU, where it
+  // runs only while the caller blocks, so a region runs serially. The
+  // pool must move a worker that finds itself there.
+  cpu_set_t allowed;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  if (CPU_COUNT(&allowed) < 2) {
+    GTEST_SKIP() << "needs at least two allowed CPUs";
+  }
+  using std::chrono::milliseconds;
+  ThreadPool& pool = ThreadPool::instance();
+  const std::size_t original_threads = pool.threads();
+  pool.resize(2);
+  const std::thread::id caller = std::this_thread::get_id();
+
+  // Put the worker on the caller's CPU: a chunk it runs pins it there and
+  // restores its mask, which leaves it where the kernel's wake placement
+  // would.
+  std::atomic<bool> placed{false};
+  for (int attempt = 0; attempt < 100 && !placed.load(); ++attempt) {
+    const int caller_cpu = sched_getcpu();
+    parallel_for(0, 8, 1, [&](std::size_t, std::size_t) {
+      if (std::this_thread::get_id() == caller) {
+        busy_for(milliseconds(1));
+        return;
+      }
+      if (placed.exchange(true)) return;
+      cpu_set_t own;
+      ASSERT_EQ(sched_getaffinity(0, sizeof(own), &own), 0);
+      cpu_set_t only;
+      CPU_ZERO(&only);
+      CPU_SET(caller_cpu, &only);
+      ASSERT_EQ(sched_setaffinity(0, sizeof(only), &only), 0);
+      ASSERT_EQ(sched_setaffinity(0, sizeof(own), &own), 0);
+    });
+  }
+  ASSERT_TRUE(placed.load());
+
+  constexpr int kRegions = 20;
+  constexpr std::size_t kChunks = 8;
+  int apart = 0;
+  for (int region = 0; region < kRegions; ++region) {
+    std::array<int, kChunks> cpu{};
+    std::array<bool, kChunks> by_worker{};
+    parallel_for(0, kChunks, 1, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        busy_for(milliseconds(1));
+        cpu[i] = sched_getcpu();
+        by_worker[i] = std::this_thread::get_id() != caller;
+      }
+    });
+    std::set<int> caller_cpus;
+    std::set<int> worker_cpus;
+    for (std::size_t i = 0; i < kChunks; ++i) {
+      (by_worker[i] ? worker_cpus : caller_cpus).insert(cpu[i]);
+    }
+    const bool shared = std::any_of(
+        worker_cpus.begin(), worker_cpus.end(),
+        [&](int c) { return caller_cpus.count(c) != 0; });
+    if (!worker_cpus.empty() && !shared) ++apart;
+  }
+  pool.resize(original_threads);
+  EXPECT_GE(apart, 18) << "the worker shared the caller's CPU (or ran no "
+                          "chunk) in "
+                       << kRegions - apart << " of " << kRegions
+                       << " regions";
+}
+#endif
 
 TEST(TypesTest, EnumNames) {
   EXPECT_STREQ(to_string(DeviceKind::kCpu), "CPU");
