@@ -7,19 +7,21 @@
 // Results go to BENCH_eig.json for cross-commit tracking; docs/PERF.md
 // quotes a snapshot.
 //
-// Every configuration is warmed up once and reported as the median of
-// five runs (21 for the production shapes, whose solves take a few ms).
+// Pool widths are interleaved: each rep visits every width of a size
+// once, in an order rotated per rep, so host drift over the sweep lands
+// on every width alike. Each visit resizes the pool and makes one
+// untimed window solve before its timed ones. Every configuration is
+// reported as the median of its five reps (21 for the production
+// shapes, whose solves take a few ms).
 //
 // Modes:
 //   bench_micro_eig            full sweep: n in {64..1024}, threads {1,2,4,8}
 //   bench_micro_eig --smoke    n in {128, 256}, threads {1,2}; exits
 //                              nonzero if the spectra disagree, syevd
 //                              is slower than the reference at n=128,
-//                              the partial solver is slower than the
-//                              full solve, or the fused fft3d is slower
-//                              than the unfused baseline (the verify.sh
-//                              --bench-smoke gate; also wired into the
-//                              ctest kernel tier)
+//                              or the partial solver is slower than the
+//                              full solve (the ctest kernel tier's
+//                              bench_micro_eig_smoke)
 
 #include <algorithm>
 #include <chrono>
@@ -35,7 +37,6 @@
 #include "common/str_util.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
-#include "dft/fft.hpp"
 #include "dft/linalg.hpp"
 
 using namespace ndft;
@@ -70,6 +71,21 @@ double time_ms(Fn&& fn) {
 double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   return v[v.size() / 2];
+}
+
+/// Runs `reps` rounds; round r resizes the pool to every width once,
+/// starting at widths[r % widths.size()], and calls visit(width index).
+template <typename Visit>
+void interleaved(const std::vector<std::size_t>& widths, int reps,
+                 Visit&& visit) {
+  ThreadPool& pool = ThreadPool::instance();
+  for (int r = 0; r < reps; ++r) {
+    for (std::size_t j = 0; j < widths.size(); ++j) {
+      const std::size_t w = (static_cast<std::size_t>(r) + j) % widths.size();
+      pool.resize(widths[w]);
+      visit(w);
+    }
+  }
 }
 
 struct ThreadSample {
@@ -155,40 +171,35 @@ int main(int argc, char** argv) try {
     // The low-band window the physics consumers ask for: n/8 pairs (64
     // of 512 is the headline SCF/EPM shape), at least one.
     sample.partial_m = std::max<std::size_t>(1, n / 8);
-    for (const std::size_t threads : thread_sweep) {
-      pool.resize(threads);
-      dft::EigenResult blocked = dft::syevd(m);  // warmup
-      ThreadSample ts;
-      ts.threads = threads;
-      std::vector<double> t_full(kReps);
-      for (int r = 0; r < kReps; ++r) {
-        t_full[r] = time_ms([&] { blocked = dft::syevd(m); });
-      }
-      ts.ms = median(t_full);
+    std::vector<std::vector<double>> t_full(thread_sweep.size());
+    std::vector<std::vector<double>> t_part(thread_sweep.size());
+    interleaved(thread_sweep, kReps, [&](std::size_t w) {
+      (void)dft::syevd_partial(m, sample.partial_m);  // warmup
+      dft::EigenResult blocked;
+      t_full[w].push_back(time_ms([&] { blocked = dft::syevd(m); }));
+      dft::EigenResult partial;
+      t_part[w].push_back(
+          time_ms([&] { partial = dft::syevd_partial(m, sample.partial_m); }));
       for (std::size_t i = 0; i < n; ++i) {
         sample.max_eigenvalue_diff =
             std::max(sample.max_eigenvalue_diff,
                      std::fabs(blocked.eigenvalues[i] - naive.eigenvalues[i]));
       }
-      sample.blocked.push_back(ts);
-
-      dft::EigenResult partial =
-          dft::syevd_partial(m, sample.partial_m);  // warmup
-      PartialSample ps;
-      ps.threads = threads;
-      std::vector<double> t_part(kReps);
-      for (int r = 0; r < kReps; ++r) {
-        t_part[r] = time_ms([&] {
-          partial = dft::syevd_partial(m, sample.partial_m);
-        });
-      }
-      ps.ms = median(t_part);
-      ps.speedup_vs_full = ps.ms > 0.0 ? ts.ms / ps.ms : 0.0;
       for (std::size_t i = 0; i < sample.partial_m; ++i) {
         sample.max_partial_diff =
             std::max(sample.max_partial_diff,
                      std::fabs(partial.eigenvalues[i] - naive.eigenvalues[i]));
       }
+    });
+    for (std::size_t w = 0; w < thread_sweep.size(); ++w) {
+      ThreadSample ts;
+      ts.threads = thread_sweep[w];
+      ts.ms = median(t_full[w]);
+      sample.blocked.push_back(ts);
+      PartialSample ps;
+      ps.threads = thread_sweep[w];
+      ps.ms = median(t_part[w]);
+      ps.speedup_vs_full = ps.ms > 0.0 ? ts.ms / ps.ms : 0.0;
       sample.partial.push_back(ps);
     }
 
@@ -214,70 +225,33 @@ int main(int argc, char** argv) try {
     sample.m = shape[1];
     const dft::RealMatrix m = random_symmetric(sample.n, 1000 + sample.n);
     const dft::EigenResult full = dft::syevd(m);
-    for (const std::size_t threads : thread_sweep) {
-      pool.resize(threads);
+    struct StageReps {
+      std::vector<double> ms, reduce, tridiag, backtransform;
+    };
+    std::vector<StageReps> reps(thread_sweep.size());
+    interleaved(thread_sweep, kProductionReps, [&](std::size_t w) {
       dft::EigenResult partial = dft::syevd_partial(m, sample.m);  // warmup
-      std::vector<double> total(kProductionReps);
-      std::vector<double> reduce(kProductionReps);
-      std::vector<double> tridiag(kProductionReps);
-      std::vector<double> backtransform(kProductionReps);
-      for (int r = 0; r < kProductionReps; ++r) {
-        dft::linalg_timer_reset();
-        total[r] =
-            time_ms([&] { partial = dft::syevd_partial(m, sample.m); });
-        const dft::LinalgStageTimes stages = dft::linalg_stage_times();
-        reduce[r] = stages.reduce_ms;
-        tridiag[r] = stages.tridiag_ms;
-        backtransform[r] = stages.backtransform_ms;
-      }
-      sample.runs.push_back({threads, median(total), median(reduce),
-                             median(tridiag), median(backtransform)});
+      dft::linalg_timer_reset();
+      reps[w].ms.push_back(
+          time_ms([&] { partial = dft::syevd_partial(m, sample.m); }));
+      const dft::LinalgStageTimes stages = dft::linalg_stage_times();
+      reps[w].reduce.push_back(stages.reduce_ms);
+      reps[w].tridiag.push_back(stages.tridiag_ms);
+      reps[w].backtransform.push_back(stages.backtransform_ms);
       for (std::size_t i = 0; i < sample.m; ++i) {
         sample.max_eigenvalue_diff =
             std::max(sample.max_eigenvalue_diff,
                      std::fabs(partial.eigenvalues[i] - full.eigenvalues[i]));
       }
+    });
+    for (std::size_t w = 0; w < thread_sweep.size(); ++w) {
+      sample.runs.push_back({thread_sweep[w], median(reps[w].ms),
+                             median(reps[w].reduce), median(reps[w].tridiag),
+                             median(reps[w].backtransform)});
     }
     production.push_back(std::move(sample));
   }
 
-  // Fused vs unfused 3D FFT (the other half of the hot loop this bench
-  // guards): 64^3, single thread, warmup + median-of-5 each, interleaved.
-  double fft_fused_ms = 0.0;
-  double fft_unfused_ms = 0.0;
-  double fft_fused_min = 0.0;
-  double fft_unfused_min = 0.0;
-  {
-    pool.resize(1);
-    dft::Grid3 grid(64, 64, 64);
-    Prng prng(7);
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      grid[i] = dft::Complex(prng.next_double(-1.0, 1.0),
-                             prng.next_double(-1.0, 1.0));
-    }
-    dft::Grid3 scratch = grid;
-    dft::fft3d_unfused(scratch, dft::FftDirection::kForward);  // warmup
-    scratch = grid;
-    dft::fft3d(scratch, dft::FftDirection::kForward);  // warmup
-    // The fusion saves grid sweeps around FFT lines that dominate the
-    // wall time, so its margin is a few percent; more (cheap) reps and a
-    // min-based gate keep the comparison out of the noise.
-    constexpr int kFftReps = 9;
-    std::vector<double> t_unfused(kFftReps);
-    std::vector<double> t_fused(kFftReps);
-    for (int r = 0; r < kFftReps; ++r) {
-      scratch = grid;
-      t_unfused[r] = time_ms(
-          [&] { dft::fft3d_unfused(scratch, dft::FftDirection::kForward); });
-      scratch = grid;
-      t_fused[r] =
-          time_ms([&] { dft::fft3d(scratch, dft::FftDirection::kForward); });
-    }
-    fft_unfused_ms = median(t_unfused);
-    fft_fused_ms = median(t_fused);
-    fft_unfused_min = *std::min_element(t_unfused.begin(), t_unfused.end());
-    fft_fused_min = *std::min_element(t_fused.begin(), t_fused.end());
-  }
   pool.resize(original_threads);
 
   TextTable table({"n", "naive", "threads", "syevd", "vs naive",
@@ -312,9 +286,6 @@ int main(int argc, char** argv) try {
   }
   std::printf("syevd_partial at the production shapes (median of %d):\n%s\n",
               kProductionReps, stage_table.render().c_str());
-  std::printf("fft3d 64^3 1T: fused %.1f ms, unfused %.1f ms (%.2fx)\n\n",
-              fft_fused_ms, fft_unfused_ms,
-              fft_fused_ms > 0.0 ? fft_unfused_ms / fft_fused_ms : 0.0);
 
   Json bench = Json::object();
   bench.set("bench", "eig_syevd");
@@ -370,11 +341,6 @@ int main(int argc, char** argv) try {
     production_entries.push_back(std::move(entry));
   }
   bench.set("production", std::move(production_entries));
-  Json fft = Json::object();
-  fft.set("grid", static_cast<std::size_t>(64));
-  fft.set("fused_ms", fft_fused_ms);
-  fft.set("unfused_ms", fft_unfused_ms);
-  bench.set("fft3d", std::move(fft));
   const char* path = "BENCH_eig.json";
   if (write_bench_json(path, bench)) {
     std::printf("wrote %zu size records to %s\n", samples.size(), path);
@@ -430,22 +396,10 @@ int main(int argc, char** argv) try {
                    s128.partial_m, best_partial, best);
       return 1;
     }
-    // Gate 3: the fused 3D FFT must not lose to the unfused baseline.
-    // Best-of-reps with 5% headroom: the true margin is a few percent,
-    // so a strict median comparison would flake on a loaded machine.
-    if (fft_fused_min > 1.05 * fft_unfused_min) {
-      std::fprintf(stderr,
-                   "FAIL: fused fft3d slower than unfused at 64^3 "
-                   "(min %.1f ms vs %.1f ms)\n",
-                   fft_fused_min, fft_unfused_min);
-      return 1;
-    }
     std::printf(
         "smoke OK: syevd %.1f ms <= naive %.1f ms at n=128, "
-        "partial(m=%zu) %.1f ms <= full %.1f ms, fused fft3d %.1f ms <= "
-        "unfused %.1f ms\n",
-        best, s128.naive_ms, s128.partial_m, best_partial, best,
-        fft_fused_ms, fft_unfused_ms);
+        "partial(m=%zu) %.1f ms <= full %.1f ms\n",
+        best, s128.naive_ms, s128.partial_m, best_partial, best);
   }
   return 0;
 } catch (const NdftError& error) {

@@ -35,6 +35,7 @@ int main(int argc, char** argv) {
       std::min<std::size_t>(2 * atoms, 8);
   excitation_job.config.conduction_window = 4;
   excitation_job.oscillator_strengths = true;
+  excitation_job.record_trace = true;  // for the per-kernel cost table
 
   // Fully self-consistent ground state (Ashcroft empty-core + LDA) for
   // comparison with the empirical one.
@@ -69,11 +70,25 @@ int main(int argc, char** argv) {
        i < std::min<std::size_t>(6, lr.excitations_ha.size()); ++i) {
     std::printf(" %.3f", lr.excitations_ha[i] * dft::kEvPerHa);
   }
+  // Each kernel's analytic work, summed per class over the trace's
+  // LR-TDDFT stage (no trace: a "trace:recorder_failed" degradation).
   std::printf("\n  per-kernel cost of this run:\n");
-  for (const api::KernelCountPayload& count : lr.counts) {
-    std::printf("    %-16s %8.2f MFLOP  %8.2f MB\n", to_string(count.cls),
-                static_cast<double>(count.flops) / 1e6,
-                static_cast<double>(count.bytes) / 1e6);
+  const std::vector<TraceEvent> no_events;
+  const std::vector<TraceEvent>& events =
+      excitation_result.trace ? excitation_result.trace->events : no_events;
+  for (std::size_t c = 0; c < enum_names(KernelClass{}).size(); ++c) {
+    const auto cls = static_cast<KernelClass>(c);
+    Flops flops = 0;
+    Bytes bytes = 0;
+    for (const TraceEvent& event : events) {
+      if (event.cls != cls || event.stage != "lrtddft") continue;
+      flops += event.flops;
+      bytes += event.bytes;
+    }
+    if (flops == 0 && bytes == 0) continue;
+    std::printf("    %-16s %8.2f MFLOP  %8.2f MB\n", to_string(cls),
+                static_cast<double>(flops) / 1e6,
+                static_cast<double>(bytes) / 1e6);
   }
 
   // Oscillator strengths and a broadened absorption spectrum, plotted

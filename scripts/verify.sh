@@ -18,7 +18,7 @@
 #                  bench_sim_fabric (machine-document simulations must
 #                  reproduce bitwise; BENCH_sim.json). The correctness
 #                  gates it used to run live in ctest:
-#                    syevd/partial/fft3d gates  bench_micro_eig_smoke (kernel)
+#                    syevd/partial gates        bench_micro_eig_smoke (kernel)
 #                    per-class fault contracts  robust_test
 #                      FaultSweepTest.EverySiteHonoursItsClassContract (robust)
 #                    1/8/64-client storm        net_test
@@ -48,12 +48,12 @@
 #                  common_test (the thread pool, with its join/close
 #                  stress and placement tests), linalg_test and
 #                  kpoints_test (the pool's heaviest callers: GEMM row
-#                  blocks and the band k-loop) under it; a race report
-#                  makes the test exit nonzero and fails the gate. The
-#                  api, net and shard tiers are not in it yet:
-#                  EndToEndTest.SixteenConcurrentClientsMatchSerialBitwise
-#                  outruns its 30 s client timeout under TSan (ROADMAP
-#                  item 1).
+#                  blocks and the band k-loop) and the net and shard
+#                  tiers (the HTTP server's connection threads, the
+#                  client, the Engine's dispatchers and the scatter
+#                  workers) under it; a race report makes the test exit
+#                  nonzero and fails the gate. The api and robust tiers
+#                  are not in it yet (ROADMAP item 1).
 #   --portable     additionally build a portable tree (build-portable,
 #                  -DNDFT_NATIVE_ARCH=OFF: no -march=native, so no
 #                  AVX-512 on x86-64) and run the kernel tier under it.
@@ -151,10 +151,11 @@ if [ "$TSAN" -eq 1 ]; then
   TSAN_DIR="build-tsan"
   cmake --preset tsan
   cmake --build "$TSAN_DIR" -j "$JOBS" --target common_test linalg_test \
-    kpoints_test
+    kpoints_test net_test shard_test
   ctest --test-dir "$TSAN_DIR" -R '^(common|linalg|kpoints)_test$' \
     --output-on-failure -j "$JOBS"
-  echo "tsan (common, linalg, kpoints): OK ($TSAN_DIR)"
+  ctest --test-dir "$TSAN_DIR" -L 'net|shard' --output-on-failure -j "$JOBS"
+  echo "tsan (common, linalg, kpoints + net|shard): OK ($TSAN_DIR)"
 fi
 
 if [ "$PORTABLE" -eq 1 ]; then

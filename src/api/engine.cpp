@@ -117,19 +117,7 @@ LrtddftPayload execute_lrtddft(const LrtddftJob& job) {
     psi[i] = dft::Complex{ground.orbitals(i, 0), 0.0};
   }
   std::vector<dft::Complex> v_psi;
-  {
-    // One trace event for the projector application (the workload
-    // model's Pseudopotential kernel): ~8 flops per projector-coefficient
-    // pair for the two complex inner loops.
-    TraceRegion region(KernelClass::kPseudopotential, "nonlocal");
-    region.set_dims(projectors.count(), basis.size(), 0);
-    region.add_work(
-        8ull * projectors.count() * basis.size(),
-        2ull * projectors.count() * basis.size() * sizeof(dft::Complex));
-    region.set_io(basis.size() * sizeof(dft::Complex),
-                  basis.size() * sizeof(dft::Complex));
-    projectors.apply(psi, v_psi);
-  }
+  projectors.apply(psi, v_psi);
   dft::Complex expectation{};
   for (std::size_t i = 0; i < basis.size(); ++i) {
     expectation += std::conj(psi[i]) * v_psi[i];
@@ -140,14 +128,6 @@ LrtddftPayload execute_lrtddft(const LrtddftJob& job) {
       dft::solve_lrtddft(basis, ground, job.config);
   payload.pair_count = result.pair_count;
   payload.excitations_ha = result.excitations_ha;
-  payload.counts.reserve(result.counts.size());
-  for (const auto& [cls, count] : result.counts) {
-    KernelCountPayload entry;
-    entry.cls = cls;
-    entry.flops = count.flops;
-    entry.bytes = count.bytes;
-    payload.counts.push_back(entry);
-  }
   if (job.oscillator_strengths) {
     for (const dft::OscillatorLine& line :
          dft::oscillator_strengths(basis, ground, job.config, result)) {

@@ -68,13 +68,6 @@ void fields(Io& io, BandStructurePayload& p) {
 }
 
 template <class Io>
-void fields(Io& io, KernelCountPayload& p) {
-  io("class", p.cls);
-  io("flops", p.flops);
-  io("bytes", p.bytes);
-}
-
-template <class Io>
 void fields(Io& io, OscillatorLinePayload& p) {
   io("energy_ev", p.energy_ev);
   io("strength", p.strength);
@@ -91,7 +84,6 @@ void fields(Io& io, LrtddftPayload& p) {
   io("nonlocal_expectation_ha", p.nonlocal_expectation_ha);
   io("pair_count", p.pair_count);
   io("excitations_ha", p.excitations_ha);
-  io("counts", p.counts);
   io("lines", p.lines);
 }
 

@@ -159,13 +159,6 @@ struct OscillatorLinePayload {
   double strength = 0.0;
 };
 
-/// Per-kernel-class operation tally (LrtddftJob).
-struct KernelCountPayload {
-  KernelClass cls = KernelClass::kOther;
-  std::uint64_t flops = 0;
-  std::uint64_t bytes = 0;
-};
-
 /// LR-TDDFT excitation summary (LrtddftJob).
 struct LrtddftPayload {
   std::size_t atoms = 0;
@@ -177,7 +170,6 @@ struct LrtddftPayload {
   double nonlocal_expectation_ha = 0.0;  ///< <psi0| V_nl |psi0>
   std::size_t pair_count = 0;
   std::vector<double> excitations_ha;
-  std::vector<KernelCountPayload> counts;
   std::vector<OscillatorLinePayload> lines;  ///< empty unless requested
 };
 

@@ -1,9 +1,9 @@
 #pragma once
 // Unified kernel-dispatch/trace layer: the hot kernels (fft3d, gemm,
-// syevd/heev) and the pipeline stage boundaries (SCF / LR-TDDFT / EPM)
-// all report through here, so one real run emits an ordered stream of
-// kernel events — class, analytic flop/byte counts, grid/matrix
-// dimensions and the measured host wall time. The stream is
+// syevd/heev, the nonlocal projectors) and the pipeline stage boundaries
+// (SCF / LR-TDDFT / EPM) all report through here, so one real run emits
+// an ordered stream of kernel events — class, analytic flop/byte counts,
+// grid/matrix dimensions and the measured host wall time. The stream is
 // the measured counterpart of the analytic dft::Workload: it feeds the
 // co-design loop (Workload::from_trace + runtime::calibrate_cpu), closing
 // the gap between the DFT numerics and the NDP scheduler.
@@ -17,10 +17,11 @@
 //    therefore program order, and the recorded structure (class, name,
 //    counts, dims) is bitwise identical for any pool width; only host_ms
 //    varies between runs.
-//  - Flop/byte counts are the analytic per-call tallies the kernels
-//    already expose through OpCount (never sampled hardware counters),
-//    which is what makes traces comparable against workload.hpp's
-//    closed-form model.
+//  - The event is the one record of a kernel's work: each kernel computes
+//    its analytic flop/byte tally once, in its KernelTimer or TraceRegion
+//    call (never sampled hardware counters), and benchmarks, tests and
+//    the co-design loop all read it from here. That is what makes traces
+//    comparable against workload.hpp's closed-form model.
 //  - Nested kernels fold into their outermost entry (a GEMM inside syevd
 //    is part of the syevd event), mirroring the linalg timer.
 //
@@ -44,8 +45,8 @@ struct TraceEvent {
   KernelClass cls = KernelClass::kOther;
   std::string name;       ///< kernel / stage name ("syevd", "scf.density")
   std::string stage;      ///< enclosing pipeline stage ("scf[3]", "lrtddft")
-  Flops flops = 0;        ///< analytic flop count (OpCount convention)
-  Bytes bytes = 0;        ///< instruction-level traffic (OpCount convention)
+  Flops flops = 0;        ///< analytic flop count
+  Bytes bytes = 0;        ///< analytic instruction-level traffic
   Bytes input_bytes = 0;  ///< operand bytes consumed from the prior stage
   Bytes output_bytes = 0; ///< result bytes handed to the next stage
   std::uint64_t dims[3] = {0, 0, 0};  ///< grid (nx,ny,nz) / matrix (m,n,k)
@@ -202,7 +203,8 @@ void trace_set_system(std::size_t atoms, std::size_t basis_size,
                       std::size_t grid_points) noexcept;
 
 /// RAII used inside the hot kernel entry points (fft3d, gemm, syevd,
-/// heev): times the call and emits one event to the thread's recorder.
+/// syevd_partial, heev, KbProjectors::apply): times the call and emits
+/// one event to the thread's recorder.
 /// Only the outermost kernel on the thread emits (nested entries fold),
 /// and an open TraceRegion suppresses emission entirely. All setters are
 /// no-ops when the timer is inactive, so entry points may call them

@@ -17,13 +17,13 @@ double GroundState::band_gap_ev() const {
 }
 
 Grid3 orbital_realspace(const PlaneWaveBasis& basis, const GroundState& ground,
-                        std::size_t band, OpCount* count) {
+                        std::size_t band) {
   const auto dims = basis.fft_dims();
   Grid3 grid(dims[0], dims[1], dims[2]);
   for (std::size_t i = 0; i < basis.size(); ++i) {
     grid[basis.grid_index(i)] = Complex{ground.orbitals(i, band), 0.0};
   }
-  fft3d(grid, FftDirection::kInverse, count);
+  fft3d(grid, FftDirection::kInverse);
   // The inverse FFT gives (1/Nr) sum_G c_G e^{iGr}; multiply by
   // Nr/sqrt(Omega).
   const double scale = static_cast<double>(grid.size()) /

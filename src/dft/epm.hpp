@@ -28,9 +28,9 @@ struct GroundState {
 
 /// Orbital `band` of `ground` on the FFT grid in real space, scaled by
 /// sqrt(Nr/Omega) so that sum_G |c|^2 = 1 implies integral |psi(r)|^2 dr
-/// = 1. `count` accumulates the inverse FFT's tally.
+/// = 1.
 Grid3 orbital_realspace(const PlaneWaveBasis& basis, const GroundState& ground,
-                        std::size_t band, OpCount* count = nullptr);
+                        std::size_t band);
 
 /// Cohen-Bergstresser silicon form factors, in Hartree, keyed by
 /// |G|^2 in units of (2*pi/a0)^2 (shells 3, 8 and 11).

@@ -317,8 +317,9 @@ namespace {
 /// Transforms `batch` lines that are adjacent in x: line b has elements
 /// base[b + i * stride]. The gather walks the grid with unit stride in b,
 /// so every fetched cache line is consumed whole while hot.
-/// Out of line for the same bitwise-identity reason as transform_x_lines
-/// below: every caller must run the same machine code.
+/// Out of line, like transform_x_lines below: the Y and Z passes run one
+/// compiled copy of the line kernels, so no inlining site can compile
+/// the arithmetic differently and move a bit of the pinned results.
 [[gnu::noinline]] void transform_line_batch(
     Complex* base, std::size_t batch, std::size_t len, std::size_t stride,
     const FftPlan& plan, FftDirection direction, Complex* gather,
@@ -340,35 +341,8 @@ namespace {
   }
 }
 
-}  // namespace
-
-namespace {
-
-/// The Z pass shared by the fused and unfused 3D transforms: lines of
-/// stride nx*ny, batched over adjacent x; one task per y row.
-void fft3d_z_pass(Complex* data, std::size_t nx, std::size_t ny,
-                  std::size_t nz, FftDirection direction) {
-  const FftPlan& plan = fft_plan(nz);
-  parallel_for(
-      0, ny, parallel_grain(nx * nz), [&](std::size_t lo, std::size_t hi) {
-        std::vector<Complex> gather(kLineBatch * nz);
-        std::vector<Complex> work(plan.workspace_size());
-        for (std::size_t iy = lo; iy < hi; ++iy) {
-          for (std::size_t ix = 0; ix < nx; ix += kLineBatch) {
-            const std::size_t batch = std::min(kLineBatch, nx - ix);
-            transform_line_batch(data + iy * nx + ix, batch, nz, nx * ny,
-                                 plan, direction, gather.data(),
-                                 work.data());
-          }
-        }
-      });
-}
-
 /// Transforms `count` contiguous X lines starting at `base` in place.
-/// Shared (and kept out of line) by the fused and unfused 3D transforms:
-/// the compiler may contract/vectorise the line kernels differently per
-/// inlining site, so the fused/unfused bitwise-identity contract requires
-/// both to run the exact same machine code.
+/// Out of line for the reason given at transform_line_batch.
 [[gnu::noinline]] void transform_x_lines(Complex* base, std::size_t count,
                                          std::size_t nx, const FftPlan& plan,
                                          FftDirection direction,
@@ -380,13 +354,14 @@ void fft3d_z_pass(Complex* data, std::size_t nx, std::size_t ny,
 
 }  // namespace
 
-void fft3d(Grid3& grid, FftDirection direction, OpCount* count) {
+void fft3d(Grid3& grid, FftDirection direction) {
   const std::size_t nx = grid.nx();
   const std::size_t ny = grid.ny();
   const std::size_t nz = grid.nz();
   NDFT_REQUIRE(nx > 0 && ny > 0 && nz > 0, "fft3d on an empty grid");
   KernelTimer trace(KernelClass::kFft, "fft3d");
   trace.set_dims(nx, ny, nz);
+  // Fused X+Y sweep (read + write) plus the Z sweep.
   trace.set_work(fft_flops(grid.size()),
                  static_cast<Bytes>(4) * grid.size() * sizeof(Complex));
   trace.set_io(grid.size() * sizeof(Complex), grid.size() * sizeof(Complex));
@@ -396,10 +371,9 @@ void fft3d(Grid3& grid, FftDirection direction, OpCount* count) {
   // in place and immediately re-reads it for the strided Y lines while
   // the slab (nx*ny points) is still cache-resident — the X-pass scatter
   // and the Y-pass gather share one trip through memory, so the full
-  // transform sweeps the grid 4 times instead of 6. Per-line arithmetic
-  // and ordering are exactly those of the unfused passes, so results are
-  // bitwise identical to fft3d_unfused for any thread count (each slab
-  // is written by exactly one task).
+  // transform sweeps the grid 4 times instead of 6. Each slab is written
+  // by exactly one task, so results are bitwise identical for any
+  // thread count.
   {
     const FftPlan& plan_x = fft_plan(nx);
     const FftPlan& plan_y = fft_plan(ny);
@@ -420,61 +394,23 @@ void fft3d(Grid3& grid, FftDirection direction, OpCount* count) {
           }
         });
   }
-  fft3d_z_pass(data, nx, ny, nz, direction);
-  if (count != nullptr) {
-    const std::size_t n = grid.size();
-    count->add(fft_flops(n),
-               // Fused X+Y sweep (read + write) plus the Z sweep.
-               static_cast<Bytes>(4) * n * sizeof(Complex));
-  }
-}
-
-void fft3d_unfused(Grid3& grid, FftDirection direction, OpCount* count) {
-  const std::size_t nx = grid.nx();
-  const std::size_t ny = grid.ny();
-  const std::size_t nz = grid.nz();
-  NDFT_REQUIRE(nx > 0 && ny > 0 && nz > 0, "fft3d on an empty grid");
-  KernelTimer trace(KernelClass::kFft, "fft3d.unfused");
-  trace.set_dims(nx, ny, nz);
-  trace.set_work(fft_flops(grid.size()),
-                 static_cast<Bytes>(6) * grid.size() * sizeof(Complex));
-  trace.set_io(grid.size() * sizeof(Complex), grid.size() * sizeof(Complex));
-  Complex* data = grid.raw().data();
-
-  // X lines are contiguous rows of the storage: transform them in place,
-  // no gather/scatter round trip at all.
+  // Z pass: lines of stride nx*ny, batched over adjacent x; one task per
+  // y row.
   {
-    const FftPlan& plan = fft_plan(nx);
-    parallel_for(0, ny * nz, parallel_grain(nx),
-                 [&](std::size_t lo, std::size_t hi) {
-                   std::vector<Complex> work(plan.workspace_size());
-                   transform_x_lines(data + lo * nx, hi - lo, nx, plan,
-                                     direction, work.data());
-                 });
-  }
-  // Y lines: stride nx, batched over adjacent x; one task per z slab.
-  {
-    const FftPlan& plan = fft_plan(ny);
+    const FftPlan& plan = fft_plan(nz);
     parallel_for(
-        0, nz, parallel_grain(nx * ny), [&](std::size_t lo, std::size_t hi) {
-          std::vector<Complex> gather(kLineBatch * ny);
+        0, ny, parallel_grain(nx * nz), [&](std::size_t lo, std::size_t hi) {
+          std::vector<Complex> gather(kLineBatch * nz);
           std::vector<Complex> work(plan.workspace_size());
-          for (std::size_t iz = lo; iz < hi; ++iz) {
+          for (std::size_t iy = lo; iy < hi; ++iy) {
             for (std::size_t ix = 0; ix < nx; ix += kLineBatch) {
               const std::size_t batch = std::min(kLineBatch, nx - ix);
-              transform_line_batch(data + iz * nx * ny + ix, batch, ny, nx,
+              transform_line_batch(data + iy * nx + ix, batch, nz, nx * ny,
                                    plan, direction, gather.data(),
                                    work.data());
             }
           }
         });
-  }
-  fft3d_z_pass(data, nx, ny, nz, direction);
-  if (count != nullptr) {
-    const std::size_t n = grid.size();
-    count->add(fft_flops(n),
-               // One read + one write of the full grid per dimension.
-               static_cast<Bytes>(6) * n * sizeof(Complex));
   }
 }
 

@@ -16,7 +16,6 @@
 #include <memory>
 #include <vector>
 
-#include "dft/linalg.hpp"
 #include "dft/matrix.hpp"
 
 namespace ndft::dft {
@@ -125,16 +124,9 @@ class Grid3 {
 /// gathers its strided Y lines while the slab is still cache-resident,
 /// so the transform sweeps the grid 4 times instead of 6; the Z pass
 /// (stride nx*ny) follows in cache-friendly line batches. Results are
-/// bitwise identical to fft3d_unfused() and for any thread count.
-/// `count`, when non-null, accumulates the analytic flop/byte cost.
-void fft3d(Grid3& grid, FftDirection direction, OpCount* count = nullptr);
-
-/// The pre-fusion transform (one separate pass per dimension, 6 grid
-/// sweeps), kept public as the regression baseline the fused fft3d is
-/// tested and benchmarked against. Same semantics; bitwise-identical
-/// results.
-void fft3d_unfused(Grid3& grid, FftDirection direction,
-                   OpCount* count = nullptr);
+/// bitwise identical for any thread count. The trace event carries the
+/// analytic cost: fft_flops(N) and 4 grid sweeps (read + write) of bytes.
+void fft3d(Grid3& grid, FftDirection direction);
 
 /// Analytic flop cost of a complex FFT of length n (~5 n log2 n).
 Flops fft_flops(std::size_t n);

@@ -146,8 +146,7 @@ std::vector<double> energies_at_k(const PlaneWaveBasis& basis, const Vec3& k,
                                   std::size_t keep, KPointSolver& solver) {
   set_epm_kinetic(basis, k, solver.hamiltonian);
   if (keep < basis.size()) {
-    return syevd_partial_values(solver.hamiltonian, keep, nullptr,
-                                &solver.workspace);
+    return syevd_partial_values(solver.hamiltonian, keep, &solver.workspace);
   }
   return syevd(solver.hamiltonian).eigenvalues;
 }

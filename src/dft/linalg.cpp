@@ -2152,13 +2152,6 @@ void sort_eigenpairs(const std::vector<double>& d, const RealMatrix& z,
   result.eigenvectors = std::move(sorted);
 }
 
-/// Analytic SYEVD tally shared by both solvers (the syevd_cost formula).
-void count_syevd(std::size_t n, OpCount* count) {
-  if (count == nullptr) return;
-  const SyevdCost cost = syevd_cost(n);
-  count->add(cost.flops, cost.bytes);
-}
-
 /// Conjugates complex values when `Conj`; the identity for doubles.
 template <bool Conj, typename T>
 T maybe_conj(const T& value) {
@@ -2517,8 +2510,7 @@ void gemm_packed(const RealMatrix& a, const RealMatrix& b, RealMatrix& c,
 }  // namespace
 
 void gemm(const RealMatrix& a, const RealMatrix& b, RealMatrix& c,
-          double alpha, double beta, bool transpose_a, bool transpose_b,
-          OpCount* count) {
+          double alpha, double beta, bool transpose_a, bool transpose_b) {
   LinalgTimerScope timer;
   KernelTimer trace(KernelClass::kGemm, "gemm");
   {
@@ -2531,18 +2523,11 @@ void gemm(const RealMatrix& a, const RealMatrix& b, RealMatrix& c,
     trace.set_io((m * k + k * n) * sizeof(double), m * n * sizeof(double));
   }
   gemm_impl(a, b, c, alpha, beta, transpose_a, transpose_b);
-  if (count != nullptr) {
-    const std::size_t m = transpose_a ? a.cols() : a.rows();
-    const std::size_t k = transpose_a ? a.rows() : a.cols();
-    const std::size_t n = transpose_b ? b.rows() : b.cols();
-    count->add(2ull * m * n * k,
-               (m * k + k * n + 2 * m * n) * sizeof(double));
-  }
 }
 
 void gemm(const ComplexMatrix& a, const ComplexMatrix& b, ComplexMatrix& c,
           Complex alpha, Complex beta, bool conj_transpose_a,
-          bool transpose_b, OpCount* count) {
+          bool transpose_b) {
   LinalgTimerScope timer;
   KernelTimer trace(KernelClass::kGemm, "gemm.c");
   {
@@ -2555,44 +2540,29 @@ void gemm(const ComplexMatrix& a, const ComplexMatrix& b, ComplexMatrix& c,
     trace.set_io((m * k + k * n) * sizeof(Complex), m * n * sizeof(Complex));
   }
   gemm_impl(a, b, c, alpha, beta, conj_transpose_a, transpose_b);
-  if (count != nullptr) {
-    const std::size_t m = conj_transpose_a ? a.cols() : a.rows();
-    const std::size_t k = conj_transpose_a ? a.rows() : a.cols();
-    const std::size_t n = transpose_b ? b.rows() : b.cols();
-    count->add(8ull * m * n * k,
-               (m * k + k * n + 2 * m * n) * sizeof(Complex));
-  }
 }
 
 void gemm_naive(const RealMatrix& a, const RealMatrix& b, RealMatrix& c,
                 double alpha, double beta, bool transpose_a,
-                bool transpose_b, OpCount* count) {
+                bool transpose_b) {
   LinalgTimerScope timer;
   std::size_t m, n, k;
   gemm_prepare(a, b, c, beta, transpose_a, transpose_b, m, n, k);
   gemm_reference_dispatch(a, b, c, alpha, beta, transpose_a, transpose_b, m,
                           n, k);
-  if (count != nullptr) {
-    count->add(2ull * m * n * k,
-               (m * k + k * n + 2 * m * n) * sizeof(double));
-  }
 }
 
 void gemm_naive(const ComplexMatrix& a, const ComplexMatrix& b,
                 ComplexMatrix& c, Complex alpha, Complex beta,
-                bool conj_transpose_a, bool transpose_b, OpCount* count) {
+                bool conj_transpose_a, bool transpose_b) {
   LinalgTimerScope timer;
   std::size_t m, n, k;
   gemm_prepare(a, b, c, beta, conj_transpose_a, transpose_b, m, n, k);
   gemm_reference_dispatch(a, b, c, alpha, beta, conj_transpose_a,
                           transpose_b, m, n, k);
-  if (count != nullptr) {
-    count->add(8ull * m * n * k,
-               (m * k + k * n + 2 * m * n) * sizeof(Complex));
-  }
 }
 
-EigenResult syevd(const RealMatrix& symmetric, OpCount* count) {
+EigenResult syevd(const RealMatrix& symmetric) {
   LinalgTimerScope timer;
   KernelTimer trace(KernelClass::kSyevd, "syevd");
   NDFT_REQUIRE(symmetric.rows() == symmetric.cols(),
@@ -2642,15 +2612,13 @@ EigenResult syevd(const RealMatrix& symmetric, OpCount* count) {
 
   result.eigenvalues = std::move(d);
   result.eigenvectors = std::move(s);
-  count_syevd(n, count);
   return result;
 }
 
-EigenResult syevd_naive(const RealMatrix& symmetric, OpCount* count) {
+EigenResult syevd_naive(const RealMatrix& symmetric) {
   LinalgTimerScope timer;
   NDFT_REQUIRE(symmetric.rows() == symmetric.cols(),
                "syevd_naive: matrix must be square");
-  const std::size_t n = symmetric.rows();
   EigenResult result;
   result.eigenvectors = symmetric;  // tred2 works in place
   std::vector<double> d;
@@ -2658,7 +2626,6 @@ EigenResult syevd_naive(const RealMatrix& symmetric, OpCount* count) {
   tred2(result.eigenvectors, d, e);
   tql2(d, e, result.eigenvectors);
   sort_eigenpairs(d, result.eigenvectors, result);
-  count_syevd(n, count);
   return result;
 }
 
@@ -2685,10 +2652,9 @@ namespace {
 
 /// Full-spectrum answer cut down to the lowest m pairs: the fallback the
 /// partial solver degrades to (and the fast path near the full spectrum).
-EigenResult partial_from_full(const RealMatrix& symmetric, std::size_t m,
-                              OpCount* count) {
+EigenResult partial_from_full(const RealMatrix& symmetric, std::size_t m) {
   const std::size_t n = symmetric.rows();
-  EigenResult full = syevd(symmetric, count);
+  EigenResult full = syevd(symmetric);
   if (m == n) return full;
   EigenResult result;
   result.eigenvalues.assign(
@@ -2708,8 +2674,7 @@ EigenResult partial_from_full(const RealMatrix& symmetric, std::size_t m,
 /// still return them). Scratch comes from `workspace`, or from a
 /// workspace of this call's own when it is null.
 EigenResult window_solve(const RealMatrix& symmetric, std::size_t m,
-                         bool vectors, OpCount* count,
-                         EigenWorkspace* workspace) {
+                         bool vectors, EigenWorkspace* workspace) {
   LinalgTimerScope timer;
   KernelTimer trace(KernelClass::kSyevd,
                     vectors ? "syevd.partial" : "syevd.partial.values");
@@ -2723,19 +2688,26 @@ EigenResult window_solve(const RealMatrix& symmetric, std::size_t m,
   trace.set_work(cost.flops, cost.bytes);
   trace.set_io(n * n * sizeof(double),
                ((vectors ? n * m : 0) + m) * sizeof(double));
+  // A degraded solve records the full solve it ran. Nested timer/trace
+  // entries fold into this one.
+  const auto full_fallback = [&] {
+    note_degradation("syevd_partial:full_fallback");
+    const SyevdCost full = syevd_cost(n);
+    trace.set_work(full.flops, full.bytes);
+    return partial_from_full(symmetric, m);
+  };
 
   if (fault_fires("solver.syevd_partial")) {
     // Injected solver fault: degrade to the always-available full
     // solver instead of failing the job.
-    note_degradation("syevd_partial:full_fallback");
-    return partial_from_full(symmetric, m, count);
+    return full_fallback();
   }
 
   if (2 * m > n) {
     // The bisection/back-transform savings vanish near the full spectrum;
-    // the full solver is both faster and more robust there. Nested
-    // timer/trace entries fold into this one.
-    return partial_from_full(symmetric, m, count);
+    // the full solver is both faster and more robust there (and
+    // syevd_partial_cost already prices it as the full solve).
+    return partial_from_full(symmetric, m);
   }
 
   std::optional<EigenWorkspace> own_workspace;
@@ -2785,29 +2757,26 @@ EigenResult window_solve(const RealMatrix& symmetric, std::size_t m,
                      &ws.packs);  // z <- Q z
       result.eigenvectors = std::move(z);
     }
-
-    if (count != nullptr) count->add(cost.flops, cost.bytes);
     return result;
   } catch (const NdftError&) {
     // The partial path rejected the problem (e.g. a degenerate cluster
     // its inverse iteration cannot split): same answer from the full
     // solver, recorded as a degradation.
-    note_degradation("syevd_partial:full_fallback");
-    return partial_from_full(symmetric, m, count);
+    return full_fallback();
   }
 }
 
 }  // namespace
 
 EigenResult syevd_partial(const RealMatrix& symmetric, std::size_t m,
-                          OpCount* count, EigenWorkspace* workspace) {
-  return window_solve(symmetric, m, /*vectors=*/true, count, workspace);
+                          EigenWorkspace* workspace) {
+  return window_solve(symmetric, m, /*vectors=*/true, workspace);
 }
 
 std::vector<double> syevd_partial_values(const RealMatrix& symmetric,
-                                         std::size_t m, OpCount* count,
+                                         std::size_t m,
                                          EigenWorkspace* workspace) {
-  return window_solve(symmetric, m, /*vectors=*/false, count, workspace)
+  return window_solve(symmetric, m, /*vectors=*/false, workspace)
       .eigenvalues;
 }
 
@@ -2824,7 +2793,7 @@ SyevdCost syevd_partial_cost(std::size_t n, std::size_t m,
           (2 * nn + 2 * static_cast<Bytes>(n) * m) * sizeof(double)};
 }
 
-HermitianEigenResult heev(const ComplexMatrix& hermitian, OpCount* count) {
+HermitianEigenResult heev(const ComplexMatrix& hermitian) {
   LinalgTimerScope timer;
   KernelTimer trace(KernelClass::kSyevd, "heev");
   NDFT_REQUIRE(hermitian.rows() == hermitian.cols(),
@@ -2851,7 +2820,7 @@ HermitianEigenResult heev(const ComplexMatrix& hermitian, OpCount* count) {
       embedded(i + n, j) = h.imag();
     }
   }
-  EigenResult real_result = syevd(embedded, count);
+  EigenResult real_result = syevd(embedded);
 
   // Each eigenvalue of H appears twice; fold pairs and rebuild complex
   // eigenvectors v = x + i y, re-orthonormalising inside degenerate groups.

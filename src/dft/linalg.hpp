@@ -33,48 +33,33 @@
 
 namespace ndft::dft {
 
-/// Running tally of arithmetic and traffic, used to validate the analytic
-/// kernel descriptors against the real numerics.
-struct OpCount {
-  Flops flops = 0;
-  Bytes bytes = 0;
-
-  void add(Flops f, Bytes b) noexcept {
-    flops += f;
-    bytes += b;
-  }
-};
-
 /// C = alpha * op(A) * op(B) + beta * C for real matrices.
 /// op is controlled by `transpose_a` / `transpose_b`. Cache-blocked with
 /// panel packing (transposition happens inside the packing, so no operand
 /// copies) and parallelised over row blocks on the thread pool; results
-/// are bitwise identical for any thread count. `count`, when non-null,
-/// accumulates flop/byte tallies.
+/// are bitwise identical for any thread count. The call's analytic
+/// flop/byte cost goes to its kernel trace event.
 void gemm(const RealMatrix& a, const RealMatrix& b, RealMatrix& c,
           double alpha = 1.0, double beta = 0.0, bool transpose_a = false,
-          bool transpose_b = false, OpCount* count = nullptr);
+          bool transpose_b = false);
 
 /// Complex version; `transpose_a` applies the conjugate transpose.
 void gemm(const ComplexMatrix& a, const ComplexMatrix& b, ComplexMatrix& c,
           Complex alpha = Complex{1.0, 0.0}, Complex beta = Complex{0.0, 0.0},
-          bool conj_transpose_a = false, bool transpose_b = false,
-          OpCount* count = nullptr);
+          bool conj_transpose_a = false, bool transpose_b = false);
 
 /// Textbook triple-loop GEMM, kept as the reference implementation the
-/// blocked kernels are tested and benchmarked against. Same semantics and
-/// OpCount accounting as gemm().
+/// blocked kernels are tested and benchmarked against. Same semantics as
+/// gemm(); records no trace event.
 void gemm_naive(const RealMatrix& a, const RealMatrix& b, RealMatrix& c,
                 double alpha = 1.0, double beta = 0.0,
-                bool transpose_a = false, bool transpose_b = false,
-                OpCount* count = nullptr);
+                bool transpose_a = false, bool transpose_b = false);
 
 /// Complex reference; `conj_transpose_a` applies the conjugate transpose.
 void gemm_naive(const ComplexMatrix& a, const ComplexMatrix& b,
                 ComplexMatrix& c, Complex alpha = Complex{1.0, 0.0},
                 Complex beta = Complex{0.0, 0.0},
-                bool conj_transpose_a = false, bool transpose_b = false,
-                OpCount* count = nullptr);
+                bool conj_transpose_a = false, bool transpose_b = false);
 
 /// Analytic cost tally of a full-spectrum n x n symmetric eigensolve,
 /// modelling the production two-stage path: ~2n^3 level-3 flops for the
@@ -82,8 +67,8 @@ void gemm_naive(const ComplexMatrix& a, const ComplexMatrix& b,
 /// ~3n^3 for the reversed bulge-chase rotations and ~2n^3 for the
 /// compact-WY back-transform, plus the O(n^2 b) chase itself; bytes are
 /// dominated by the per-panel trailing-square copies (O(n^3 / b)). The
-/// one formula shared by the solvers' OpCount/trace accounting, the
-/// analytic workload descriptors and the Engine's queue estimator.
+/// one formula shared by the solvers' trace events, the analytic workload
+/// descriptors and the Engine's queue estimator.
 struct SyevdCost {
   Flops flops = 0;
   Bytes bytes = 0;
@@ -103,13 +88,12 @@ struct EigenResult {
 /// GEMM. Results are bitwise identical for any thread count. Throws
 /// NdftError if the matrix is not square or an iteration fails to
 /// converge (pathological input).
-EigenResult syevd(const RealMatrix& symmetric, OpCount* count = nullptr);
+EigenResult syevd(const RealMatrix& symmetric);
 
 /// Serial reference solver (EISPACK tred2/tql2 lineage), kept as the
 /// ground truth `syevd` is validated and benchmarked against. Same
-/// semantics and OpCount accounting as syevd().
-EigenResult syevd_naive(const RealMatrix& symmetric,
-                        OpCount* count = nullptr);
+/// semantics as syevd(); records no trace event.
+EigenResult syevd_naive(const RealMatrix& symmetric);
 
 /// Analytic cost tally of a partial eigensolve returning the lowest `m`
 /// pairs: the full reduction (~(4/3)n^3) survives, but the tridiagonal
@@ -156,19 +140,19 @@ class EigenWorkspace {
 /// within nondegenerate multiplets (clustered eigenvalues are
 /// re-orthogonalised, spanning the same invariant subspace). Results are
 /// bitwise identical for any thread count. Scratch memory comes from
-/// `workspace` when given.
+/// `workspace` when given. The trace event is priced at
+/// syevd_partial_cost(n, m), or at syevd_cost(n) when the call falls back
+/// to the full solver.
 EigenResult syevd_partial(const RealMatrix& symmetric, std::size_t m,
-                          OpCount* count = nullptr,
                           EigenWorkspace* workspace = nullptr);
 
 /// The eigenvalues syevd_partial() returns, bitwise, without the
 /// eigenvectors: the same reduction and bisection, then no inverse
 /// iteration and no back-transformation. For callers that read no
-/// vectors (band energies). Same fallbacks, fault site and `count`
-/// convention (tallied at syevd_partial_cost(n, m, false)).
+/// vectors (band energies). Same fallbacks and fault site; the trace
+/// event is priced at syevd_partial_cost(n, m, false).
 std::vector<double> syevd_partial_values(const RealMatrix& symmetric,
                                          std::size_t m,
-                                         OpCount* count = nullptr,
                                          EigenWorkspace* workspace = nullptr);
 
 /// Result of a Hermitian eigensolve.
@@ -180,8 +164,7 @@ struct HermitianEigenResult {
 /// Solves the full eigenproblem of a complex Hermitian matrix via the real
 /// 2n x 2n embedding (each eigenvalue appears twice; duplicates are
 /// folded), so the solve runs on the real syevd() path.
-HermitianEigenResult heev(const ComplexMatrix& hermitian,
-                          OpCount* count = nullptr);
+HermitianEigenResult heev(const ComplexMatrix& hermitian);
 
 /// Zeroes the calling thread's accumulated linalg wall time, including
 /// the per-stage tallies below. The engine resets before executing a job

@@ -36,7 +36,6 @@ LrTddftResult solve_lrtddft(const PlaneWaveBasis& basis,
                             const LrTddftConfig& config) {
   cancel_point();  // stage boundary: before the orbital transforms
   LrTddftResult result;
-  KernelCounts& counts = result.counts;
 
   const std::size_t nv_total = ground.valence_bands;
   const std::size_t nv = config.window_valence(nv_total);
@@ -54,16 +53,15 @@ LrTddftResult solve_lrtddft(const PlaneWaveBasis& basis,
   trace_set_system(basis.crystal().atom_count(), basis.size(), nr);
 
   // Real-space orbitals for the window (valence then conduction).
-  OpCount* const fft_count = &counts[KernelClass::kFft];
   std::vector<Grid3> valence;
   valence.reserve(nv);
   for (std::size_t v = nv_total - nv; v < nv_total; ++v) {
-    valence.push_back(orbital_realspace(basis, ground, v, fft_count));
+    valence.push_back(orbital_realspace(basis, ground, v));
   }
   std::vector<Grid3> conduction;
   conduction.reserve(nc);
   for (std::size_t c = nv_total; c < nv_total + nc; ++c) {
-    conduction.push_back(orbital_realspace(basis, ground, c, fft_count));
+    conduction.push_back(orbital_realspace(basis, ground, c));
   }
 
   // Ground-state density for the ALDA kernel: n0(r) = 2 sum_v |psi_v|^2
@@ -77,7 +75,7 @@ LrTddftResult solve_lrtddft(const PlaneWaveBasis& basis,
     if (v >= window_start) {
       grid = &valence[v - window_start];
     } else {
-      scratch = orbital_realspace(basis, ground, v, fft_count);
+      scratch = orbital_realspace(basis, ground, v);
       grid = &scratch;
     }
     for (std::size_t i = 0; i < nr; ++i) {
@@ -100,7 +98,6 @@ LrTddftResult solve_lrtddft(const PlaneWaveBasis& basis,
   // keep the complex container because the FFT pass transforms it.
   ComplexMatrix pair_real(npair, nr);
   {
-    OpCount& oc = counts[KernelClass::kFaceSplit];
     TraceRegion region(KernelClass::kFaceSplit, "facesplit");
     region.set_dims(npair, nr, 0);
     region.add_work(6ull * npair * nr,
@@ -118,14 +115,11 @@ LrTddftResult solve_lrtddft(const PlaneWaveBasis& basis,
                      }
                    }
                  });
-    oc.add(6ull * npair * nr,
-           static_cast<Bytes>(npair) * nr * 3 * sizeof(Complex));
   }
 
   // FFT each pair product to reciprocal space. Pairs are independent, so
   // they run across the pool (fft3d detects the nesting and keeps its own
-  // line loops serial inside each task); the per-transform OpCount tally
-  // is added afterwards, identical to per-call accumulation.
+  // line loops serial inside each task).
   ComplexMatrix pair_recip(npair, nr);
   {
     // The per-pair transforms run across the pool, so the individual
@@ -153,9 +147,6 @@ LrTddftResult solve_lrtddft(const PlaneWaveBasis& basis,
       }
     });
   }
-  counts[KernelClass::kFft].add(
-      static_cast<Flops>(npair) * fft_flops(nr),
-      static_cast<Bytes>(npair) * 4 * nr * sizeof(Complex));
 
   // Coulomb-weighted conjugate copy: rows conjugated and scaled by
   // 4 pi / |G|^2, G = 0 dropped (compensated by the neutralising
@@ -163,7 +154,6 @@ LrTddftResult solve_lrtddft(const PlaneWaveBasis& basis,
   // Hermitian without assuming anything about orbital phases.
   ComplexMatrix pair_coulomb = pair_recip;
   {
-    OpCount& oc = counts[KernelClass::kFaceSplit];
     TraceRegion region(KernelClass::kFaceSplit, "coulomb");
     region.set_dims(npair, nr, 0);
     region.add_work(2ull * npair * nr,
@@ -187,8 +177,6 @@ LrTddftResult solve_lrtddft(const PlaneWaveBasis& basis,
                      }
                    }
                  });
-    oc.add(2ull * npair * nr,
-           static_cast<Bytes>(npair) * nr * 2 * sizeof(Complex));
   }
 
   // Hartree kernel K_H(p, q) = (1/Omega) sum_G rho_p(G) v(G) conj(rho_q(G)):
@@ -198,7 +186,7 @@ LrTddftResult solve_lrtddft(const PlaneWaveBasis& basis,
   ComplexMatrix k_hartree;
   gemm(pair_recip, pair_coulomb, k_hartree,
        Complex{1.0 / omega, 0.0}, Complex{}, /*conj_transpose_a=*/false,
-       /*transpose_b=*/true, &counts[KernelClass::kGemm]);
+       /*transpose_b=*/true);
 
   // XC kernel K_xc(p, q) = sum_r P_p(r) f_xc(r) conj(P_q(r)) dOmega,
   // Hermitian with a strictly negative diagonal (f_xc < 0).
@@ -207,7 +195,6 @@ LrTddftResult solve_lrtddft(const PlaneWaveBasis& basis,
     ComplexMatrix weighted(npair, nr);
     const double element = omega / static_cast<double>(nr);
     {
-      OpCount& oc = counts[KernelClass::kFaceSplit];
       TraceRegion region(KernelClass::kFaceSplit, "xc.weight");
       region.set_dims(npair, nr, 0);
       region.add_work(2ull * npair * nr,
@@ -224,12 +211,9 @@ LrTddftResult solve_lrtddft(const PlaneWaveBasis& basis,
                        }
                      }
                    });
-      oc.add(2ull * npair * nr,
-             static_cast<Bytes>(npair) * nr * 2 * sizeof(Complex));
     }
     gemm(pair_real, weighted, k_xc, Complex{1.0, 0.0}, Complex{},
-         /*conj_transpose_a=*/false, /*transpose_b=*/true,
-         &counts[KernelClass::kGemm]);
+         /*conj_transpose_a=*/false, /*transpose_b=*/true);
   }
 
   cancel_point();  // stage boundary: kernels built, Casida solve ahead
@@ -268,7 +252,7 @@ LrTddftResult solve_lrtddft(const PlaneWaveBasis& basis,
     }
   }
 
-  HermitianEigenResult eigen = heev(a_matrix, &counts[KernelClass::kSyevd]);
+  HermitianEigenResult eigen = heev(a_matrix);
   result.excitations_ha = std::move(eigen.eigenvalues);
   result.eigenvectors = std::move(eigen.eigenvectors);
   return result;

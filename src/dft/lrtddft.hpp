@@ -8,12 +8,11 @@
 //     -> GEMM                     K = P f conj(P)^T  (response Hamiltonian)
 //     -> SYEVD (heev)             excitation energies
 //
-// within the Tamm-Dancoff approximation at the Gamma point. Every stage
-// tallies its flop/byte cost per kernel class so the analytic workload
-// descriptors (workload.hpp) can be validated against real numerics.
+// within the Tamm-Dancoff approximation at the Gamma point. Each stage's
+// analytic flop/byte cost goes to its kernel trace event (common/
+// kernel_trace.hpp), labelled with the stage "lrtddft".
 
 #include <algorithm>
-#include <map>
 #include <vector>
 
 #include "dft/basis.hpp"
@@ -22,9 +21,6 @@
 #include "dft/linalg.hpp"
 
 namespace ndft::dft {
-
-/// Per-kernel-class operation tallies for one LR-TDDFT run.
-using KernelCounts = std::map<KernelClass, OpCount>;
 
 /// Configuration of the excitation-space window.
 struct LrTddftConfig {
@@ -49,7 +45,6 @@ struct LrTddftConfig {
 struct LrTddftResult {
   std::vector<double> excitations_ha;  ///< excitation energies, ascending
   std::size_t pair_count = 0;          ///< dimension of the response matrix
-  KernelCounts counts;                 ///< per-kernel operation tallies
   /// Casida eigenvectors (pair x excitation), column j pairing with
   /// excitations_ha[j]. Complex: the Casida matrix is Hermitian for a
   /// general orbital gauge (degenerate multiplets come out of the

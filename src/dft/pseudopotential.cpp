@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <numbers>
 
+#include "common/kernel_trace.hpp"
+
 namespace ndft::dft {
 namespace {
 
@@ -81,9 +83,17 @@ std::vector<Complex> KbProjectors::project(
 }
 
 void KbProjectors::apply(const std::vector<Complex>& in,
-                         std::vector<Complex>& out, OpCount* count) const {
+                         std::vector<Complex>& out) const {
   NDFT_REQUIRE(in.size() == basis_->size(),
                "wavefunction length must match the basis");
+  KernelTimer trace(KernelClass::kPseudopotential, "nonlocal");
+  {
+    const std::size_t coefficients = count() * in.size();
+    trace.set_dims(count(), in.size(), 0);
+    trace.set_work(16ull * coefficients,
+                   2ull * coefficients * sizeof(Complex));
+    trace.set_io(in.size() * sizeof(Complex), in.size() * sizeof(Complex));
+  }
   if (out.size() != in.size()) {
     out.assign(in.size(), Complex{});
   }
@@ -94,11 +104,6 @@ void KbProjectors::apply(const std::vector<Complex>& in,
     for (std::size_t i = 0; i < out.size(); ++i) {
       out[i] += weight * row[i];
     }
-  }
-  if (count != nullptr) {
-    // Projection + expansion: two complex dot/axpy passes per projector.
-    count->add(16ull * amplitudes.size() * in.size(),
-               2ull * amplitudes.size() * in.size() * sizeof(Complex));
   }
 }
 

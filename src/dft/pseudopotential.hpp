@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "dft/basis.hpp"
-#include "dft/linalg.hpp"
 #include "dft/matrix.hpp"
 
 namespace ndft::dft {
@@ -37,9 +36,10 @@ class KbProjectors {
   std::size_t count() const noexcept { return coefficients_.rows(); }
 
   /// Applies V_nl: out += sum |beta> D <beta|in>. `in`/`out` are
-  /// wavefunction coefficient vectors over the basis G vectors.
-  void apply(const std::vector<Complex>& in, std::vector<Complex>& out,
-             OpCount* count = nullptr) const;
+  /// wavefunction coefficient vectors over the basis G vectors. Emits one
+  /// Pseudopotential trace event, "nonlocal": two complex passes
+  /// (projection, expansion) of 8 flops per projector coefficient.
+  void apply(const std::vector<Complex>& in, std::vector<Complex>& out) const;
 
   /// <beta_p | in> for every projector p (used by tests and the
   /// wavefunction-update example).

@@ -288,8 +288,7 @@ ScfResult solve_scf(const PlaneWaveBasis& basis, const ScfConfig& config) {
     // Only the lowest `bands` pairs feed the density and the band window;
     // the partial solver skips the full-spectrum QL and back-transform.
     // The solve returns exactly `bands` pairs, n_g x bands vectors.
-    EigenResult eigen =
-        syevd_partial(hamiltonian, bands, nullptr, &eigen_workspace);
+    EigenResult eigen = syevd_partial(hamiltonian, bands, &eigen_workspace);
 
     state.valence_bands = valence;
     state.energies_ha = std::move(eigen.eigenvalues);

@@ -223,7 +223,7 @@ KernelWork kernel_work_from_event(const TraceEvent& event) {
     case KernelClass::kSyevd: {
       // The shared AI transition of the analytic descriptor. The
       // reduction's panel sweeps stream far more than the n^2 matrix
-      // bytes the OpCount tally reports, so the DRAM estimate comes
+      // bytes the event's tally reports, so the DRAM estimate comes
       // from the AI model, not from the event's byte count.
       k.pattern = AccessPattern::kBlocked;
       const double ai = syevd_ai(static_cast<double>(event.dims[0]));
@@ -252,7 +252,7 @@ KernelWork kernel_work_from_event(const TraceEvent& event) {
       break;
   }
   // Instruction-level traffic can never trail the DRAM estimate (the
-  // blocked classes' reuse models sit above their OpCount byte tallies,
+  // blocked classes' reuse models sit above their events' byte tallies,
   // mirroring the analytic descriptors' l1 >= dram invariant).
   k.dram_bytes = std::max<Bytes>(k.dram_bytes, 1);
   k.l1_bytes = std::max(k.l1_bytes, k.dram_bytes);

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <numbers>
 #include <random>
 #include <sstream>
@@ -633,6 +634,27 @@ TEST(WireStrictnessTest, RequestWithKeepEigenvectorsIsRefused) {
   EXPECT_THROW(job_request_from_json(request), NdftError);
 }
 
+TEST(WireStrictnessTest, ResultWithLrtddftCountsIsRefused) {
+  // The LR-TDDFT payload no longer has per-class counts (the job's trace
+  // carries each kernel's work); a result that still sends them is
+  // refused like any other unknown member, not silently accepted.
+  const Json doc = Json::parse(
+      read_file(std::string(NDFT_SOURCE_DIR) +
+                "/tests/data/wire/result_lrtddft.json"));
+  Json count = Json::object();
+  count.set("class", Json("FFT"));
+  count.set("flops", Json(100));
+  count.set("bytes", Json(200));
+  Json counts = Json::array();
+  counts.push_back(std::move(count));
+  Json payload = doc.at("payload");
+  payload.set("counts", std::move(counts));
+  Json result = doc;
+  result.set("payload", std::move(payload));
+  EXPECT_NO_THROW(JobResult::from_json(doc));
+  EXPECT_THROW(JobResult::from_json(result), NdftError);
+}
+
 // ------------------------------------------------- async queue semantics
 
 TEST(EngineTest, ManualDrainExecutesQueuedJobs) {
@@ -871,6 +893,39 @@ TEST(LrtddftJobTest, OscillatorStrengthsReuseTheCasidaSolve) {
             plain.lrtddft->excitations_ha);
   EXPECT_EQ(with_lines.lrtddft->lines.size(),
             with_lines.lrtddft->excitations_ha.size());
+}
+
+TEST(LrtddftJobTest, TraceCarriesEachKernelClassWork) {
+  // The trace is the one record of the job's kernel work. The default
+  // job (Si_8, 16 x 4 window, 64 pairs) sums to these per-class totals
+  // over its lrtddft stage, and its nonlocal projector application is
+  // charged two complex passes (8 flops, 16 bytes per coefficient each)
+  // over 32 projectors x 179 plane waves.
+  Engine engine(fast_config(/*dispatch_threads=*/0));
+  LrtddftJob job;
+  job.record_trace = true;
+  const JobResult result = engine.run(job);
+  ASSERT_TRUE(result.ok()) << result.error_message;
+  ASSERT_TRUE(result.trace.has_value());
+  using Work = std::pair<Flops, Bytes>;
+  std::map<KernelClass, Work> lrtddft;
+  std::vector<Work> nonlocal;
+  for (const TraceEvent& e : result.trace->events) {
+    if (e.stage == "lrtddft") {
+      lrtddft[e.cls].first += e.flops;
+      lrtddft[e.cls].second += e.bytes;
+    }
+    if (e.name == "nonlocal") nonlocal.emplace_back(e.flops, e.bytes);
+  }
+  const std::map<KernelClass, Work> expected = {
+      {KernelClass::kFft, {1935360, 2752512}},
+      {KernelClass::kFaceSplit, {327680, 3670016}},
+      {KernelClass::kGemm, {33554432, 2359296}},
+      {KernelClass::kSyevd, {24991061, 1441792}},
+      {KernelClass::kOther, {24576, 196608}},
+  };
+  EXPECT_EQ(lrtddft, expected);
+  EXPECT_EQ(nonlocal, (std::vector<Work>{{16u * 32 * 179, 2u * 32 * 179 * 16}}));
 }
 
 // --------------------------------------------- concurrency determinism

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <numbers>
 
+#include "common/kernel_trace.hpp"
 #include "common/prng.hpp"
 #include "common/thread_pool.hpp"
 #include "dft/fft.hpp"
@@ -286,36 +288,81 @@ TEST(Fft3dTest, PlaneWaveMapsToSingleBin) {
   }
 }
 
-TEST(Fft3dTest, OpCountAccumulates) {
-  Grid3 grid(8, 8, 8);
-  OpCount count;
-  fft3d(grid, FftDirection::kForward, &count);
-  EXPECT_EQ(count.flops, fft_flops(512));
-  // Fused X+Y sweep + Z sweep: 4 grid traversals.
-  EXPECT_EQ(count.bytes, 4u * 512 * sizeof(Complex));
-  OpCount unfused_count;
-  Grid3 grid2(8, 8, 8);
-  fft3d_unfused(grid2, FftDirection::kForward, &unfused_count);
-  EXPECT_EQ(unfused_count.flops, fft_flops(512));
-  EXPECT_EQ(unfused_count.bytes, 6u * 512 * sizeof(Complex));
+/// O(N^2) reference 3D DFT of an x-fastest grid: the forward sum, or
+/// the inverse sum scaled by 1/N.
+std::vector<Complex> reference_dft3(const Grid3& grid, FftDirection direction) {
+  const std::size_t dims[3] = {grid.nx(), grid.ny(), grid.nz()};
+  const double sign = direction == FftDirection::kForward ? -1.0 : 1.0;
+  // twiddle[d][j] = exp(sign * 2 pi i j / n_d): the phase is separable.
+  std::vector<Complex> twiddle[3];
+  for (std::size_t d = 0; d < 3; ++d) {
+    for (std::size_t j = 0; j < dims[d]; ++j) {
+      const double angle = sign * 2.0 * std::numbers::pi *
+                           static_cast<double>(j) /
+                           static_cast<double>(dims[d]);
+      twiddle[d].push_back(Complex{std::cos(angle), std::sin(angle)});
+    }
+  }
+  const double scale = direction == FftDirection::kForward
+                           ? 1.0
+                           : 1.0 / static_cast<double>(grid.size());
+  std::vector<Complex> result(grid.size());
+  for (std::size_t kz = 0; kz < dims[2]; ++kz) {
+    for (std::size_t ky = 0; ky < dims[1]; ++ky) {
+      for (std::size_t kx = 0; kx < dims[0]; ++kx) {
+        Complex acc{};
+        for (std::size_t z = 0; z < dims[2]; ++z) {
+          for (std::size_t y = 0; y < dims[1]; ++y) {
+            const Complex yz = twiddle[1][ky * y % dims[1]] *
+                               twiddle[2][kz * z % dims[2]];
+            for (std::size_t x = 0; x < dims[0]; ++x) {
+              acc += grid.at(x, y, z) * yz * twiddle[0][kx * x % dims[0]];
+            }
+          }
+        }
+        result[(kz * dims[1] + ky) * dims[0] + kx] = acc * scale;
+      }
+    }
+  }
+  return result;
 }
 
-TEST(Fft3dTest, FusedMatchesUnfusedBitwise) {
-  // The fused X+Y slab pass performs the exact per-line operations of the
-  // separate passes, in the same per-element order, so the two transforms
-  // must agree bitwise — including on non-friendly (Bluestein) lengths.
-  for (const auto& dims : {std::array<std::size_t, 3>{32, 32, 32},
-                           std::array<std::size_t, 3>{12, 10, 7}}) {
-    Grid3 fused(dims[0], dims[1], dims[2]);
-    Prng prng(77);
-    for (std::size_t i = 0; i < fused.size(); ++i) {
-      fused[i] = Complex{prng.next_double(-1, 1), prng.next_double(-1, 1)};
+TEST(Fft3dTest, MatchesDirectDftAndTracesItsWork) {
+  // The production grids (8^3: Si_8; 15^3: Si_64), a mixed-radix grid and
+  // one with Bluestein lengths, both directions, against the direct sum.
+  // The trace event carries the transform's analytic work: fft_flops(N)
+  // and 4 grid sweeps of 16-byte points.
+  for (const auto& dims : {std::array<std::size_t, 3>{8, 8, 8},
+                           std::array<std::size_t, 3>{15, 15, 15},
+                           std::array<std::size_t, 3>{6, 10, 9},
+                           std::array<std::size_t, 3>{7, 4, 5}}) {
+    Grid3 input(dims[0], dims[1], dims[2]);
+    Prng prng(dims[0] * 100 + dims[1] * 10 + dims[2]);
+    for (std::size_t i = 0; i < input.size(); ++i) {
+      input[i] = Complex{prng.next_double(-1, 1), prng.next_double(-1, 1)};
     }
-    Grid3 unfused = fused;
-    fft3d(fused, FftDirection::kForward);
-    fft3d_unfused(unfused, FftDirection::kForward);
-    for (std::size_t i = 0; i < fused.size(); ++i) {
-      ASSERT_EQ(fused[i], unfused[i]) << "index " << i;
+    const std::size_t n = input.size();
+    for (const FftDirection direction :
+         {FftDirection::kForward, FftDirection::kInverse}) {
+      Grid3 grid = input;
+      TraceRecorder recorder;
+      {
+        TraceScope scope(recorder);
+        fft3d(grid, direction);
+      }
+      EXPECT_LT(max_error(grid.raw(), reference_dft3(input, direction)),
+                1e-10 * static_cast<double>(n))
+          << dims[0] << "x" << dims[1] << "x" << dims[2];
+      const KernelTrace trace = recorder.take();
+      ASSERT_EQ(trace.events.size(), 1u);
+      const TraceEvent& event = trace.events[0];
+      EXPECT_EQ(event.cls, KernelClass::kFft);
+      EXPECT_EQ(event.name, "fft3d");
+      EXPECT_EQ(event.flops, fft_flops(n));
+      EXPECT_EQ(event.bytes, 4u * n * 16);
+      EXPECT_EQ(event.dims[0], dims[0]);
+      EXPECT_EQ(event.dims[1], dims[1]);
+      EXPECT_EQ(event.dims[2], dims[2]);
     }
   }
 }

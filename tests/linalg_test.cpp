@@ -13,6 +13,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/kernel_trace.hpp"
 #include "common/prng.hpp"
 #include "common/thread_pool.hpp"
 #include "dft/linalg.hpp"
@@ -70,6 +71,19 @@ void* counted_malloc(std::size_t size) noexcept {
 
 namespace ndft::dft {
 namespace {
+
+/// The one trace event `kernel` records on this thread.
+template <typename Kernel>
+TraceEvent traced(Kernel&& kernel) {
+  TraceRecorder recorder;
+  {
+    TraceScope scope(recorder);
+    kernel();
+  }
+  const KernelTrace trace = recorder.take();
+  NDFT_REQUIRE(trace.events.size() == 1, "expected one trace event");
+  return trace.events[0];
+}
 
 RealMatrix random_matrix(std::size_t rows, std::size_t cols,
                          std::uint64_t seed) {
@@ -194,10 +208,9 @@ TEST(GemmTest, CountsFlopsAndBytes) {
   const RealMatrix a = random_matrix(10, 20, 11);
   const RealMatrix b = random_matrix(20, 30, 12);
   RealMatrix c;
-  OpCount count;
-  gemm(a, b, c, 1.0, 0.0, false, false, &count);
-  EXPECT_EQ(count.flops, 2u * 10 * 30 * 20);
-  EXPECT_GT(count.bytes, 0u);
+  const TraceEvent event = traced([&] { gemm(a, b, c); });
+  EXPECT_EQ(event.flops, 2u * 10 * 30 * 20);
+  EXPECT_GT(event.bytes, 0u);
 }
 
 TEST(GemmTest, BlockedMatchesNaiveAcrossFlagCombinations) {
@@ -300,19 +313,6 @@ TEST(GemmTest, DeterministicAcrossThreadCounts) {
   }
 }
 
-TEST(GemmTest, NaiveCountsMatchBlocked) {
-  const RealMatrix a = random_matrix(12, 18, 41);
-  const RealMatrix b = random_matrix(18, 9, 42);
-  RealMatrix c1;
-  RealMatrix c2;
-  OpCount blocked;
-  OpCount naive;
-  gemm(a, b, c1, 1.0, 0.0, false, false, &blocked);
-  gemm_naive(a, b, c2, 1.0, 0.0, false, false, &naive);
-  EXPECT_EQ(blocked.flops, naive.flops);
-  EXPECT_EQ(blocked.bytes, naive.bytes);
-}
-
 TEST(GemmComplexTest, MatchesRealEmbedding) {
   // (A + iB)(C + iD) = (AC - BD) + i(AD + BC).
   Prng prng(13);
@@ -405,15 +405,10 @@ TEST(SyevdTest, TraceIsPreserved) {
 
 TEST(SyevdTest, CountsCubicWork) {
   const RealMatrix m = random_symmetric(32, 23);
-  OpCount count;
-  syevd(m, &count);
-  EXPECT_GT(count.flops, 32ull * 32 * 32);  // at least n^3
-  // The analytic descriptor is shared with the reference solver, so the
-  // cost model sees the same SYEVD regardless of the implementation.
-  OpCount naive;
-  syevd_naive(m, &naive);
-  EXPECT_EQ(count.flops, naive.flops);
-  EXPECT_EQ(count.bytes, naive.bytes);
+  const TraceEvent event = traced([&] { syevd(m); });
+  EXPECT_GT(event.flops, 32ull * 32 * 32);  // at least n^3
+  EXPECT_EQ(event.flops, syevd_cost(32).flops);
+  EXPECT_EQ(event.bytes, syevd_cost(32).bytes);
 }
 
 TEST(SyevdTest, RejectsNonSquare) {
@@ -988,11 +983,11 @@ TEST(SyevdPartialTest, ValuesOnlyMatchTheVectorPathBitwise) {
       const std::size_t n = c.matrix.rows();
       EXPECT_EQ(syevd_partial_values(c.matrix, c.m), c.reference)
           << "n=" << n << " m=" << c.m << " at " << threads << " threads";
-      EXPECT_EQ(syevd_partial_values(c.matrix, c.m, nullptr, &workspace),
+      EXPECT_EQ(syevd_partial_values(c.matrix, c.m, &workspace),
                 c.reference)
           << "workspace, n=" << n << " m=" << c.m << " at " << threads
           << " threads";
-      EXPECT_EQ(syevd_partial(c.matrix, c.m, nullptr, &workspace).eigenvalues,
+      EXPECT_EQ(syevd_partial(c.matrix, c.m, &workspace).eigenvalues,
                 c.reference)
           << "vectors on the workspace, n=" << n << " m=" << c.m << " at "
           << threads << " threads";
@@ -1015,13 +1010,13 @@ TEST(SyevdPartialTest, WarmSolveOnAWorkspaceMakesNoLargeAllocation) {
   for (const std::size_t threads : {1u, 2u, 8u}) {
     pool.resize(threads);
     EigenWorkspace workspace;
-    const EigenResult cold = syevd_partial(scf_like, 24, nullptr, &workspace);
-    (void)syevd_partial_values(band_like, 8, nullptr, &workspace);
+    const EigenResult cold = syevd_partial(scf_like, 24, &workspace);
+    (void)syevd_partial_values(band_like, 8, &workspace);
 
     const std::size_t before = large_allocations.load();
-    const EigenResult warm = syevd_partial(scf_like, 24, nullptr, &workspace);
+    const EigenResult warm = syevd_partial(scf_like, 24, &workspace);
     const std::vector<double> values =
-        syevd_partial_values(band_like, 8, nullptr, &workspace);
+        syevd_partial_values(band_like, 8, &workspace);
     EXPECT_EQ(large_allocations.load() - before, 0u)
         << "at " << threads << " threads";
 
@@ -1047,19 +1042,16 @@ TEST(SyevdPartialTest, RejectsBadWindows) {
 
 TEST(SyevdPartialTest, CountsLessWorkThanFullSolve) {
   const RealMatrix matrix = random_symmetric(96, 93);
-  OpCount values;
-  OpCount partial;
-  OpCount full;
-  (void)syevd_partial_values(matrix, 8, &values);
-  (void)syevd_partial(matrix, 8, &partial);
-  (void)syevd(matrix, &full);
+  const TraceEvent values =
+      traced([&] { (void)syevd_partial_values(matrix, 8); });
+  const TraceEvent partial = traced([&] { (void)syevd_partial(matrix, 8); });
+  const TraceEvent full = traced([&] { (void)syevd(matrix); });
   EXPECT_GT(values.flops, 0u);
   EXPECT_LT(values.flops, partial.flops);
   EXPECT_LT(values.bytes, partial.bytes);
   EXPECT_LT(partial.flops, full.flops);
   // Near the full window the call delegates and costs the full solve.
-  OpCount wide;
-  (void)syevd_partial(matrix, 96, &wide);
+  const TraceEvent wide = traced([&] { (void)syevd_partial(matrix, 96); });
   EXPECT_EQ(wide.flops, full.flops);
 }
 

@@ -647,7 +647,15 @@ TEST(EndToEndTest, SixteenConcurrentClientsMatchSerialBitwise) {
     }
   }
 
-  Engine serial(fast_config(/*dispatch_threads=*/0));
+  // Small samples. The per-core bounds, more than
+  // sampled_ops_per_kernel, set the size of fast_config's Si_16 runs, so
+  // all three shrink. The 16 concurrent simulations then finish well
+  // inside the clients' 30 s timeout under ThreadSanitizer too.
+  EngineConfig config = fast_config(/*dispatch_threads=*/0);
+  config.system.sampled_ops_per_kernel = 500;
+  config.system.min_ops_per_core = 20;
+  config.system.max_ops_per_core = 200;
+  Engine serial(config);
   std::vector<std::string> expected;
   for (const JobRequest& request : requests) {
     const JobResult result = serial.run(request);
@@ -655,7 +663,8 @@ TEST(EndToEndTest, SixteenConcurrentClientsMatchSerialBitwise) {
     expected.push_back(result.to_json().at("payload").dump());
   }
 
-  TestServer ts(fast_config(/*dispatch_threads=*/8));
+  config.dispatch_threads = 8;
+  TestServer ts(config);
   std::vector<std::string> actual(requests.size());
   std::vector<int> statuses(requests.size(), 0);
   // An exception escaping a client thread would std::terminate the whole

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <set>
 
+#include "common/kernel_trace.hpp"
 #include "dft/basis.hpp"
 #include "dft/epm.hpp"
 #include "dft/lattice.hpp"
@@ -235,16 +236,30 @@ TEST(KbProjectorsTest, ApplyIsHermitian) {
   EXPECT_NEAR(left.imag(), -right.imag(), 1e-9);
 }
 
-TEST(KbProjectorsTest, ApplyAccumulatesAndCounts) {
+TEST(KbProjectorsTest, ApplyAccumulatesAndTracesItsWork) {
   const Crystal crystal = Crystal::silicon_supercell(8);
   const PlaneWaveBasis basis(crystal, 1.5);
   const KbProjectors projectors(basis);
   std::vector<Complex> psi(basis.size(), Complex{1.0, 0.0});
   std::vector<Complex> out;
-  OpCount count;
-  projectors.apply(psi, out, &count);
+  TraceRecorder recorder;
+  {
+    TraceScope scope(recorder);
+    projectors.apply(psi, out);
+  }
   EXPECT_EQ(out.size(), psi.size());
-  EXPECT_GT(count.flops, 0u);
+  // One event: projection and expansion, two complex passes of 8 flops
+  // and 16 bytes per projector coefficient.
+  const KernelTrace trace = recorder.take();
+  ASSERT_EQ(trace.events.size(), 1u);
+  const TraceEvent& event = trace.events[0];
+  const std::size_t coefficients = projectors.count() * basis.size();
+  EXPECT_EQ(event.cls, KernelClass::kPseudopotential);
+  EXPECT_EQ(event.name, "nonlocal");
+  EXPECT_EQ(event.flops, 16u * coefficients);
+  EXPECT_EQ(event.bytes, 2u * coefficients * sizeof(Complex));
+  EXPECT_EQ(event.dims[0], projectors.count());
+  EXPECT_EQ(event.dims[1], basis.size());
   double norm = 0.0;
   for (const Complex& value : out) norm += std::norm(value);
   EXPECT_GT(norm, 0.0);  // the potential actually did something
@@ -311,15 +326,23 @@ TEST_F(LrTddftFixture, ExcitationsSortedAndPositive) {
   EXPECT_LT(result.lowest_ev(), 10.0);
 }
 
-TEST_F(LrTddftFixture, PipelinePopulatesAllKernelCounters) {
+TEST_F(LrTddftFixture, PipelineTracesEveryKernelClass) {
   LrTddftConfig config;
   config.valence_window = 2;
   config.conduction_window = 2;
-  const LrTddftResult result = solve_lrtddft(basis, ground, config);
-  EXPECT_GT(result.counts.at(KernelClass::kFft).flops, 0u);
-  EXPECT_GT(result.counts.at(KernelClass::kFaceSplit).flops, 0u);
-  EXPECT_GT(result.counts.at(KernelClass::kGemm).flops, 0u);
-  EXPECT_GT(result.counts.at(KernelClass::kSyevd).flops, 0u);
+  TraceRecorder recorder;
+  {
+    TraceScope scope(recorder);
+    solve_lrtddft(basis, ground, config);
+  }
+  const KernelTrace trace = recorder.take();
+  EXPECT_GT(trace.flops_of(KernelClass::kFft), 0u);
+  EXPECT_GT(trace.flops_of(KernelClass::kFaceSplit), 0u);
+  EXPECT_GT(trace.flops_of(KernelClass::kGemm), 0u);
+  EXPECT_GT(trace.flops_of(KernelClass::kSyevd), 0u);
+  for (const TraceEvent& event : trace.events) {
+    EXPECT_EQ(event.stage, "lrtddft") << event.name;
+  }
 }
 
 TEST_F(LrTddftFixture, HartreeKernelShiftsExcitationsUp) {

@@ -335,6 +335,39 @@ TEST_F(DegradationTest, FallbackMatchesPartialSolverNumerics) {
   }
 }
 
+TEST_F(DegradationTest, DegradedWindowSolveRecordsTheFullSolve) {
+  // A window solve that falls back to syevd records the solve it ran:
+  // the faulted first iteration is priced as the full n = 179 solve, the
+  // second as the (179, 24) window again.
+  EngineConfig config = fast_config();
+  config.fault_spec = "solver.syevd_partial=1.0@1";
+  Engine engine(config);
+  ScfJob job;
+  job.record_trace = true;
+  job.scf.max_iterations = 2;
+  job.scf.tolerance = 1e-2;
+  const JobResult result = engine.run(job);
+  ASSERT_TRUE(result.ok()) << result.error_message;
+  ASSERT_TRUE(result.trace.has_value());
+  std::vector<TraceEvent> solves;
+  for (const TraceEvent& e : result.trace->events) {
+    if (e.name == "syevd.partial") solves.push_back(e);
+  }
+  ASSERT_EQ(solves.size(), 2u);
+  const dft::SyevdCost full = dft::syevd_cost(179);
+  const dft::SyevdCost window = dft::syevd_partial_cost(179, 24);
+  EXPECT_EQ(solves[0].stage, "scf[0]");
+  EXPECT_EQ(solves[0].flops, full.flops);
+  EXPECT_EQ(solves[0].bytes, full.bytes);
+  EXPECT_EQ(solves[1].stage, "scf[1]");
+  EXPECT_EQ(solves[1].flops, window.flops);
+  EXPECT_EQ(solves[1].bytes, window.bytes);
+  for (const TraceEvent& solve : solves) {
+    EXPECT_EQ(solve.dims[0], 179u);
+    EXPECT_EQ(solve.dims[1], 24u);
+  }
+}
+
 TEST_F(DegradationTest, TraceRecorderFaultDowngradesToUntraced) {
   EngineConfig config = fast_config();
   config.fault_spec = "trace.recorder=1.0";

@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "common/kernel_trace.hpp"
 #include "dft/basis.hpp"
 #include "dft/epm.hpp"
 #include "dft/fft.hpp"
@@ -158,11 +159,15 @@ TEST(WorkloadTest, FftCostMatchesFunctionalKernel) {
   const Crystal crystal = Crystal::silicon_supercell(8);
   const PlaneWaveBasis basis(crystal, 2.0);
   Grid3 grid(basis.fft_dims()[0], basis.fft_dims()[1], basis.fft_dims()[2]);
-  OpCount measured;
-  fft3d(grid, FftDirection::kForward, &measured);
+  TraceRecorder recorder;
+  {
+    TraceScope scope(recorder);
+    fft3d(grid, FftDirection::kForward);
+  }
+  const Flops measured = recorder.take().flops_of(KernelClass::kFft);
   const double n = static_cast<double>(grid.size());
   const double analytic_per_point = 5.0 * std::log2(n);
-  const double measured_per_point = static_cast<double>(measured.flops) / n;
+  const double measured_per_point = static_cast<double>(measured) / n;
   EXPECT_GT(measured_per_point, analytic_per_point * 0.5);
   EXPECT_LT(measured_per_point, analytic_per_point * 2.0);
 }
@@ -177,10 +182,14 @@ TEST(WorkloadTest, FaceSplitBytesMatchFunctionalCounts) {
   LrTddftConfig config;
   config.valence_window = 2;
   config.conduction_window = 2;
-  const LrTddftResult result = solve_lrtddft(basis, ground, config);
-  const OpCount& face = result.counts.at(KernelClass::kFaceSplit);
+  TraceRecorder recorder;
+  LrTddftResult result;
+  {
+    TraceScope scope(recorder);
+    result = solve_lrtddft(basis, ground, config);
+  }
   const double per_point =
-      static_cast<double>(face.bytes) /
+      static_cast<double>(recorder.take().bytes_of(KernelClass::kFaceSplit)) /
       (static_cast<double>(result.pair_count) *
        static_cast<double>(basis.fft_size()));
   EXPECT_GT(per_point, 50.0);
