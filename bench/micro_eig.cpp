@@ -3,9 +3,12 @@
 // reference (syevd_naive), plus the partial-spectrum solver
 // (syevd_partial, lowest n/8 pairs) against the full solve, across
 // problem sizes and pool widths, plus syevd_partial at the physics
-// callers' shapes with its reduce / tridiag / backtransform stage split.
-// Results go to BENCH_eig.json for cross-commit tracking; docs/PERF.md
-// quotes a snapshot.
+// callers' shapes with its reduce / tridiag / backtransform stage split,
+// plus the other kernels the Si_8 jobs spend their time in: fft3d
+// forward+inverse pairs on the 8^3 and 15^3 job grids and the LR-TDDFT
+// kernels' 64x64x512 complex GEMM, at pool widths 1 and 2. Results go to
+// BENCH_eig.json for cross-commit tracking; docs/PERF.md quotes a
+// snapshot.
 //
 // Pool widths are interleaved: each rep visits every width of a size
 // once, in an order rotated per rep, so host drift over the sweep lands
@@ -24,6 +27,7 @@
 //                              bench_micro_eig_smoke)
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -37,6 +41,7 @@
 #include "common/str_util.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
+#include "dft/fft.hpp"
 #include "dft/linalg.hpp"
 
 using namespace ndft;
@@ -121,6 +126,43 @@ struct ProductionSample {
 };
 constexpr std::size_t kProductionShapes[][2] = {{179, 24}, {137, 8}};
 constexpr int kProductionReps = 21;
+
+/// A job kernel timed per call: median over the reps of a batch of calls.
+/// FFTs run as forward+inverse pairs, which keep the grid finite (a
+/// forward-only loop overflows to inf/NaN within ~100 passes, and a
+/// non-finite complex product can take a far slower path).
+struct KernelSample {
+  std::string kernel;
+  std::size_t dims[3] = {0, 0, 0};
+  std::size_t calls = 0;  ///< calls per timed rep
+  std::vector<std::pair<std::size_t, double>> us;  ///< (threads, us/call)
+};
+constexpr int kKernelReps = 21;
+const std::vector<std::size_t> kKernelWidths = {1, 2};
+
+/// Times `call` per invocation at each of kKernelWidths, interleaved:
+/// every visit makes one untimed call, then `calls` timed ones.
+template <typename Call>
+KernelSample time_kernel(const char* kernel,
+                         std::array<std::size_t, 3> dims, std::size_t calls,
+                         Call&& call) {
+  KernelSample sample;
+  sample.kernel = kernel;
+  std::copy(dims.begin(), dims.end(), sample.dims);
+  sample.calls = calls;
+  std::vector<std::vector<double>> t(kKernelWidths.size());
+  interleaved(kKernelWidths, kKernelReps, [&](std::size_t w) {
+    call();
+    t[w].push_back(1e3 * time_ms([&] {
+                     for (std::size_t c = 0; c < calls; ++c) call();
+                   }) /
+                   static_cast<double>(calls));
+  });
+  for (std::size_t w = 0; w < kKernelWidths.size(); ++w) {
+    sample.us.emplace_back(kKernelWidths[w], median(t[w]));
+  }
+  return sample;
+}
 
 struct SizeSample {
   std::size_t n = 0;
@@ -252,6 +294,38 @@ int main(int argc, char** argv) try {
     production.push_back(std::move(sample));
   }
 
+  std::vector<KernelSample> kernels;
+  for (const std::size_t n : {8, 15}) {
+    dft::Grid3 grid(n, n, n);
+    Prng prng(2000 + n);
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      grid[i] = dft::Complex{prng.next_double(-1, 1), prng.next_double(-1, 1)};
+    }
+    kernels.push_back(
+        time_kernel("fft3d_pair", {n, n, n}, n == 8 ? 400 : 40, [&] {
+          dft::fft3d(grid, dft::FftDirection::kForward);
+          dft::fft3d(grid, dft::FftDirection::kInverse);
+        }));
+  }
+  {
+    // K_H / K_xc: C (64 x 64) = A (64 x 512) B^T into a sized C.
+    dft::ComplexMatrix a(64, 512);
+    dft::ComplexMatrix b(64, 512);
+    Prng prng(3000);
+    for (dft::ComplexMatrix* matrix : {&a, &b}) {
+      for (std::size_t i = 0; i < 64; ++i) {
+        for (std::size_t j = 0; j < 512; ++j) {
+          (*matrix)(i, j) =
+              dft::Complex{prng.next_double(-1, 1), prng.next_double(-1, 1)};
+        }
+      }
+    }
+    dft::ComplexMatrix c(64, 64);
+    kernels.push_back(time_kernel("gemm_complex", {64, 64, 512}, 20, [&] {
+      dft::gemm(a, b, c, dft::Complex{1.0, 0.0}, dft::Complex{}, false, true);
+    }));
+  }
+
   pool.resize(original_threads);
 
   TextTable table({"n", "naive", "threads", "syevd", "vs naive",
@@ -286,6 +360,16 @@ int main(int argc, char** argv) try {
   }
   std::printf("syevd_partial at the production shapes (median of %d):\n%s\n",
               kProductionReps, stage_table.render().c_str());
+  TextTable kernel_table({"kernel", "dims", "threads", "per call"});
+  for (const KernelSample& k : kernels) {
+    for (const auto& [threads, us] : k.us) {
+      kernel_table.add_row(
+          {k.kernel, strformat("%zux%zux%zu", k.dims[0], k.dims[1], k.dims[2]),
+           strformat("%zu", threads), strformat("%.1f us", us)});
+    }
+  }
+  std::printf("job kernels (median of %d):\n%s\n", kKernelReps,
+              kernel_table.render().c_str());
 
   Json bench = Json::object();
   bench.set("bench", "eig_syevd");
@@ -341,6 +425,26 @@ int main(int argc, char** argv) try {
     production_entries.push_back(std::move(entry));
   }
   bench.set("production", std::move(production_entries));
+  Json kernel_entries = Json::array();
+  for (const KernelSample& k : kernels) {
+    Json entry = Json::object();
+    entry.set("kernel", k.kernel);
+    Json dims = Json::array();
+    for (const std::size_t d : k.dims) dims.push_back(Json(d));
+    entry.set("dims", std::move(dims));
+    entry.set("reps", static_cast<std::size_t>(kKernelReps));
+    entry.set("calls_per_rep", k.calls);
+    Json runs = Json::array();
+    for (const auto& [threads, us] : k.us) {
+      Json run = Json::object();
+      run.set("threads", threads);
+      run.set("us", us);
+      runs.push_back(std::move(run));
+    }
+    entry.set("runs", std::move(runs));
+    kernel_entries.push_back(std::move(entry));
+  }
+  bench.set("kernels", std::move(kernel_entries));
   const char* path = "BENCH_eig.json";
   if (write_bench_json(path, bench)) {
     std::printf("wrote %zu size records to %s\n", samples.size(), path);

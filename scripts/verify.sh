@@ -37,7 +37,9 @@
 #                  simulator unit tests (sim, cache, cpu, mem, noc, ndp:
 #                  the event core's slot reuse and in-place callables, and
 #                  every component queue on it), common_test (the thread
-#                  pool's join/close hand-off) and linalg_test and
+#                  pool's join/close hand-off), fft_test (the FFT line
+#                  engine's lane buffers, its loads straight from grid
+#                  storage and the plan cache) and linalg_test and
 #                  kpoints_test (the window solver's reused workspace
 #                  buffers, GEMM pack regions and per-thread k-point
 #                  solvers) under it; any sanitizer report fails the
@@ -46,8 +48,9 @@
 #   --tsan         additionally build a ThreadSanitizer tree (build-tsan,
 #                  `cmake --preset tsan`: -fsanitize=thread) and run
 #                  common_test (the thread pool, with its join/close
-#                  stress and placement tests), linalg_test and
-#                  kpoints_test (the pool's heaviest callers: GEMM row
+#                  stress and placement tests), fft_test (plans built
+#                  while four threads race for a new length), linalg_test
+#                  and kpoints_test (the pool's heaviest callers: GEMM row
 #                  blocks and the band k-loop) and the net and shard
 #                  tiers (the HTTP server's connection threads, the
 #                  client, the Engine's dispatchers and the scatter
@@ -135,14 +138,14 @@ if [ "$SANITIZE" -eq 1 ]; then
   # solver's, where workspace buffers are reused across solves and
   # threads; -fno-sanitize-recover=all makes any report fail the run.
   SAN_DIR="build-asan"
-  UNIT_TESTS='^(sim|cache|cpu|mem|noc|ndp|common|linalg|kpoints)_test$'
+  UNIT_TESTS='^(sim|cache|cpu|mem|noc|ndp|common|fft|linalg|kpoints)_test$'
   cmake -B "$SAN_DIR" -S . -DNDFT_SANITIZE=ON
   cmake --build "$SAN_DIR" -j "$JOBS"
   ctest --test-dir "$SAN_DIR" -L 'api|robust|net|shard' --output-on-failure \
     -j "$JOBS"
   ctest --test-dir "$SAN_DIR" -R "$UNIT_TESTS" --output-on-failure \
     -j "$JOBS"
-  echo "sanitize (api|robust|net|shard + simulator, common, linalg, kpoints unit tests): OK ($SAN_DIR)"
+  echo "sanitize (api|robust|net|shard + simulator, common, fft, linalg, kpoints unit tests): OK ($SAN_DIR)"
 fi
 
 if [ "$TSAN" -eq 1 ]; then
@@ -150,12 +153,12 @@ if [ "$TSAN" -eq 1 ]; then
   # nonzero from a run that reported a race, so ctest fails it.
   TSAN_DIR="build-tsan"
   cmake --preset tsan
-  cmake --build "$TSAN_DIR" -j "$JOBS" --target common_test linalg_test \
-    kpoints_test net_test shard_test
-  ctest --test-dir "$TSAN_DIR" -R '^(common|linalg|kpoints)_test$' \
+  cmake --build "$TSAN_DIR" -j "$JOBS" --target common_test fft_test \
+    linalg_test kpoints_test net_test shard_test
+  ctest --test-dir "$TSAN_DIR" -R '^(common|fft|linalg|kpoints)_test$' \
     --output-on-failure -j "$JOBS"
   ctest --test-dir "$TSAN_DIR" -L 'net|shard' --output-on-failure -j "$JOBS"
-  echo "tsan (common, linalg, kpoints + net|shard): OK ($TSAN_DIR)"
+  echo "tsan (common, fft, linalg, kpoints + net|shard): OK ($TSAN_DIR)"
 fi
 
 if [ "$PORTABLE" -eq 1 ]; then

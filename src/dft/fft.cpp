@@ -1,9 +1,12 @@
 #include "dft/fft.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <mutex>
 #include <numbers>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 
 #include "common/kernel_trace.hpp"
 #include "common/math_util.hpp"
@@ -27,20 +30,243 @@ std::size_t small_factor(std::size_t n) {
   return 0;
 }
 
-/// Conjugates on demand so one forward twiddle table serves both
-/// directions.
-template <bool Inverse>
-Complex directed(const Complex& root) {
-  if constexpr (Inverse) {
-    return std::conj(root);
-  } else {
-    return root;
+/// The engine's two lane layouts: the element type V of the split re/im
+/// buffers, a broadcast and an fma on it.
+///
+/// One line on plain doubles (execute, and batches of one).
+struct ScalarLanes {
+  using V = double;
+  static V splat(double x) { return x; }
+  static V fma(V a, V b, V c) { return __builtin_fma(a, b, c); }
+};
+
+/// kMaxLines lines side by side: lane b of element i is line b's element
+/// i, held as two four-lane GNU vectors. Four lanes is the width GCC
+/// vectorises a per-lane fma loop to (one vfmadd on FMA machines, a libm
+/// fma per lane elsewhere); eight-lane vectors turn it into scalar fmas.
+/// Reduced alignment (any Complex buffer will do) and may_alias (lanes
+/// load straight from Complex storage), like the SSE/AVX `_u` types; GCC
+/// drops both attributes from a typedef passed as a template argument,
+/// so templates name these types only through the layout.
+struct VectorLanes {
+  typedef double Half
+      __attribute__((vector_size(32), aligned(8), __may_alias__));
+  struct __attribute__((__may_alias__)) V {
+    Half lo;  ///< lanes 0-3
+    Half hi;  ///< lanes 4-7
+    friend V operator+(V a, V b) { return {a.lo + b.lo, a.hi + b.hi}; }
+    friend V operator-(V a, V b) { return {a.lo - b.lo, a.hi - b.hi}; }
+    friend V operator*(V a, V b) { return {a.lo * b.lo, a.hi * b.hi}; }
+    friend V operator-(V a) { return {-a.lo, -a.hi}; }
+  };
+  /// Every lane set to `x`, sign of zero included (adding x to a zero
+  /// vector would turn -0.0 into +0.0).
+  static V splat(double x) {
+    const Half half{x, x, x, x};
+    return {half, half};
+  }
+  [[gnu::always_inline]] static Half fma(Half a, Half b, Half c) {
+    Half r;
+    for (int l = 0; l < 4; ++l) r[l] = __builtin_fma(a[l], b[l], c[l]);
+    return r;
+  }
+  [[gnu::always_inline]] static V fma(V a, V b, V c) {
+    return {fma(a.lo, b.lo, c.lo), fma(a.hi, b.hi, c.hi)};
+  }
+};
+using Lanes = VectorLanes::V;
+using Half = VectorLanes::Half;
+static_assert(sizeof(Lanes) == FftPlan::kMaxLines * sizeof(double));
+
+/// Loads element i of `count` lines (line b at src[b * line_stride]) into
+/// the lanes, +0.0 past the last line.
+inline void load_lanes(const Complex* src, std::size_t count,
+                       std::size_t line_stride, Lanes& re, Lanes& im) {
+  if (count == FftPlan::kMaxLines && line_stride == 1) {
+    const Half* pairs = reinterpret_cast<const Half*>(src);  // 2 per Half
+    const Half a = pairs[0];
+    const Half b = pairs[1];
+    const Half c = pairs[2];
+    const Half d = pairs[3];
+    re = {Half{a[0], a[2], b[0], b[2]}, Half{c[0], c[2], d[0], d[2]}};
+    im = {Half{a[1], a[3], b[1], b[3]}, Half{c[1], c[3], d[1], d[3]}};
+    return;
+  }
+  re = Lanes{};
+  im = Lanes{};
+  for (std::size_t b = 0; b < count; ++b) {
+    Half& r = b < 4 ? re.lo : re.hi;
+    Half& m = b < 4 ? im.lo : im.hi;
+    r[b % 4] = src[b * line_stride].real();
+    m[b % 4] = src[b * line_stride].imag();
   }
 }
 
-/// Lines gathered per batch in the strided (Y/Z) fft3d passes: enough that
-/// every cache line fetched from the grid is used fully while hot.
-constexpr std::size_t kLineBatch = 8;
+inline void store_lanes(Complex* dst, std::size_t count,
+                        std::size_t line_stride, Lanes re, Lanes im) {
+  if (count == FftPlan::kMaxLines && line_stride == 1) {
+    Half* pairs = reinterpret_cast<Half*>(dst);
+    pairs[0] = Half{re.lo[0], im.lo[0], re.lo[1], im.lo[1]};
+    pairs[1] = Half{re.lo[2], im.lo[2], re.lo[3], im.lo[3]};
+    pairs[2] = Half{re.hi[0], im.hi[0], re.hi[1], im.hi[1]};
+    pairs[3] = Half{re.hi[2], im.hi[2], re.hi[3], im.hi[3]};
+    return;
+  }
+  for (std::size_t b = 0; b < count; ++b) {
+    const Half& r = b < 4 ? re.lo : re.hi;
+    const Half& m = b < 4 ? im.lo : im.hi;
+    dst[b * line_stride] = Complex{r[b % 4], m[b % 4]};
+  }
+}
+
+inline void load_lanes(const Complex* src, std::size_t, std::size_t,
+                       double& re, double& im) {
+  re = src->real();
+  im = src->imag();
+}
+
+inline void store_lanes(Complex* dst, std::size_t, std::size_t, double re,
+                        double im) {
+  *dst = Complex{re, im};
+}
+
+/// Contiguous lines (the X pass): elements i and i+1 of the kMaxLines
+/// lines at src + b * line_stride, transposed 4 x 4 per half into the
+/// lanes of (re0, im0) and (re1, im1).
+inline void load_pair(const Complex* src, std::size_t line_stride,
+                      Lanes& re0, Lanes& im0, Lanes& re1, Lanes& im1) {
+  Half* halves[4][2] = {{&re0.lo, &re0.hi},
+                        {&im0.lo, &im0.hi},
+                        {&re1.lo, &re1.hi},
+                        {&im1.lo, &im1.hi}};
+  for (int h = 0; h < 2; ++h) {
+    const Complex* line = src + 4 * h * line_stride;
+    const Half r0 = *reinterpret_cast<const Half*>(line);
+    const Half r1 = *reinterpret_cast<const Half*>(line + line_stride);
+    const Half r2 = *reinterpret_cast<const Half*>(line + 2 * line_stride);
+    const Half r3 = *reinterpret_cast<const Half*>(line + 3 * line_stride);
+    for (int c = 0; c < 4; ++c) {
+      *halves[c][h] = Half{r0[c], r1[c], r2[c], r3[c]};
+    }
+  }
+}
+
+inline void store_pair(Complex* dst, std::size_t line_stride, Lanes re0,
+                       Lanes im0, Lanes re1, Lanes im1) {
+  const Half* halves[4][2] = {{&re0.lo, &re0.hi},
+                              {&im0.lo, &im0.hi},
+                              {&re1.lo, &re1.hi},
+                              {&im1.lo, &im1.hi}};
+  for (int h = 0; h < 2; ++h) {
+    const Half& a = *halves[0][h];
+    const Half& b = *halves[1][h];
+    const Half& c = *halves[2][h];
+    const Half& d = *halves[3][h];
+    Complex* line = dst + 4 * h * line_stride;
+    for (int j = 0; j < 4; ++j) {
+      *reinterpret_cast<Half*>(line + j * line_stride) =
+          Half{a[j], b[j], c[j], d[j]};
+    }
+  }
+}
+
+/// The complex product (a + ib)(c + id) of a line value and a table
+/// factor (twiddle, rotation, chirp or spectrum; roots conjugated for
+/// the inverse), with the roundings GCC 12 gave the std::complex
+/// products of the scalar kernels this engine replaced: on FMA machines
+/// it fused them into vfmaddsub even under -ffp-contract=off, one
+/// product of each part rounded and the other fused into the add, and
+/// it paired them differently for forward and inverse factors. Keeping
+/// both forms keeps every power-of-two transform bit for bit what it was.
+template <typename L, bool Inverse>
+[[gnu::always_inline]] inline void product(
+    typename L::V a, typename L::V b, typename L::V c, typename L::V d,
+    typename L::V& re, typename L::V& im) {
+  re = L::fma(a, c, -(b * d));
+  if constexpr (Inverse) {
+    im = L::fma(b, c, a * d);
+  } else {
+    im = L::fma(a, d, b * c);
+  }
+}
+
+/// One radix-P decimation-in-time combine over blocks of P*m elements,
+/// in place: X[q + s*m] = sum_r w_p^(r*s) * (w^(r*q) * Sub_r[q]), the
+/// twiddled terms summed in r order. `tw_*` hold the (P-1) x m twiddles,
+/// `rot_*` the P x P rotations (r*s mod P), both already directed. Unit
+/// twiddles are multiplied like any other (skipping them would change
+/// the sign of some zeros).
+template <std::size_t P, typename L, bool Inverse>
+void radix_stage(typename L::V* re, typename L::V* im, std::size_t n,
+                 std::size_t m, const double* tw_re, const double* tw_im,
+                 const double* rot_re, const double* rot_im) {
+  using V = typename L::V;
+  for (std::size_t block = 0; block < n; block += P * m) {
+    V* xr = re + block;
+    V* xi = im + block;
+    for (std::size_t q = 0; q < m; ++q) {
+      V tr[P];
+      V ti[P];
+      tr[0] = xr[q];
+      ti[0] = xi[q];
+      for (std::size_t r = 1; r < P; ++r) {
+        product<L, Inverse>(xr[q + r * m], xi[q + r * m],
+                            L::splat(tw_re[(r - 1) * m + q]),
+                            L::splat(tw_im[(r - 1) * m + q]), tr[r], ti[r]);
+      }
+      if constexpr (P == 2) {
+        xr[q] = tr[0] + tr[1];
+        xi[q] = ti[0] + ti[1];
+        xr[q + m] = tr[0] - tr[1];
+        xi[q + m] = ti[0] - ti[1];
+      } else {
+        for (std::size_t s = 0; s < P; ++s) {
+          V acc_re = tr[0];
+          V acc_im = ti[0];
+          for (std::size_t r = 1; r < P; ++r) {
+            V p_re;
+            V p_im;
+            product<L, Inverse>(tr[r], ti[r], L::splat(rot_re[r * P + s]),
+                                L::splat(rot_im[r * P + s]), p_re, p_im);
+            acc_re = acc_re + p_re;
+            acc_im = acc_im + p_im;
+          }
+          xr[q + s * m] = acc_re;
+          xi[q + s * m] = acc_im;
+        }
+      }
+    }
+  }
+}
+
+/// x[k] = x[k] * (c[k] + i d[k]) for k < n.
+template <typename L, bool Inverse>
+void multiply(typename L::V* re, typename L::V* im, const double* c,
+              const double* d, std::size_t n) {
+  for (std::size_t k = 0; k < n; ++k) {
+    product<L, Inverse>(re[k], im[k], L::splat(c[k]), L::splat(d[k]), re[k],
+                        im[k]);
+  }
+}
+
+/// Digit-reversal order of a decimation-in-time transform of length n
+/// over the factors small_factor picks: the leaf at buffer position pos
+/// reads line element `start + j * stride`, and position_of[that] = pos.
+/// Built once per plan; the recursion depth is the number of factors.
+void build_positions(std::uint32_t* position_of, std::size_t n,
+                     std::size_t pos, std::size_t start,
+                     std::size_t stride) {
+  if (n == 1) {
+    position_of[start] = static_cast<std::uint32_t>(pos);
+    return;
+  }
+  const std::size_t p = small_factor(n);
+  const std::size_t m = n / p;
+  for (std::size_t r = 0; r < p; ++r) {
+    build_positions(position_of, m, pos + r * m, start + r * stride,
+                    stride * p);
+  }
+}
 
 }  // namespace
 
@@ -51,217 +277,228 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
     kind_ = Kind::kTrivial;
     return;
   }
-  if (is_pow2(n_)) {
-    kind_ = Kind::kPow2;
-    // Half-table of forward roots: stage `len` uses index k * (n/len),
-    // which stays below n/2 for every butterfly.
-    roots_.resize(n_ / 2);
-    for (std::size_t k = 0; k < n_ / 2; ++k) {
-      roots_[k] = unit_root(-static_cast<double>(k) / static_cast<double>(n_));
-    }
-    bitrev_.resize(n_);
-    for (std::size_t i = 0, j = 0; i < n_; ++i) {
-      bitrev_[i] = static_cast<std::uint32_t>(j);
-      std::size_t bit = n_ >> 1;
-      for (; j & bit; bit >>= 1) {
-        j ^= bit;
-      }
-      j |= bit;
-    }
-    workspace_size_ = 0;
-    return;
-  }
   if (is_friendly_size(n_)) {
-    kind_ = Kind::kMixed;
-    // Full forward root table: every recursion level works on a length
-    // n' dividing n, so w_{n'}^t = roots_[t * (n/n')].
-    roots_.resize(n_);
+    kind_ = Kind::kStages;
+    workspace_size_ = n_;
+    position_of_.resize(n_);
+    build_positions(position_of_.data(), n_, 0, 0, 1);
+    // Forward roots exp(-2*pi*i*k/n); level n' (dividing n) reads
+    // w_{n'}^t = roots[t * (n/n')].
+    std::vector<Complex> roots(n_);
     for (std::size_t k = 0; k < n_; ++k) {
-      roots_[k] = unit_root(-static_cast<double>(k) / static_cast<double>(n_));
+      roots[k] = unit_root(-static_cast<double>(k) / static_cast<double>(n_));
     }
-    // Workspace: an output line plus the recursion arena (one live `sub`
-    // buffer per level: n + n/p1 + n/(p1*p2) + ... < 2n).
-    std::size_t arena = 0;
+
+    // Levels top-down (length n, n/p1, n/(p1 p2), ...); the stages run
+    // them bottom-up.
     for (std::size_t level = n_; level > 1; level /= small_factor(level)) {
-      arena += level;
+      const std::size_t p = small_factor(level);
+      const std::size_t m = level / p;
+      Stage stage;
+      stage.radix = static_cast<std::uint32_t>(p);
+      stage.span = static_cast<std::uint32_t>(m);
+      stage.twiddles = static_cast<std::uint32_t>(twiddle_re_.size());
+      stage.rotations = static_cast<std::uint32_t>(rotation_re_.size());
+      const std::size_t root_stride = n_ / level;
+      for (std::size_t r = 1; r < p; ++r) {
+        for (std::size_t q = 0; q < m; ++q) {
+          const Complex w = roots[r * q * root_stride];
+          twiddle_re_.push_back(w.real());
+          twiddle_im_[0].push_back(w.imag());
+          twiddle_im_[1].push_back(-w.imag());
+        }
+      }
+      if (p > 2) {
+        for (std::size_t r = 0; r < p; ++r) {
+          for (std::size_t s = 0; s < p; ++s) {
+            const Complex w = roots[((r * s) % p) * (n_ / p)];
+            rotation_re_.push_back(w.real());
+            rotation_im_[0].push_back(w.imag());
+            rotation_im_[1].push_back(-w.imag());
+          }
+        }
+      }
+      stages_.push_back(stage);
     }
-    workspace_size_ = n_ + arena;
+    std::reverse(stages_.begin(), stages_.end());
     return;
   }
 
   kind_ = Kind::kBluestein;
+  const std::size_t conv_n = next_pow2(2 * n_ - 1);
+  workspace_size_ = conv_n;
+  position_of_.resize(n_);
+  for (std::size_t k = 0; k < n_; ++k) {
+    position_of_[k] = static_cast<std::uint32_t>(k);
+  }
   // Forward chirp is w^{k^2/2} with w = exp(-2*pi*i/n); k^2 mod 2n avoids
   // catastrophic angle loss for large k (lengths stay far below 2^32).
-  chirp_.resize(n_);
+  std::vector<Complex> chirp(n_);
   for (std::size_t k = 0; k < n_; ++k) {
     const std::size_t k2 = (k * k) % (2 * n_);
-    chirp_[k] = unit_root(-0.5 * static_cast<double>(k2) /
-                          static_cast<double>(n_));
+    chirp[k] = unit_root(-0.5 * static_cast<double>(k2) /
+                         static_cast<double>(n_));
+    chirp_re_.push_back(chirp[k].real());
+    chirp_im_[0].push_back(chirp[k].imag());
+    chirp_im_[1].push_back(-chirp[k].imag());
   }
-  const std::size_t conv_n = next_pow2(2 * n_ - 1);
   conv_plan_ = std::make_unique<FftPlan>(conv_n);
   // Convolution kernels b_k = w^{-k^2/2} for each direction, transformed
-  // once here so execute() only does the two data FFTs.
-  b_spec_fwd_.assign(conv_n, Complex{});
-  b_spec_inv_.assign(conv_n, Complex{});
-  for (std::size_t k = 0; k < n_; ++k) {
-    b_spec_fwd_[k] = std::conj(chirp_[k]);
-    b_spec_inv_[k] = chirp_[k];
-    if (k > 0) {
-      b_spec_fwd_[conv_n - k] = std::conj(chirp_[k]);
-      b_spec_inv_[conv_n - k] = chirp_[k];
+  // once here so a transform only does the two data FFTs.
+  std::vector<Complex> work(conv_plan_->workspace_size());
+  for (const int inverse : {0, 1}) {
+    std::vector<Complex> kernel(conv_n);
+    for (std::size_t k = 0; k < n_; ++k) {
+      const Complex b = inverse ? chirp[k] : std::conj(chirp[k]);
+      kernel[k] = b;
+      if (k > 0) kernel[conv_n - k] = b;
+    }
+    conv_plan_->execute(kernel.data(), work.data(), FftDirection::kForward);
+    for (const Complex& value : kernel) {
+      spectrum_re_[inverse].push_back(value.real());
+      spectrum_im_[inverse].push_back(value.imag());
     }
   }
-  conv_plan_->pow2_core<false>(b_spec_fwd_.data());
-  conv_plan_->pow2_core<false>(b_spec_inv_.data());
-  workspace_size_ = conv_n;
 }
 
 FftPlan::~FftPlan() = default;
 
-template <bool Inverse>
-void FftPlan::pow2_core(Complex* data) const {
-  const std::size_t n = n_;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t j = bitrev_[i];
+template <typename L, bool Inverse>
+void FftPlan::run_stages(typename L::V* re, typename L::V* im) const {
+  const double* tw_im = twiddle_im_[Inverse].data();
+  const double* rot_im = rotation_im_[Inverse].data();
+  for (const Stage& stage : stages_) {
+    const double* wr = twiddle_re_.data() + stage.twiddles;
+    const double* wi = tw_im + stage.twiddles;
+    const double* cr = rotation_re_.data() + stage.rotations;
+    const double* ci = rot_im + stage.rotations;
+    switch (stage.radix) {
+      case 2:
+        radix_stage<2, L, Inverse>(re, im, n_, stage.span, wr, wi, cr, ci);
+        break;
+      case 3:
+        radix_stage<3, L, Inverse>(re, im, n_, stage.span, wr, wi, cr, ci);
+        break;
+      default:
+        radix_stage<5, L, Inverse>(re, im, n_, stage.span, wr, wi, cr, ci);
+        break;
+    }
+  }
+}
+
+template <typename L>
+void FftPlan::permute(typename L::V* re, typename L::V* im) const {
+  // Power-of-two plans only: bit reversal is its own inverse, so swapping
+  // each pair once reorders in place.
+  for (std::size_t i = 0; i < n_; ++i) {
+    const std::size_t j = position_of_[i];
     if (i < j) {
-      std::swap(data[i], data[j]);
-    }
-  }
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const std::size_t half = len / 2;
-    const std::size_t root_stride = n / len;
-    for (std::size_t block = 0; block < n; block += len) {
-      Complex* lo = data + block;
-      Complex* hi = lo + half;
-      for (std::size_t k = 0; k < half; ++k) {
-        const Complex w = directed<Inverse>(roots_[k * root_stride]);
-        const Complex even = lo[k];
-        const Complex odd = hi[k] * w;
-        lo[k] = even + odd;
-        hi[k] = even - odd;
-      }
+      std::swap(re[i], re[j]);
+      std::swap(im[i], im[j]);
     }
   }
 }
 
-template <bool Inverse>
-void FftPlan::mixed_recurse(const Complex* in, Complex* out, std::size_t n,
-                            std::size_t stride, Complex* work) const {
-  if (n == 1) {
-    out[0] = in[0];
-    return;
+template <typename L, bool Inverse>
+void FftPlan::run_bluestein(typename L::V* re, typename L::V* im) const {
+  using V = typename L::V;
+  // The line sits in natural order in [0, n); the convolution runs on
+  // conv_n points through the power-of-two plan.
+  const FftPlan& conv = *conv_plan_;
+  const std::size_t conv_n = conv.length();
+  multiply<L, Inverse>(re, im, chirp_re_.data(), chirp_im_[Inverse].data(),
+                       n_);
+  for (std::size_t k = n_; k < conv_n; ++k) {
+    re[k] = V{};
+    im[k] = V{};
   }
-  if (n == 2) {
-    const Complex a = in[0];
-    const Complex b = in[stride];
-    out[0] = a + b;
-    out[1] = a - b;
-    return;
+  conv.permute<L>(re, im);
+  conv.run_stages<L, false>(re, im);
+  multiply<L, Inverse>(re, im, spectrum_re_[Inverse].data(),
+                       spectrum_im_[Inverse].data(), conv_n);
+  conv.permute<L>(re, im);
+  conv.run_stages<L, true>(re, im);
+  const V scale = L::splat(1.0 / static_cast<double>(conv_n));
+  for (std::size_t k = 0; k < n_; ++k) {
+    re[k] = re[k] * scale;
+    im[k] = im[k] * scale;
   }
-  const std::size_t p = small_factor(n);
-  NDFT_ASSERT(p != 0);
-  const std::size_t m = n / p;
-  const std::size_t root_stride = n_ / n;  // table is built for length n_
-
-  // Sub-transforms of the p decimated sequences, laid out back to back in
-  // this level's slice of the arena.
-  Complex* sub = work;
-  for (std::size_t r = 0; r < p; ++r) {
-    mixed_recurse<Inverse>(in + r * stride, sub + r * m, m, stride * p,
-                           work + n);
-  }
-
-  // Combine: X[q + s*m] = sum_r w_n^{r q} * w_p^{r s} * Sub_r[q].
-  if (p == 2) {
-    for (std::size_t q = 0; q < m; ++q) {
-      const Complex w = directed<Inverse>(roots_[q * root_stride]);
-      const Complex t = sub[m + q] * w;
-      out[q] = sub[q] + t;
-      out[q + m] = sub[q] - t;
-    }
-    return;
-  }
-  const std::size_t p_root_stride = n_ / p;
-  for (std::size_t q = 0; q < m; ++q) {
-    Complex twiddled[5];
-    twiddled[0] = sub[q];
-    for (std::size_t r = 1; r < p; ++r) {
-      const Complex w = directed<Inverse>(roots_[r * q * root_stride]);
-      twiddled[r] = sub[r * m + q] * w;
-    }
-    for (std::size_t s = 0; s < p; ++s) {
-      Complex acc = twiddled[0];
-      for (std::size_t r = 1; r < p; ++r) {
-        const Complex w =
-            directed<Inverse>(roots_[((r * s) % p) * p_root_stride]);
-        acc += twiddled[r] * w;
-      }
-      out[q + s * m] = acc;
-    }
-  }
+  multiply<L, Inverse>(re, im, chirp_re_.data(), chirp_im_[Inverse].data(),
+                       n_);
 }
 
-template <bool Inverse>
-void FftPlan::bluestein_core(Complex* data, Complex* work) const {
-  const std::size_t n = n_;
-  const std::size_t conv_n = conv_plan_->length();
-  Complex* a = work;
-  for (std::size_t k = 0; k < n; ++k) {
-    a[k] = data[k] * directed<Inverse>(chirp_[k]);
+template <typename L, bool Inverse>
+void FftPlan::transform(Complex* base, std::size_t count,
+                        std::size_t line_stride, std::size_t stride,
+                        typename L::V* re, typename L::V* im) const {
+  using V = typename L::V;
+  // Eight contiguous lines (the X pass) load and store two elements at a
+  // time through 4 x 4 transposes; other layouts go element by element.
+  constexpr bool kVector = std::is_same_v<L, VectorLanes>;
+  const std::size_t paired =
+      kVector && count == kMaxLines && stride == 1 ? n_ & ~std::size_t{1}
+                                                   : 0;
+  if constexpr (kVector) {
+    for (std::size_t i = 0; i < paired; i += 2) {
+      load_pair(base + i, line_stride, re[position_of_[i]],
+                im[position_of_[i]], re[position_of_[i + 1]],
+                im[position_of_[i + 1]]);
+    }
   }
-  for (std::size_t k = n; k < conv_n; ++k) {
-    a[k] = Complex{};
+  for (std::size_t i = paired; i < n_; ++i) {
+    load_lanes(base + i * stride, count, line_stride, re[position_of_[i]],
+               im[position_of_[i]]);
   }
-  conv_plan_->pow2_core<false>(a);
-  const std::vector<Complex>& b_spec = Inverse ? b_spec_inv_ : b_spec_fwd_;
-  for (std::size_t k = 0; k < conv_n; ++k) {
-    a[k] *= b_spec[k];
+  if (kind_ == Kind::kBluestein) {
+    run_bluestein<L, Inverse>(re, im);
+  } else {
+    run_stages<L, Inverse>(re, im);
   }
-  conv_plan_->pow2_core<true>(a);
-  const double scale = 1.0 / static_cast<double>(conv_n);
-  for (std::size_t k = 0; k < n; ++k) {
-    data[k] = a[k] * scale * directed<Inverse>(chirp_[k]);
+  // The inverse's 1/n, one multiply per part on the way out.
+  const V scale = L::splat(1.0 / static_cast<double>(n_));
+  const auto out = [&](std::size_t i, V& r, V& m) {
+    r = Inverse ? re[i] * scale : re[i];
+    m = Inverse ? im[i] * scale : im[i];
+  };
+  if constexpr (kVector) {
+    for (std::size_t i = 0; i < paired; i += 2) {
+      V r0, m0, r1, m1;
+      out(i, r0, m0);
+      out(i + 1, r1, m1);
+      store_pair(base + i, line_stride, r0, m0, r1, m1);
+    }
+  }
+  for (std::size_t i = paired; i < n_; ++i) {
+    V r, m;
+    out(i, r, m);
+    store_lanes(base + i * stride, count, line_stride, r, m);
   }
 }
 
 void FftPlan::execute(Complex* data, Complex* work,
                       FftDirection direction) const {
+  execute_lines(data, 1, 0, 1, work, direction);
+}
+
+void FftPlan::execute_lines(Complex* base, std::size_t count,
+                            std::size_t line_stride, std::size_t stride,
+                            Complex* work, FftDirection direction) const {
+  NDFT_ASSERT(count >= 1 && count <= kMaxLines);
+  if (kind_ == Kind::kTrivial) return;
   const bool inverse = (direction == FftDirection::kInverse);
-  switch (kind_) {
-    case Kind::kTrivial:
-      return;
-    case Kind::kPow2:
-      if (inverse) {
-        pow2_core<true>(data);
-      } else {
-        pow2_core<false>(data);
-      }
-      break;
-    case Kind::kMixed: {
-      // work = [output line | recursion arena].
-      Complex* out = work;
-      if (inverse) {
-        mixed_recurse<true>(data, out, n_, 1, work + n_);
-      } else {
-        mixed_recurse<false>(data, out, n_, 1, work + n_);
-      }
-      std::copy(out, out + n_, data);
-      break;
-    }
-    case Kind::kBluestein:
-      if (inverse) {
-        bluestein_core<true>(data, work);
-      } else {
-        bluestein_core<false>(data, work);
-      }
-      break;
-  }
-  if (inverse) {
-    const double scale = 1.0 / static_cast<double>(n_);
-    for (std::size_t k = 0; k < n_; ++k) {
-      data[k] *= scale;
-    }
+  if (count == 1) {
+    // A batch of one runs the same engine on scalar lanes.
+    double* re = reinterpret_cast<double*>(work);
+    double* im = re + workspace_size_;
+    inverse ? transform<ScalarLanes, true>(base, 1, 0, stride, re, im)
+            : transform<ScalarLanes, false>(base, 1, 0, stride, re, im);
+  } else {
+    Lanes* re = reinterpret_cast<Lanes*>(work);
+    Lanes* im = re + workspace_size_;
+    inverse ? transform<VectorLanes, true>(base, count, line_stride, stride,
+                                           re, im)
+            : transform<VectorLanes, false>(base, count, line_stride,
+                                            stride, re, im);
   }
 }
 
@@ -312,48 +549,6 @@ Flops fft_flops(std::size_t n) {
   return static_cast<Flops>(5.0 * static_cast<double>(n) * logn);
 }
 
-namespace {
-
-/// Transforms `batch` lines that are adjacent in x: line b has elements
-/// base[b + i * stride]. The gather walks the grid with unit stride in b,
-/// so every fetched cache line is consumed whole while hot.
-/// Out of line, like transform_x_lines below: the Y and Z passes run one
-/// compiled copy of the line kernels, so no inlining site can compile
-/// the arithmetic differently and move a bit of the pinned results.
-[[gnu::noinline]] void transform_line_batch(
-    Complex* base, std::size_t batch, std::size_t len, std::size_t stride,
-    const FftPlan& plan, FftDirection direction, Complex* gather,
-    Complex* work) {
-  for (std::size_t i = 0; i < len; ++i) {
-    const Complex* src = base + i * stride;
-    for (std::size_t b = 0; b < batch; ++b) {
-      gather[b * len + i] = src[b];
-    }
-  }
-  for (std::size_t b = 0; b < batch; ++b) {
-    plan.execute(gather + b * len, work, direction);
-  }
-  for (std::size_t i = 0; i < len; ++i) {
-    Complex* dst = base + i * stride;
-    for (std::size_t b = 0; b < batch; ++b) {
-      dst[b] = gather[b * len + i];
-    }
-  }
-}
-
-/// Transforms `count` contiguous X lines starting at `base` in place.
-/// Out of line for the reason given at transform_line_batch.
-[[gnu::noinline]] void transform_x_lines(Complex* base, std::size_t count,
-                                         std::size_t nx, const FftPlan& plan,
-                                         FftDirection direction,
-                                         Complex* work) {
-  for (std::size_t line = 0; line < count; ++line) {
-    plan.execute(base + line * nx, work, direction);
-  }
-}
-
-}  // namespace
-
 void fft3d(Grid3& grid, FftDirection direction) {
   const std::size_t nx = grid.nx();
   const std::size_t ny = grid.ny();
@@ -368,28 +563,30 @@ void fft3d(Grid3& grid, FftDirection direction) {
   Complex* data = grid.raw().data();
 
   // Fused X+Y pass: one task per z slab transforms that slab's X lines
-  // in place and immediately re-reads it for the strided Y lines while
-  // the slab (nx*ny points) is still cache-resident — the X-pass scatter
-  // and the Y-pass gather share one trip through memory, so the full
-  // transform sweeps the grid 4 times instead of 6. Each slab is written
-  // by exactly one task, so results are bitwise identical for any
-  // thread count.
+  // and immediately its strided Y lines while the slab (nx*ny points) is
+  // still cache-resident - the X-pass scatter and the Y-pass gather share
+  // one trip through memory, so the full transform sweeps the grid 4
+  // times instead of 6. Each slab is written by exactly one task, so
+  // results are bitwise identical for any thread count.
+  constexpr std::size_t kLines = FftPlan::kMaxLines;
   {
     const FftPlan& plan_x = fft_plan(nx);
     const FftPlan& plan_y = fft_plan(ny);
     parallel_for(
         0, nz, parallel_grain(nx * ny), [&](std::size_t lo, std::size_t hi) {
-          std::vector<Complex> work_x(plan_x.workspace_size());
-          std::vector<Complex> gather(kLineBatch * ny);
-          std::vector<Complex> work_y(plan_y.workspace_size());
+          std::vector<Complex> work(
+              kLines *
+              std::max(plan_x.workspace_size(), plan_y.workspace_size()));
           for (std::size_t iz = lo; iz < hi; ++iz) {
             Complex* slab = data + iz * nx * ny;
-            transform_x_lines(slab, ny, nx, plan_x, direction,
-                              work_x.data());
-            for (std::size_t ix = 0; ix < nx; ix += kLineBatch) {
-              const std::size_t batch = std::min(kLineBatch, nx - ix);
-              transform_line_batch(slab + ix, batch, ny, nx, plan_y,
-                                   direction, gather.data(), work_y.data());
+            for (std::size_t iy = 0; iy < ny; iy += kLines) {
+              plan_x.execute_lines(slab + iy * nx,
+                                   std::min(kLines, ny - iy), nx, 1,
+                                   work.data(), direction);
+            }
+            for (std::size_t ix = 0; ix < nx; ix += kLines) {
+              plan_y.execute_lines(slab + ix, std::min(kLines, nx - ix), 1,
+                                   nx, work.data(), direction);
             }
           }
         });
@@ -400,14 +597,12 @@ void fft3d(Grid3& grid, FftDirection direction) {
     const FftPlan& plan = fft_plan(nz);
     parallel_for(
         0, ny, parallel_grain(nx * nz), [&](std::size_t lo, std::size_t hi) {
-          std::vector<Complex> gather(kLineBatch * nz);
-          std::vector<Complex> work(plan.workspace_size());
+          std::vector<Complex> work(kLines * plan.workspace_size());
           for (std::size_t iy = lo; iy < hi; ++iy) {
-            for (std::size_t ix = 0; ix < nx; ix += kLineBatch) {
-              const std::size_t batch = std::min(kLineBatch, nx - ix);
-              transform_line_batch(data + iy * nx + ix, batch, nz, nx * ny,
-                                   plan, direction, gather.data(),
-                                   work.data());
+            for (std::size_t ix = 0; ix < nx; ix += kLines) {
+              plan.execute_lines(data + iy * nx + ix,
+                                 std::min(kLines, nx - ix), 1, nx * ny,
+                                 work.data(), direction);
             }
           }
         });

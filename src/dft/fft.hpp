@@ -1,15 +1,18 @@
 #pragma once
-// From-scratch complex FFT: iterative radix-2, recursive mixed-radix for
-// 2^a*3^b*5^c sizes, and Bluestein's algorithm for arbitrary lengths, plus
-// the 3D transforms used on plane-wave grids. Forward transforms are
-// unnormalised; the inverse divides by N so ifft(fft(x)) == x.
+// From-scratch complex FFT: power-of-two, mixed-radix 2^a*3^b*5^c and
+// Bluestein (arbitrary) lengths, plus the 3D transforms used on
+// plane-wave grids. Forward transforms are unnormalised; the inverse
+// divides by N so ifft(fft(x)) == x.
 //
-// All transforms run through FftPlan: a per-length object that owns the
-// precomputed twiddle tables, bit-reversal permutation and (for Bluestein
-// lengths) the chirp and its convolution spectra. Plans are immutable after
-// construction, so one plan can execute many lines concurrently; a
-// process-wide cache (fft_plan) hands out one plan per length. fft3d
-// batches independent grid lines and spreads them across the thread pool.
+// All transforms run through FftPlan: a per-length object that builds
+// its schedules once (the load permutation, the radix-2/3/5 stages and
+// their twiddles and, for Bluestein lengths, the chirp and its
+// convolution spectra) and then transforms up to eight lines per call
+// in split re/im form, one line per vector lane. Plans are immutable
+// after construction, so one plan can execute many batches concurrently;
+// a process-wide cache (fft_plan) hands out one plan per length. fft3d
+// feeds every pass to the plans in 8-line batches and spreads the
+// batches across the thread pool.
 
 #include <cstddef>
 #include <cstdint>
@@ -24,10 +27,21 @@ namespace ndft::dft {
 enum class FftDirection { kForward, kInverse };
 
 /// A reusable transform plan for one length. Construction factors the
-/// length, builds the twiddle/bit-reversal tables and, for non-friendly
-/// lengths, the Bluestein chirp and convolution spectra; execution is
-/// allocation-free given a caller-supplied workspace and is safe to run
-/// from many threads at once on distinct lines.
+/// length and builds every table the transform reads: the order in which
+/// a line is loaded (bit or digit reversal), one radix-2, 3 or 5 stage
+/// per factor with its twiddles, and for lengths with another prime
+/// factor the Bluestein chirp, its convolution spectra and the
+/// power-of-two plan of the convolution. Execution runs the stages in
+/// place on a split re/im copy of the lines: no recursion, no integer
+/// division and no allocation given a caller-supplied workspace. It is
+/// safe to run from many threads at once on distinct lines.
+///
+/// Per element the transform performs the Cooley-Tukey operations in a
+/// fixed order, unit twiddles multiplied like any other, with each
+/// complex product fused the way the previous scalar kernels were
+/// compiled (docs/PERF.md, "The bitwise contract"). A line's result
+/// does not depend on the batch it rode in, the lane it occupied or the
+/// build's instruction set.
 class FftPlan {
  public:
   explicit FftPlan(std::size_t n);
@@ -37,7 +51,12 @@ class FftPlan {
 
   std::size_t length() const noexcept { return n_; }
 
-  /// Number of Complex elements of scratch `execute` needs (may be zero).
+  /// Lines one execute_lines call transforms at most, one per vector
+  /// lane.
+  static constexpr std::size_t kMaxLines = 8;
+
+  /// Complex elements of scratch one line needs (zero for n <= 1):
+  /// execute takes this many, execute_lines kMaxLines times as many.
   std::size_t workspace_size() const noexcept { return workspace_size_; }
 
   /// In-place transform of one length-n line; `work` must point to at
@@ -48,26 +67,60 @@ class FftPlan {
   /// Convenience wrapper that allocates its own workspace.
   void execute(std::vector<Complex>& data, FftDirection direction) const;
 
- private:
-  enum class Kind { kTrivial, kPow2, kMixed, kBluestein };
+  /// In-place transform of `count` (1..kMaxLines) lines at once: element
+  /// i of line b sits at base[b * line_stride + i * stride]. `work` must
+  /// point to at least kMaxLines * workspace_size() elements. Each line's
+  /// result is bitwise the one execute gives it alone.
+  void execute_lines(Complex* base, std::size_t count,
+                     std::size_t line_stride, std::size_t stride,
+                     Complex* work, FftDirection direction) const;
 
-  template <bool Inverse>
-  void pow2_core(Complex* data) const;
-  template <bool Inverse>
-  void mixed_recurse(const Complex* in, Complex* out, std::size_t n,
-                     std::size_t stride, Complex* work) const;
-  template <bool Inverse>
-  void bluestein_core(Complex* data, Complex* work) const;
+ private:
+  enum class Kind { kTrivial, kStages, kBluestein };
+
+  /// One radix-p pass over blocks of p*span elements (the combine step of
+  /// one decimation-in-time level).
+  struct Stage {
+    std::uint32_t radix = 0;
+    std::uint32_t span = 0;       ///< sub-transform length m
+    std::uint32_t twiddles = 0;   ///< offset of its (radix-1) x span table
+    std::uint32_t rotations = 0;  ///< offset of its radix x radix table
+  };
+
+  // The engine, on a lane layout L (one line, or kMaxLines side by side)
+  // of split re/im buffers; defined and instantiated in fft.cpp.
+  template <typename L, bool Inverse>
+  void transform(Complex* base, std::size_t count, std::size_t line_stride,
+                 std::size_t stride, typename L::V* re,
+                 typename L::V* im) const;
+  template <typename L, bool Inverse>
+  void run_stages(typename L::V* re, typename L::V* im) const;
+  template <typename L, bool Inverse>
+  void run_bluestein(typename L::V* re, typename L::V* im) const;
+  template <typename L>
+  void permute(typename L::V* re, typename L::V* im) const;
 
   std::size_t n_ = 0;
   Kind kind_ = Kind::kTrivial;
   std::size_t workspace_size_ = 0;
-  std::vector<Complex> roots_;        ///< forward roots exp(-2*pi*i*k/n)
-  std::vector<std::uint32_t> bitrev_; ///< pow2 only
-  std::vector<Complex> chirp_;        ///< Bluestein forward chirp w^{k^2/2}
-  std::vector<Complex> b_spec_fwd_;   ///< FFT of the forward chirp kernel
-  std::vector<Complex> b_spec_inv_;   ///< FFT of the inverse chirp kernel
-  std::unique_ptr<FftPlan> conv_plan_;///< pow2 plan for the convolution
+  /// The stages' input order: line element i loads into buffer position
+  /// position_of_[i] (bit or digit reversal; the identity for Bluestein,
+  /// which reorders inside its convolution).
+  std::vector<std::uint32_t> position_of_;
+  std::vector<Stage> stages_;
+  /// Stage twiddles w_n^(r*q) and radix rotations w_p^(r*s mod p); the
+  /// imaginary parts per direction ([0] forward, [1] inverse = conjugate).
+  std::vector<double> twiddle_re_;
+  std::vector<double> twiddle_im_[2];
+  std::vector<double> rotation_re_;
+  std::vector<double> rotation_im_[2];
+  /// Bluestein: chirp w^(k^2/2) per direction and the spectra of the
+  /// convolution kernels.
+  std::vector<double> chirp_re_;
+  std::vector<double> chirp_im_[2];
+  std::vector<double> spectrum_re_[2];
+  std::vector<double> spectrum_im_[2];
+  std::unique_ptr<FftPlan> conv_plan_;  ///< pow2 plan for the convolution
 };
 
 /// The process-wide plan for length `n`, built on first request and cached
@@ -120,12 +173,12 @@ class Grid3 {
 };
 
 /// In-place 3D FFT. The X and Y passes are fused per z slab: each pool
-/// task transforms a slab's contiguous X lines in place and immediately
-/// gathers its strided Y lines while the slab is still cache-resident,
-/// so the transform sweeps the grid 4 times instead of 6; the Z pass
-/// (stride nx*ny) follows in cache-friendly line batches. Results are
-/// bitwise identical for any thread count. The trace event carries the
-/// analytic cost: fft_flops(N) and 4 grid sweeps (read + write) of bytes.
+/// task transforms a slab's X lines and then its strided Y lines while
+/// the slab is still cache-resident, so the transform sweeps the grid 4
+/// times instead of 6; the Z pass (stride nx*ny) follows. Every pass
+/// hands the plans 8-line batches. Results are bitwise identical for any
+/// thread count. The trace event carries the analytic cost: fft_flops(N)
+/// and 4 grid sweeps (read + write) of bytes.
 void fft3d(Grid3& grid, FftDirection direction);
 
 /// Analytic flop cost of a complex FFT of length n (~5 n log2 n).

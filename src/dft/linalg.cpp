@@ -2406,51 +2406,121 @@ void gemm_blocked(const Matrix<T>& a, const Matrix<T>& b, Matrix<T>& c,
   }
 }
 
-/// 3M split-complex product: op(A) op(B) through three real GEMMs on the
-/// blocked real kernel (Re, Im and Re+Im products), recombined with the
-/// complex alpha/beta afterwards. The conjugate transpose is absorbed by
-/// negating Im(A) before the transposed real products. Every stage is
-/// either the deterministic blocked kernel or a disjoint-row pool loop,
-/// so the result is bitwise identical for any thread count.
+/// Packs one real part of a complex block as a k-major micro-panel of
+/// `width` lanes, the layout pack_a_block and pack_b_block give a panel:
+/// out[l * width + t] = part(z(t, l)) for lane t < lanes and depth l < kc,
+/// +0.0 in lanes [lanes, width). z(t, l) is m(r0 + t, c0 + l) when
+/// LanePerRow (each lane reads along one row of m) and m(r0 + l, c0 + t)
+/// otherwise (each depth step reads along one row), so every case reads
+/// the complex matrix with unit stride. Part 0 is Re, 1 is Im and 2 is
+/// Re + Im, with Im scaled by `im_sign` (-1 folds the conjugation of a
+/// conjugate-transposed operand into it).
+template <int Part, bool LanePerRow>
+void pack_split_panel(const ComplexMatrix& m, double im_sign, std::size_t r0,
+                      std::size_t c0, std::size_t lanes, std::size_t kc,
+                      std::size_t width, double* out) {
+  const auto part = [im_sign](const Complex& z) {
+    if constexpr (Part == 0) {
+      return z.real();
+    } else if constexpr (Part == 1) {
+      return im_sign * z.imag();
+    } else {
+      return z.real() + im_sign * z.imag();
+    }
+  };
+  if constexpr (LanePerRow) {
+    for (std::size_t t = 0; t < lanes; ++t) {
+      const Complex* src = m.row(r0 + t) + c0;
+      for (std::size_t l = 0; l < kc; ++l) out[l * width + t] = part(src[l]);
+    }
+    for (std::size_t l = 0; l < kc; ++l) {
+      std::fill(out + l * width + lanes, out + (l + 1) * width, 0.0);
+    }
+  } else {
+    for (std::size_t l = 0; l < kc; ++l) {
+      const Complex* src = m.row(r0 + l) + c0;
+      double* dst = out + l * width;
+      for (std::size_t t = 0; t < lanes; ++t) dst[t] = part(src[t]);
+      std::fill(dst + lanes, dst + width, 0.0);
+    }
+  }
+}
+
+/// 3M split-complex product: op(A) op(B) through three real products on
+/// the blocked real microkernel (Re x Re, Im x Im and (Re+Im) x (Re+Im)),
+/// recombined with the complex alpha/beta afterwards. The packing reads
+/// each part straight out of the complex operands, so no split copy of
+/// A or B exists. Each pool task owns a group of kGroup columns and packs
+/// one kKc-deep slab of B and one kMr-row panel of A at a time, so its
+/// buffers stay small whatever the shape. Every product element sums its
+/// k-blocks in order through the same microkernel as gemm(), so the result
+/// is bitwise that of three real gemm() calls on split copies, for any
+/// thread count.
+template <bool TransposeA, bool TransposeB>
 void gemm_3m(const ComplexMatrix& a, const ComplexMatrix& b,
-             ComplexMatrix& c, Complex alpha, Complex beta,
-             bool conj_transpose_a, bool transpose_b, std::size_t m,
-             std::size_t n) {
-  RealMatrix a_re(a.rows(), a.cols());
-  RealMatrix a_im(a.rows(), a.cols());
-  RealMatrix a_sum(a.rows(), a.cols());
-  const double im_sign = conj_transpose_a ? -1.0 : 1.0;
-  parallel_for(0, a.rows(), parallel_grain(a.cols()),
-               [&](std::size_t lo, std::size_t hi) {
-                 for (std::size_t r = lo; r < hi; ++r) {
-                   const Complex* src = a.row(r);
-                   for (std::size_t j = 0; j < a.cols(); ++j) {
-                     a_re(r, j) = src[j].real();
-                     a_im(r, j) = im_sign * src[j].imag();
-                     a_sum(r, j) = a_re(r, j) + a_im(r, j);
-                   }
-                 }
-               });
-  RealMatrix b_re(b.rows(), b.cols());
-  RealMatrix b_im(b.rows(), b.cols());
-  RealMatrix b_sum(b.rows(), b.cols());
-  parallel_for(0, b.rows(), parallel_grain(b.cols()),
-               [&](std::size_t lo, std::size_t hi) {
-                 for (std::size_t r = lo; r < hi; ++r) {
-                   const Complex* src = b.row(r);
-                   for (std::size_t j = 0; j < b.cols(); ++j) {
-                     b_re(r, j) = src[j].real();
-                     b_im(r, j) = src[j].imag();
-                     b_sum(r, j) = b_re(r, j) + b_im(r, j);
-                   }
-                 }
-               });
-  RealMatrix p1;  // Re x Re
-  RealMatrix p2;  // Im x Im
-  RealMatrix p3;  // (Re+Im) x (Re+Im)
-  gemm(a_re, b_re, p1, 1.0, 0.0, conj_transpose_a, transpose_b);
-  gemm(a_im, b_im, p2, 1.0, 0.0, conj_transpose_a, transpose_b);
-  gemm(a_sum, b_sum, p3, 1.0, 0.0, conj_transpose_a, transpose_b);
+             ComplexMatrix& c, Complex alpha, Complex beta, std::size_t m,
+             std::size_t n, std::size_t k) {
+  constexpr std::size_t kGroup = 2 * kNr;
+  RealMatrix products[3] = {RealMatrix(m, n), RealMatrix(m, n),
+                            RealMatrix(m, n)};
+  parallel_for(0, ceil_div(n, kGroup), 1, [&](std::size_t lo,
+                                              std::size_t hi) {
+    std::vector<double> b_pack(kKc * kGroup);
+    std::vector<double> a_pack(kMr * kKc);
+    double acc[kMr * kNr];
+    for (std::size_t group = lo; group < hi; ++group) {
+      const std::size_t jc = group * kGroup;
+      const std::size_t nc = std::min(kGroup, n - jc);
+      const auto product_part = [&](auto part, RealMatrix& product) {
+        constexpr int kPart = decltype(part)::value;
+        for (std::size_t pc = 0; pc < k; pc += kKc) {
+          const std::size_t kc = std::min(kKc, k - pc);
+          // op(B)(l, j) is B(jc + j, pc + l) transposed, B(pc + l, jc + j)
+          // otherwise; op(A)(i, l) is conj(A(pc + l, ip + i)) or A(ip + i,
+          // pc + l).
+          for (std::size_t jp = 0; jp < nc; jp += kNr) {
+            const std::size_t cols = std::min(kNr, nc - jp);
+            double* panel = b_pack.data() + jp * kc;
+            if constexpr (TransposeB) {
+              pack_split_panel<kPart, true>(b, 1.0, jc + jp, pc, cols, kc,
+                                            kNr, panel);
+            } else {
+              pack_split_panel<kPart, false>(b, 1.0, pc, jc + jp, cols, kc,
+                                             kNr, panel);
+            }
+          }
+          for (std::size_t ip = 0; ip < m; ip += kMr) {
+            const std::size_t rows = std::min(kMr, m - ip);
+            if constexpr (TransposeA) {
+              pack_split_panel<kPart, false>(a, -1.0, pc, ip, rows, kc, kMr,
+                                             a_pack.data());
+            } else {
+              pack_split_panel<kPart, true>(a, 1.0, ip, pc, rows, kc, kMr,
+                                            a_pack.data());
+            }
+            for (std::size_t jp = 0; jp < nc; jp += kNr) {
+              const std::size_t cols = std::min(kNr, nc - jp);
+              std::fill(acc, acc + kMr * kNr, 0.0);
+              micro_kernel(kc, a_pack.data(), b_pack.data() + jp * kc, acc);
+              for (std::size_t i = 0; i < rows; ++i) {
+                double* prow = product.row(ip + i) + jc + jp;
+                const double* arow = acc + i * kNr;
+                for (std::size_t j = 0; j < cols; ++j) {
+                  prow[j] = pc == 0 ? arow[j] : prow[j] + arow[j];
+                }
+              }
+            }
+          }
+        }
+      };
+      product_part(std::integral_constant<int, 0>{}, products[0]);
+      product_part(std::integral_constant<int, 1>{}, products[1]);
+      product_part(std::integral_constant<int, 2>{}, products[2]);
+    }
+  });
+  const RealMatrix& p1 = products[0];  // Re x Re
+  const RealMatrix& p2 = products[1];  // Im x Im
+  const RealMatrix& p3 = products[2];  // (Re+Im) x (Re+Im)
   parallel_for(0, m, parallel_grain(n),
                [&](std::size_t lo, std::size_t hi) {
                  for (std::size_t i = lo; i < hi; ++i) {
@@ -2480,7 +2550,13 @@ void gemm_impl(const Matrix<T>& a, const Matrix<T>& b, Matrix<T>& c, T alpha,
   if constexpr (std::is_same_v<T, Complex>) {
     // Large complex products ride the real microkernel via the 3M split
     // instead of the generic scalar complex micro-tile.
-    gemm_3m(a, b, c, alpha, beta, transpose_a, transpose_b, m, n);
+    if (transpose_a) {
+      transpose_b ? gemm_3m<true, true>(a, b, c, alpha, beta, m, n, k)
+                  : gemm_3m<true, false>(a, b, c, alpha, beta, m, n, k);
+    } else {
+      transpose_b ? gemm_3m<false, true>(a, b, c, alpha, beta, m, n, k)
+                  : gemm_3m<false, false>(a, b, c, alpha, beta, m, n, k);
+    }
   } else {
     if (transpose_a) {
       if (transpose_b) {

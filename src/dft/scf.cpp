@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <iterator>
 #include <numbers>
@@ -192,11 +194,39 @@ ScfResult solve_scf(const PlaneWaveBasis& basis, const ScfConfig& config) {
     mirror_upper(v_ion);
   }
 
-  // Integer grid offsets for assembling V_eff(G_i - G_j) from the FFT grid.
+  // V_eff(G_i - G_j) comes off the FFT grid at the wrapped integer
+  // difference. The difference index (th * dim_k + tk) * dim_l + tl of the
+  // ionic table is key(i) - key(j) + key_origin, so the grid index of
+  // every difference is tabulated here once; each iteration then reads
+  // V_eff once per difference and assembles the Hamiltonian from the
+  // tables, with no integer division per matrix entry.
   const auto wrap = [](int idx, std::size_t n) {
     const int ni = static_cast<int>(n);
     return static_cast<std::size_t>(((idx % ni) + ni) % ni);
   };
+  std::vector<std::uint32_t> grid_of_difference(v_ion_table.size());
+  for (std::size_t th = 0; th < dim_h; ++th) {
+    const std::size_t ix = wrap(static_cast<int>(th) - 2 * span_h, dims[0]);
+    for (std::size_t tk = 0; tk < dim_k; ++tk) {
+      const std::size_t iy =
+          wrap(static_cast<int>(tk) - 2 * span_k, dims[1]);
+      for (std::size_t tl = 0; tl < dim_l; ++tl) {
+        const std::size_t iz =
+            wrap(static_cast<int>(tl) - 2 * span_l, dims[2]);
+        grid_of_difference[(th * dim_k + tk) * dim_l + tl] =
+            static_cast<std::uint32_t>((iz * dims[1] + iy) * dims[0] + ix);
+      }
+    }
+  }
+  const std::ptrdiff_t stride_h = static_cast<std::ptrdiff_t>(dim_k * dim_l);
+  const std::ptrdiff_t stride_k = static_cast<std::ptrdiff_t>(dim_l);
+  std::vector<std::ptrdiff_t> key(n_g);
+  for (std::size_t i = 0; i < n_g; ++i) {
+    key[i] = g[i].h * stride_h + g[i].k * stride_k + g[i].l;
+  }
+  const std::ptrdiff_t key_origin =
+      2 * span_h * stride_h + 2 * span_k * stride_k + 2 * span_l;
+  std::vector<double> veff_of_difference(v_ion_table.size());
 
   ScfResult result;
   // Initial guess: uniform density with the right electron count
@@ -266,19 +296,23 @@ ScfResult solve_scf(const PlaneWaveBasis& basis, const ScfConfig& config) {
                       3ull * n_g * n_g * sizeof(double));
       region.set_io(static_cast<Bytes>(nr) * sizeof(Complex),
                     static_cast<Bytes>(n_g) * n_g * sizeof(double));
+      // Inversion-symmetric cell: V_eff(G) is real; symmetrise away the
+      // residual imaginary part from the finite grid.
+      for (std::size_t d = 0; d < veff_of_difference.size(); ++d) {
+        veff_of_difference[d] =
+            veff_grid[grid_of_difference[d]].real() * veff_norm;
+      }
       parallel_for(
           0, n_g, parallel_grain(n_g), [&](std::size_t lo, std::size_t hi) {
             for (std::size_t i = lo; i < hi; ++i) {
               hamiltonian(i, i) = 0.5 * g[i].g2 + v_ion(i, i) +
                                   veff_grid[0].real() * veff_norm;
+              const double* veff_row =
+                  veff_of_difference.data() + (key[i] + key_origin);
+              const double* v_ion_row = v_ion.row(i);
+              double* h_row = hamiltonian.row(i);
               for (std::size_t j = i + 1; j < n_g; ++j) {
-                const std::size_t ix = wrap(g[i].h - g[j].h, dims[0]);
-                const std::size_t iy = wrap(g[i].k - g[j].k, dims[1]);
-                const std::size_t iz = wrap(g[i].l - g[j].l, dims[2]);
-                // Inversion-symmetric cell: V_eff(G) is real; symmetrise
-                // away the residual imaginary part from the finite grid.
-                hamiltonian(i, j) =
-                    veff_grid.at(ix, iy, iz).real() * veff_norm + v_ion(i, j);
+                h_row[j] = veff_row[-key[j]] + v_ion_row[j];
               }
             }
           });

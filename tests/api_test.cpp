@@ -969,6 +969,36 @@ TEST(EngineStressTest, ConcurrentSimulationsMatchSerialBitwise) {
   EXPECT_EQ(concurrent.jobs_completed(), requests.size());
 }
 
+TEST(EngineDeterminismTest, Si8PayloadsAreBitwiseAcrossPoolWidths) {
+  // The default Si_8 SCF job and the LR-TDDFT job with optical lines:
+  // every kernel under them (FFT batches, GEMM column groups, the window
+  // solver, the Hamiltonian rows) splits work across the pool, and the
+  // payload bytes must not depend on how many threads it has.
+  ThreadPool& pool = ThreadPool::instance();
+  const std::size_t original = pool.threads();
+  LrtddftJob lrtddft;
+  lrtddft.oscillator_strengths = true;
+  const std::vector<JobRequest> requests = {ScfJob{}, lrtddft};
+  std::vector<std::string> expected;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    pool.resize(threads);
+    Engine engine;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const JobResult result = engine.run(requests[i]);
+      ASSERT_TRUE(result.ok()) << result.error_message;
+      const std::string payload = result.to_json().at("payload").dump();
+      if (threads == 1) {
+        expected.push_back(payload);
+      } else {
+        EXPECT_EQ(payload, expected[i])
+            << job_kind(requests[i]) << " payload moved at " << threads
+            << " threads";
+      }
+    }
+  }
+  pool.resize(original);
+}
+
 TEST(EngineStressTest, MixedJobKindsConcurrently) {
   Engine engine(fast_config(/*dispatch_threads=*/4));
   ScfJob scf;

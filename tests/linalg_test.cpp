@@ -288,6 +288,57 @@ TEST(GemmComplexTest, BlockedMatchesNaiveAcrossFlagCombinations) {
   }
 }
 
+TEST(GemmComplexTest, WarmProductIntoASizedCMakesNoLargeAllocation) {
+  // The LR-TDDFT kernel shape (K_H and K_xc): 64 pair densities against
+  // 64 conjugated, weighted ones over a 512-point grid, C = A B^T. The 3M
+  // split reads Re, Im and Re+Im straight out of the complex operands
+  // while packing, so a warm product into a sized C allocates nothing of
+  // 64 KiB or more at any pool width; it spans three k-blocks, and its
+  // result is bitwise the same at every width and close to the reference
+  // loop.
+  Prng prng(77);
+  ComplexMatrix a(64, 512);
+  ComplexMatrix b(64, 512);
+  for (ComplexMatrix* matrix : {&a, &b}) {
+    for (std::size_t i = 0; i < 64; ++i) {
+      for (std::size_t j = 0; j < 512; ++j) {
+        (*matrix)(i, j) =
+            Complex{prng.next_double(-1, 1), prng.next_double(-1, 1)};
+      }
+    }
+  }
+  const Complex alpha{0.125, 0.0};
+  ComplexMatrix reference(64, 64);
+  gemm_naive(a, b, reference, alpha, Complex{}, false, true);
+
+  ThreadPool& pool = ThreadPool::instance();
+  const std::size_t original = pool.threads();
+  std::vector<ComplexMatrix> results;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    pool.resize(threads);
+    ComplexMatrix c(64, 64);
+    gemm(a, b, c, alpha, Complex{}, false, true);  // warm-up
+    const std::size_t before = large_allocations.load();
+    gemm(a, b, c, alpha, Complex{}, false, true);
+    EXPECT_EQ(large_allocations.load() - before, 0u)
+        << "at " << threads << " threads";
+    results.push_back(c);
+  }
+  pool.resize(original);
+
+  double worst = 0.0;
+  for (std::size_t i = 0; i < 64; ++i) {
+    for (std::size_t j = 0; j < 64; ++j) {
+      worst = std::max(worst, std::abs(results[0](i, j) - reference(i, j)));
+      for (std::size_t t = 1; t < results.size(); ++t) {
+        ASSERT_EQ(results[t](i, j), results[0](i, j))
+            << "(" << i << ", " << j << ") at width variant " << t;
+      }
+    }
+  }
+  EXPECT_LT(worst, 1e-12);
+}
+
 TEST(GemmTest, DeterministicAcrossThreadCounts) {
   // Big enough for the blocked path to split row blocks across the pool;
   // the result must be bitwise identical to the single-threaded product.
