@@ -11,12 +11,15 @@
 #                  physics, api, robust, trace, net, shard or sim) and
 #                  stop — e.g. `--tier sim` while iterating on the
 #                  simulator.
-#   --bench-smoke  additionally run the two bench drivers whose records
+#   --bench-smoke  additionally run the three bench drivers whose records
 #                  nothing else produces: bench_micro_engine (the
 #                  disabled-faults Engine path must stay within noise of
-#                  an armed p=0 spec; BENCH_engine.json) and
-#                  bench_sim_fabric (machine-document simulations must
-#                  reproduce bitwise; BENCH_sim.json). The correctness
+#                  an armed p=0 spec; BENCH_engine.json), bench_sim_fabric
+#                  (machine-document simulations must reproduce bitwise;
+#                  BENCH_sim.json) and bench_paper_claims (the paper
+#                  ledger, regenerated in a temporary directory: every
+#                  part but "meta" must equal the committed
+#                  BENCH_paper.json; needs python3). The correctness
 #                  gates it used to run live in ctest:
 #                    syevd/partial gates        bench_micro_eig_smoke (kernel)
 #                    per-class fault contracts  robust_test
@@ -51,12 +54,13 @@
 #                  stress and placement tests), fft_test (plans built
 #                  while four threads race for a new length), linalg_test
 #                  and kpoints_test (the pool's heaviest callers: GEMM row
-#                  blocks and the band k-loop) and the net and shard
-#                  tiers (the HTTP server's connection threads, the
-#                  client, the Engine's dispatchers and the scatter
-#                  workers) under it; a race report makes the test exit
-#                  nonzero and fails the gate. The api and robust tiers
-#                  are not in it yet (ROADMAP item 1).
+#                  blocks and the band k-loop) and the api, net and
+#                  shard tiers (the Engine's dispatchers, queue and
+#                  concurrent simulations, the HTTP server's connection
+#                  threads, the client and the scatter workers) under it;
+#                  a race report makes the test exit nonzero and fails the
+#                  gate. The robust tier stays out: its starvation test's
+#                  8 s limit does not hold at TSan speed (ROADMAP item 1).
 #   --portable     additionally build a portable tree (build-portable,
 #                  -DNDFT_NATIVE_ARCH=OFF: no -march=native, so no
 #                  AVX-512 on x86-64) and run the kernel tier under it.
@@ -128,6 +132,29 @@ if [ "$BENCH_SMOKE" -eq 1 ]; then
   # document twice must produce bitwise-identical payloads.
   (cd "$BUILD_DIR" && ./bench_sim_fabric --smoke)
   echo "sim fabric smoke: OK ($BUILD_DIR/BENCH_sim.json)"
+  # Paper ledger: simulated values are deterministic, so a fresh run must
+  # reproduce every part of the committed BENCH_paper.json but "meta".
+  LEDGER_DIR="$(mktemp -d)"
+  trap 'rm -rf "$LEDGER_DIR"' EXIT
+  LEDGER_BIN="$(cd "$BUILD_DIR" && pwd)/bench_paper_claims"
+  (cd "$LEDGER_DIR" && "$LEDGER_BIN" > paper_claims.txt)
+  python3 - "$LEDGER_DIR/BENCH_paper.json" BENCH_paper.json <<'PY'
+import json
+import sys
+
+fresh, committed = (json.load(open(path)) for path in sys.argv[1:])
+fresh.pop("meta", None)
+committed.pop("meta", None)
+if fresh != committed:
+    old = {row["id"]: row for row in committed.get("rows", [])}
+    new = {row["id"]: row for row in fresh.get("rows", [])}
+    for key in sorted(old.keys() | new.keys()):
+        if old.get(key) != new.get(key):
+            print(f"{key}: committed {old.get(key)}, now {new.get(key)}",
+                  file=sys.stderr)
+    sys.exit("paper ledger: BENCH_paper.json does not reproduce")
+PY
+  echo "paper ledger smoke: OK (BENCH_paper.json reproduces)"
 fi
 
 if [ "$SANITIZE" -eq 1 ]; then
@@ -149,16 +176,18 @@ if [ "$SANITIZE" -eq 1 ]; then
 fi
 
 if [ "$TSAN" -eq 1 ]; then
-  # Race detector over the pool and its heaviest callers. TSan exits
-  # nonzero from a run that reported a race, so ctest fails it.
+  # Race detector over the pool, its heaviest callers and the threaded
+  # tiers. TSan exits nonzero from a run that reported a race, so ctest
+  # fails it.
   TSAN_DIR="build-tsan"
   cmake --preset tsan
   cmake --build "$TSAN_DIR" -j "$JOBS" --target common_test fft_test \
-    linalg_test kpoints_test net_test shard_test
+    linalg_test kpoints_test api_test net_test shard_test
   ctest --test-dir "$TSAN_DIR" -R '^(common|fft|linalg|kpoints)_test$' \
     --output-on-failure -j "$JOBS"
-  ctest --test-dir "$TSAN_DIR" -L 'net|shard' --output-on-failure -j "$JOBS"
-  echo "tsan (common, fft, linalg, kpoints + net|shard): OK ($TSAN_DIR)"
+  ctest --test-dir "$TSAN_DIR" -L 'api|net|shard' --output-on-failure \
+    -j "$JOBS"
+  echo "tsan (common, fft, linalg, kpoints + api|net|shard): OK ($TSAN_DIR)"
 fi
 
 if [ "$PORTABLE" -eq 1 ]; then

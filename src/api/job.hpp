@@ -111,7 +111,13 @@ struct LrtddftJob {
 struct SimulateJob {
   std::size_t atoms = 64;       ///< Si_n system (multiple of 8)
   core::ExecMode mode = core::ExecMode::kNdft;
-  /// Sampled memory ops per kernel; 0 keeps the engine's default.
+  /// Sampled memory ops per kernel (SystemConfig::sampled_ops_per_kernel);
+  /// 0 keeps the engine's default. The simulator splits the value across
+  /// the kernel's cores, clamps each core's share to [min_ops_per_core,
+  /// max_ops_per_core] (1,000-40,000 at paper defaults) and grows a
+  /// blocked kernel's sample to one reuse cycle. A value below cores x
+  /// min_ops_per_core (256,000 on the 256 NDP cores) therefore does not
+  /// shrink those kernels.
   std::size_t sampled_ops = 0;
   /// Optional "ndft.machine.v1" hardware description
   /// (ndp::NdpSystemConfig::from_json): this run simulates the described

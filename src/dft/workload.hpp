@@ -4,19 +4,24 @@
 //
 // The functional pipeline (lrtddft.cpp) runs end-to-end only for small
 // systems; the timing simulation of the large paper systems uses these
-// closed-form kernel descriptors instead. The op/byte formulas follow the
-// implementation and standard practice for production plane-wave codes:
+// closed-form kernel descriptors instead. SystemDims::silicon sets the
+// dimensions by these rules, with Nv = 2*atoms valence bands:
 //
-//  - band windows: Nv_win = min(2*atoms, 256) valence bands around the
-//    gap, Nc_win = min(32, max(8, Nv/4)) conduction bands (energy-window
-//    truncation, standard for large-system LR-TDDFT);
+//  - band windows (energy-window truncation around the gap, standard for
+//    large-system LR-TDDFT): Nv_win = min(Nv, 64) valence and
+//    Nc_win = min(16, max(8, Nv/4)) conduction bands, so the pair space
+//    is Npair = Nv_win * Nc_win (1024 from Si_32 up);
 //  - response GEMMs use a Davidson block of Nx = 16 trial vectors;
-//  - SYEVD diagonalises the energy-truncated pair space
-//    n_sub = min(Npair, 5000);
+//  - SYEVD(Casida) diagonalises n_sub = min(34*atoms, 2600), about 34
+//    excitations per atom up to a cap. n_sub does not follow the pair
+//    space and exceeds it at every size: 544 against 256 pairs at Si_16,
+//    2176 against 64 x 16 = 1024 at Si_64, 2600 against 1024 from Si_128
+//    up (ROADMAP item 2);
 //  - the grid/basis sizes follow the 25 Ry cutoff (ecut = 12.5 Ha).
 //
-// Tests in tests/dft validate these formulas against instrumented runs of
-// the functional kernels at small sizes.
+// tests/workload_test.cpp pins these dimensions (SystemDimsTest) and
+// checks the grid and basis densities and the FFT and face-splitting
+// costs against the functional code at small sizes.
 
 #include <string>
 #include <vector>

@@ -1,8 +1,5 @@
 #include "runtime/adaptive.hpp"
 
-#include <array>
-#include <limits>
-
 namespace ndft::runtime {
 
 namespace {
@@ -56,66 +53,12 @@ TimePs AdaptiveScheduler::believed_time(const dft::KernelWork& kernel,
 }
 
 ExecutionPlan AdaptiveScheduler::plan(const dft::Workload& workload) const {
-  // Same linear-pipeline dynamic program as Scheduler::plan_function_level
-  // with believed_time() as the per-kernel cost.
-  const std::size_t n = workload.kernels.size();
-  ExecutionPlan plan;
-  if (n == 0) {
-    return plan;
+  KernelCosts costs(workload.kernels.size());
+  for (std::size_t i = 0; i < costs.size(); ++i) {
+    costs[i] = {believed_time(workload.kernels[i], DeviceKind::kCpu),
+                believed_time(workload.kernels[i], DeviceKind::kNdp)};
   }
-  constexpr TimePs kInf = std::numeric_limits<TimePs>::max() / 4;
-  std::array<TimePs, 2> cost{0, 0};
-  std::vector<std::array<std::uint8_t, 2>> parent(
-      n, std::array<std::uint8_t, 2>{0, 0});
-
-  const auto device_of = [](std::size_t index) {
-    return index == 0 ? DeviceKind::kCpu : DeviceKind::kNdp;
-  };
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const dft::KernelWork& work = workload.kernels[i];
-    std::array<TimePs, 2> next{kInf, kInf};
-    for (std::size_t to = 0; to < 2; ++to) {
-      const TimePs kernel_cost = believed_time(work, device_of(to));
-      for (std::size_t from = 0; from < 2; ++from) {
-        TimePs c = cost[from] + kernel_cost;
-        if (from != to) {
-          c += cost_->crossing_cost(work.input_bytes);
-        }
-        if (c < next[to]) {
-          next[to] = c;
-          parent[i][to] = static_cast<std::uint8_t>(from);
-        }
-      }
-    }
-    cost = next;
-  }
-
-  std::size_t state = cost[1] < cost[0] ? 1 : 0;
-  std::vector<std::size_t> chosen(n);
-  for (std::size_t i = n; i-- > 0;) {
-    chosen[i] = state;
-    state = parent[i][state];
-  }
-
-  plan.placements.resize(n);
-  std::size_t previous = chosen[0];
-  for (std::size_t i = 0; i < n; ++i) {
-    Placement& p = plan.placements[i];
-    p.device = device_of(chosen[i]);
-    p.est_time_ps = believed_time(workload.kernels[i], p.device);
-    p.crossing = (i != 0) && (chosen[i] != previous);
-    if (p.crossing) {
-      p.transfer_in_ps =
-          cost_->transfer_time(workload.kernels[i].input_bytes);
-      p.switch_in_ps = cost_->context_switch_time();
-      plan.crossings += 1;
-    }
-    plan.est_overhead_ps += p.transfer_in_ps + p.switch_in_ps;
-    plan.est_total_ps += p.est_time_ps + p.transfer_in_ps + p.switch_in_ps;
-    previous = chosen[i];
-  }
-  return plan;
+  return Scheduler(*sca_, *cost_).plan_with_costs(workload, costs);
 }
 
 }  // namespace ndft::runtime

@@ -6,9 +6,9 @@
 // AdaptiveScheduler keeps a table of *measured* per-(kernel, device)
 // execution times and re-plans with measurements substituted for
 // estimates — the classic profile-guided refinement loop layered on top
-// of the Section IV-A mechanism. bench/abl_adaptive quantifies how much
-// of the static plan's regret this recovers when the SCA is fed a wrong
-// machine profile.
+// of the Section IV-A mechanism. Ablation A5 of bench/paper_claims.cpp
+// quantifies how much of the static plan's regret this recovers when the
+// SCA is fed a wrong machine profile.
 
 #include <map>
 #include <string>
@@ -47,8 +47,8 @@ class AdaptiveScheduler {
   TimePs believed_time(const dft::KernelWork& kernel,
                        DeviceKind device) const;
 
-  /// Plans like Scheduler::plan (function granularity), but using
-  /// believed_time() in the dynamic program.
+  /// Scheduler::plan_with_costs over believed_time() on each side: with
+  /// no measurements, exactly Scheduler::plan at function granularity.
   ExecutionPlan plan(const dft::Workload& workload) const;
 
   /// Number of recorded (kernel, device) entries.

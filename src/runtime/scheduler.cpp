@@ -30,7 +30,12 @@ ExecutionPlan Scheduler::plan(const dft::Workload& workload,
   if (granularity == Granularity::kKernel) {
     return plan_single_device(workload);
   }
-  return plan_function_level(workload, segments_for(granularity));
+  KernelCosts costs(workload.kernels.size());
+  for (std::size_t i = 0; i < costs.size(); ++i) {
+    costs[i] = {sca_->estimate(workload.kernels[i], sca_->cpu()),
+                sca_->estimate(workload.kernels[i], sca_->ndp())};
+  }
+  return plan_with_costs(workload, costs, segments_for(granularity));
 }
 
 ExecutionPlan Scheduler::plan_single_device(
@@ -59,15 +64,17 @@ ExecutionPlan Scheduler::plan_single_device(
   return plan;
 }
 
-ExecutionPlan Scheduler::plan_function_level(
-    const dft::Workload& workload, unsigned segments_per_kernel) const {
+ExecutionPlan Scheduler::plan_with_costs(const dft::Workload& workload,
+                                         const KernelCosts& costs,
+                                         unsigned segments_per_kernel) const {
   // Dynamic program over the linear pipeline. State: which device holds
-  // the live data after kernel i. Transition cost: the kernel's roofline
-  // estimate on the chosen device plus, when the device changes, the
-  // Eq. 1 crossing cost for the kernel's input data. Sub-function
-  // granularities split each kernel into S segments that each pay their
-  // own (smaller) DT plus a full CXT when they cross, modelling the
-  // ping-pong overhead the paper's Section IV-A1 argues against.
+  // the live data after kernel i. Transition cost: the kernel's cost on
+  // the chosen device plus, when the device changes, the Eq. 1 crossing
+  // cost for the kernel's input data. Ties go to the CPU, both as the
+  // source state and as the terminal one. Sub-function granularities
+  // split each kernel into S segments that each pay their own (smaller)
+  // DT plus a full CXT when they cross, modelling the ping-pong overhead
+  // the paper's Section IV-A1 argues against.
   const std::size_t n = workload.kernels.size();
   ExecutionPlan plan;
   if (n == 0) {
@@ -83,18 +90,12 @@ ExecutionPlan Scheduler::plan_function_level(
     return index == 0 ? DeviceKind::kCpu : DeviceKind::kNdp;
   };
 
-  std::vector<std::array<TimePs, 2>> kernel_cost(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    kernel_cost[i][0] = sca_->estimate(workload.kernels[i], sca_->cpu());
-    kernel_cost[i][1] = sca_->estimate(workload.kernels[i], sca_->ndp());
-  }
-
   for (std::size_t i = 0; i < n; ++i) {
     const dft::KernelWork& work = workload.kernels[i];
     std::array<TimePs, 2> next{kInf, kInf};
     for (std::size_t to = 0; to < 2; ++to) {
       for (std::size_t from = 0; from < 2; ++from) {
-        TimePs c = cost[from] + kernel_cost[i][to];
+        TimePs c = cost[from] + costs[i][to];
         if (from != to) {
           if (segments_per_kernel <= 1) {
             c += cost_->crossing_cost(work.input_bytes);
@@ -128,7 +129,7 @@ ExecutionPlan Scheduler::plan_function_level(
   for (std::size_t i = 0; i < n; ++i) {
     Placement& p = plan.placements[i];
     p.device = device_of(chosen[i]);
-    p.est_time_ps = kernel_cost[i][chosen[i]];
+    p.est_time_ps = costs[i][chosen[i]];
     p.crossing = (i == 0) ? false : (chosen[i] != previous);
     if (p.crossing) {
       const Bytes input = workload.kernels[i].input_bytes;

@@ -6,11 +6,12 @@
 // kernel chain that minimises estimated execution time plus the Eq. 1
 // crossing overheads (DT + CXT at every CPU<->NDP boundary).
 //
-// The granularity ablation (bench/abl_granularity) models the paper's
-// argument for function-level offload: finer granularities split each
-// function into segments that each pay their own crossing overhead, while
-// coarser granularity forces the whole iteration onto one device.
+// The granularity ablation (A1 in bench/paper_claims.cpp) models the
+// paper's argument for function-level offload: finer granularities split
+// each function into segments that each pay their own crossing overhead,
+// while coarser granularity forces the whole iteration onto one device.
 
+#include <array>
 #include <span>
 #include <vector>
 
@@ -56,6 +57,9 @@ struct ExecutionPlan {
   }
 };
 
+/// Estimated time of each kernel on {CPU, NDP}, in pipeline order.
+using KernelCosts = std::vector<std::array<TimePs, 2>>;
+
 /// The cost-aware offloading scheduler.
 class Scheduler {
  public:
@@ -63,18 +67,24 @@ class Scheduler {
       : sca_(&sca), cost_(&cost) {}
 
   /// Builds the minimal-cost plan for `workload` at the given granularity.
+  ExecutionPlan plan(const dft::Workload& workload,
+                     Granularity granularity = Granularity::kFunction) const;
+
+  /// The one dynamic program over the linear kernel chain: places each
+  /// kernel on the CPU or the NDP side to minimise its `costs` entry (one
+  /// per kernel, in pipeline order) plus the Eq. 1 crossing overheads. plan() feeds it the SCA's roofline
+  /// estimates; AdaptiveScheduler feeds it its believed times.
   /// `segments_per_kernel` only matters for sub-function granularities:
   /// it is how many independently-scheduled segments each kernel splits
   /// into (each segment pays its own crossing overhead when it moves).
-  ExecutionPlan plan(const dft::Workload& workload,
-                     Granularity granularity = Granularity::kFunction) const;
+  ExecutionPlan plan_with_costs(const dft::Workload& workload,
+                                const KernelCosts& costs,
+                                unsigned segments_per_kernel = 1) const;
 
   /// Segment count a granularity implies for one kernel.
   static unsigned segments_for(Granularity granularity);
 
  private:
-  ExecutionPlan plan_function_level(const dft::Workload& workload,
-                                    unsigned segments_per_kernel) const;
   ExecutionPlan plan_single_device(const dft::Workload& workload) const;
 
   const Sca* sca_;

@@ -254,6 +254,40 @@ TEST(AdaptiveSchedulerTest, CorrectsMisprofiledPlan) {
   }
 }
 
+TEST(AdaptiveSchedulerTest, WithoutMeasurementsPlansExactlyLikeTheScheduler) {
+  // Both planners run Scheduler's one dynamic program; with nothing
+  // measured, believed_time() is the SCA estimate, so every field of the
+  // plan must match the static function-level plan.
+  const runtime::Sca sca(runtime::DeviceProfile::table3_cpu(),
+                         runtime::DeviceProfile::table3_ndp());
+  const runtime::CostModel cost(runtime::DeviceProfile::table3_cpu(),
+                                runtime::DeviceProfile::table3_ndp());
+  const runtime::Scheduler scheduler(sca, cost);
+  const runtime::AdaptiveScheduler adaptive(sca, cost);
+  for (const std::size_t atoms : {64, 256, 1024}) {
+    SCOPED_TRACE(atoms);
+    const dft::Workload w =
+        dft::Workload::lrtddft_iteration(dft::SystemDims::silicon(atoms));
+    const runtime::ExecutionPlan expected =
+        scheduler.plan(w, runtime::Granularity::kFunction);
+    const runtime::ExecutionPlan actual = adaptive.plan(w);
+    EXPECT_GT(expected.crossings, 0u);  // the plan mixes both sides
+    ASSERT_EQ(actual.placements.size(), expected.placements.size());
+    for (std::size_t i = 0; i < expected.placements.size(); ++i) {
+      const runtime::Placement& a = actual.placements[i];
+      const runtime::Placement& e = expected.placements[i];
+      EXPECT_EQ(a.device, e.device) << w.kernels[i].name;
+      EXPECT_EQ(a.est_time_ps, e.est_time_ps) << w.kernels[i].name;
+      EXPECT_EQ(a.transfer_in_ps, e.transfer_in_ps) << w.kernels[i].name;
+      EXPECT_EQ(a.switch_in_ps, e.switch_in_ps) << w.kernels[i].name;
+      EXPECT_EQ(a.crossing, e.crossing) << w.kernels[i].name;
+    }
+    EXPECT_EQ(actual.est_total_ps, expected.est_total_ps);
+    EXPECT_EQ(actual.est_overhead_ps, expected.est_overhead_ps);
+    EXPECT_EQ(actual.crossings, expected.crossings);
+  }
+}
+
 // ------------------------------------------------------------ page policy
 
 TEST(PagePolicyTest, OpenPageWinsOnStreams) {

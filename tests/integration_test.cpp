@@ -235,6 +235,151 @@ TEST_F(NdftSystemFixture, FootprintsFollowTableI) {
   EXPECT_NEAR(vs_cpu, 1.08, 0.1);  // "close to CPU execution (1.08x)"
 }
 
+/// net_test's small sampling: the per-core bounds set every kernel's
+/// sample, so the seven Fig. 8 sizes in three modes simulate in about a
+/// second.
+SystemConfig small_sampling() {
+  SystemConfig config = SystemConfig::paper_default();
+  config.sampled_ops_per_kernel = 500;
+  config.min_ops_per_core = 20;
+  config.max_ops_per_core = 200;
+  return config;
+}
+
+// The simulations behind every Fig. 7 and Fig. 8 row of the paper ledger
+// (bench/paper_claims.cpp), pinned exactly at small sampling: the CPU,
+// GPU and NDFT reports at Si_64 and Si_1024, and the three totals at
+// every Fig. 8 size. The ledger runs the same simulations at paper
+// sampling; scripts/verify.sh --bench-smoke compares those with the
+// committed BENCH_paper.json.
+const ReportPin kFig7CpuSi64Pin{
+    {96905643910u, 23793525797u, 51502825567u, 22616368932u, 26076231161u,
+     23669614548u, 11927403606u, 265156461400u},
+    0u, 0u, 0u, 2227.7435225745157,
+    {
+        {"dram.bytes", 311808},
+        {"dram.channel_utilization", 0.54164522908549584},
+        {"dram.queue_peak", 1},
+        {"dram.reads", 4872},
+        {"dram.refresh_stall_ps", 0},
+        {"dram.refreshes", 0},
+        {"dram.row_conflicts", 1709},
+        {"dram.row_hits", 3035},
+        {"dram.row_misses", 128},
+        {"dram.writes", 0},
+    }};
+const ReportPin kFig7GpuSi64Pin{
+    {41673254756u, 6205683284u, 73719398368u, 6205683284u, 12215379829u,
+     6205683284u, 5843637495u, 139501583562u},
+    0u, 0u, 0u, 6823.3361502959997,
+    {}};
+const ReportPin kFig7NdftSi64Pin{
+    {7196365400u, 1754530800u, 7043399600u, 1876554800u, 23569179648u,
+     1841690800u, 1757136902u, 339010838755u},
+    4968433408u, 1843683232u, 237040800u, 3645.6995730108301,
+    {
+        {"dram.bytes", 1029120},
+        {"dram.channel_utilization", 0.00021748527511075789},
+        {"dram.queue_peak", 1},
+        {"dram.reads", 16080},
+        {"dram.refresh_stall_ps", 63960000},
+        {"dram.refreshes", 37888},
+        {"dram.row_conflicts", 10265},
+        {"dram.row_hits", 1891},
+        {"dram.row_misses", 3924},
+        {"dram.writes", 0},
+        {"mesh.bytes", 1843683232},
+        {"mesh.contention_ps", 108050988910},
+        {"mesh.hops", 4560},
+        {"mesh.messages", 2912},
+        {"mesh.queue_peak", 1},
+        {"serdes.contention_ps", 686806},
+        {"serdes.queue_peak", 1},
+    }};
+const ReportPin kFig7CpuSi1024Pin{
+    {1297241573600u, 394086775296u, 914883911392u, 401521600176u,
+     422779308595u, 384669330448u, 224625378818u, 424125528865u},
+    0u, 0u, 0u, 16503.247776766882,
+    {
+        {"dram.bytes", 311808},
+        {"dram.channel_utilization", 0.50702561453981754},
+        {"dram.queue_peak", 1},
+        {"dram.reads", 4872},
+        {"dram.refresh_stall_ps", 0},
+        {"dram.refreshes", 0},
+        {"dram.row_conflicts", 1714},
+        {"dram.row_hits", 3030},
+        {"dram.row_misses", 128},
+        {"dram.writes", 0},
+    }};
+const ReportPin kFig7GpuSi1024Pin{
+    {666635221333u, 99142887365u, 1179383630061u, 99142887365u, 195299928205u,
+     99142887365u, 93349959919u, 234680222222u},
+    0u, 0u, 0u, 61638.425742171996,
+    {}};
+const ReportPin kFig7NdftSi1024Pin{
+    {115925085938u, 29467633875u, 137366868750u, 30192819375u, 374233918541u,
+     27794128875u, 28661195730u, 388090803235u},
+    74180412160u, 29497798912u, 3792652800u, 14570.275351753322,
+    {
+        {"dram.bytes", 1029120},
+        {"dram.channel_utilization", 1.3625949843162047e-05},
+        {"dram.queue_peak", 1},
+        {"dram.reads", 16080},
+        {"dram.refresh_stall_ps", 29120000},
+        {"dram.refreshes", 605056},
+        {"dram.row_conflicts", 10180},
+        {"dram.row_hits", 1917},
+        {"dram.row_misses", 3983},
+        {"dram.writes", 0},
+        {"mesh.bytes", 29497798912},
+        {"mesh.contention_ps", 1728889249740},
+        {"mesh.hops", 4560},
+        {"mesh.messages", 2912},
+        {"mesh.queue_peak", 1},
+        {"serdes.contention_ps", 623909},
+        {"serdes.queue_peak", 1},
+    }};
+
+struct ScalePin {
+  std::size_t atoms;
+  TimePs cpu_ps;
+  TimePs gpu_ps;
+  TimePs ndft_ps;
+};
+const ScalePin kFig8Pins[] = {
+    {16, 22082304122u, 12857955967u, 7999326022u},
+    {32, 158121160180u, 94990935233u, 79526898014u},
+    {64, 521648074921u, 291570303862u, 389018130113u},
+    {128, 966512150847u, 538752015259u, 506971910095u},
+    {256, 1609297121260u, 842753808297u, 644239487286u},
+    {1024, 4463933407190u, 2666777623835u, 1205912866479u},
+    {2048, 9064512019932u, 6198073121448u, 2516727747381u},
+};
+
+TEST(PaperLedgerTest, Fig7AndFig8SimulationsArePinned) {
+  const NdftSystem system(small_sampling());
+  for (const ScalePin& pin : kFig8Pins) {
+    SCOPED_TRACE(pin.atoms);
+    const dft::Workload w = system.workload_for(pin.atoms);
+    const RunReport cpu = system.run(w, ExecMode::kCpuBaseline);
+    const RunReport gpu = system.run(w, ExecMode::kGpuBaseline);
+    const RunReport ndft = system.run(w, ExecMode::kNdft);
+    EXPECT_EQ(cpu.total_ps(), pin.cpu_ps);
+    EXPECT_EQ(gpu.total_ps(), pin.gpu_ps);
+    EXPECT_EQ(ndft.total_ps(), pin.ndft_ps);
+    if (pin.atoms == 64) {
+      expect_pinned(cpu, kFig7CpuSi64Pin);
+      expect_pinned(gpu, kFig7GpuSi64Pin);
+      expect_pinned(ndft, kFig7NdftSi64Pin);
+    } else if (pin.atoms == 1024) {
+      expect_pinned(cpu, kFig7CpuSi1024Pin);
+      expect_pinned(gpu, kFig7GpuSi1024Pin);
+      expect_pinned(ndft, kFig7NdftSi1024Pin);
+    }
+  }
+}
+
 TEST_F(NdftSystemFixture, SharingTrafficOnlyUnderCoDesign) {
   const dft::Workload w = system.workload_for(64);
   const RunReport ndp = system.run(w, ExecMode::kNdpOnly);
