@@ -581,11 +581,14 @@ struct Mesh {
 constexpr Mesh kMeshes[] = {
     {"2x2", 2, 2}, {"2x4", 2, 4}, {"4x4", 4, 4}, {"4x8", 4, 8}};
 
+/// The paper machine on `mesh`, planned with that mesh's own NDP beliefs
+/// (scaled from Table III's as a SimulateJob's machine document is).
 core::SystemConfig mesh_config(const Mesh& mesh) {
   core::SystemConfig config = core::SystemConfig::paper_default();
   config.ndp.mesh.width = mesh.width;
   config.ndp.mesh.height = mesh.height;
   config.processes.stacks = config.ndp.stacks();
+  config.ndp_profile = core::ndp_profile_from(config.ndp, config.ndp_profile);
   return config;
 }
 

@@ -45,16 +45,21 @@
 #                  storage and the plan cache) and linalg_test and
 #                  kpoints_test (the window solver's reused workspace
 #                  buffers, GEMM pack regions and per-thread k-point
-#                  solvers) under it; any sanitizer report fails the
-#                  gate. physics_test stays out: its goldens drift under
-#                  ASan (ROADMAP item 1).
+#                  solvers) under it, plus extensions_test's ScfFixture
+#                  tests (the SCF's two parity blocks solved on two
+#                  threads at once, one workspace each, and the worker's
+#                  linalg time handed back); any sanitizer report fails
+#                  the gate. physics_test stays out: its goldens drift
+#                  under ASan (ROADMAP item 1).
 #   --tsan         additionally build a ThreadSanitizer tree (build-tsan,
 #                  `cmake --preset tsan`: -fsanitize=thread) and run
 #                  common_test (the thread pool, with its join/close
 #                  stress and placement tests), fft_test (plans built
 #                  while four threads race for a new length), linalg_test
 #                  and kpoints_test (the pool's heaviest callers: GEMM row
-#                  blocks and the band k-loop) and the api, net and
+#                  blocks and the band k-loop), extensions_test's
+#                  ScfFixture tests (the SCF's parity blocks on two
+#                  threads) and the api, net and
 #                  shard tiers (the Engine's dispatchers, queue and
 #                  concurrent simulations, the HTTP server's connection
 #                  threads, the client and the scatter workers) under it;
@@ -172,7 +177,8 @@ if [ "$SANITIZE" -eq 1 ]; then
     -j "$JOBS"
   ctest --test-dir "$SAN_DIR" -R "$UNIT_TESTS" --output-on-failure \
     -j "$JOBS"
-  echo "sanitize (api|robust|net|shard + simulator, common, fft, linalg, kpoints unit tests): OK ($SAN_DIR)"
+  "$SAN_DIR/extensions_test" --gtest_filter='ScfFixture.*'
+  echo "sanitize (api|robust|net|shard + simulator, common, fft, linalg, kpoints unit tests, SCF tests): OK ($SAN_DIR)"
 fi
 
 if [ "$TSAN" -eq 1 ]; then
@@ -182,12 +188,13 @@ if [ "$TSAN" -eq 1 ]; then
   TSAN_DIR="build-tsan"
   cmake --preset tsan
   cmake --build "$TSAN_DIR" -j "$JOBS" --target common_test fft_test \
-    linalg_test kpoints_test api_test net_test shard_test
+    linalg_test kpoints_test extensions_test api_test net_test shard_test
   ctest --test-dir "$TSAN_DIR" -R '^(common|fft|linalg|kpoints)_test$' \
     --output-on-failure -j "$JOBS"
+  "$TSAN_DIR/extensions_test" --gtest_filter='ScfFixture.*'
   ctest --test-dir "$TSAN_DIR" -L 'api|net|shard' --output-on-failure \
     -j "$JOBS"
-  echo "tsan (common, fft, linalg, kpoints + api|net|shard): OK ($TSAN_DIR)"
+  echo "tsan (common, fft, linalg, kpoints, SCF tests + api|net|shard): OK ($TSAN_DIR)"
 fi
 
 if [ "$PORTABLE" -eq 1 ]; then

@@ -43,6 +43,9 @@ ScfPayload execute_scf(const ScfJob& job) {
   const dft::Crystal crystal = dft::Crystal::silicon_supercell(job.atoms);
   const dft::PlaneWaveBasis basis(crystal, job.ecut_ry * dft::kHaPerRy);
   const dft::ScfResult scf = dft::solve_scf(basis, job.scf);
+  // A loop stopped at max_iterations still answers, but not the
+  // converged ground state: say so where a client cannot miss it.
+  if (!scf.converged) note_degradation("scf:not_converged");
 
   ScfPayload payload;
   payload.atoms = job.atoms;

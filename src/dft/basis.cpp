@@ -34,12 +34,24 @@ PlaneWaveBasis::PlaneWaveBasis(const Crystal& crystal, double ecut_ha)
       }
     }
   }
-  std::sort(g_.begin(), g_.end(), [](const GVector& a, const GVector& b) {
+  const auto shorter = [](const GVector& a, const GVector& b) {
     if (a.g2 != b.g2) return a.g2 < b.g2;
     if (a.h != b.h) return a.h < b.h;
     if (a.k != b.k) return a.k < b.k;
     return a.l < b.l;
-  });
+  };
+  std::sort(g_.begin(), g_.end(), shorter);
+
+  // -G is built from the negated integers, so its |G|^2 carries the same
+  // bits and it sorts where the search below looks for it.
+  partner_.reserve(g_.size());
+  for (const GVector& gv : g_) {
+    const GVector mirror{-gv.h, -gv.k, -gv.l, gv.g * -1.0, gv.g2};
+    const auto it = std::lower_bound(g_.begin(), g_.end(), mirror, shorter);
+    NDFT_ASSERT(it != g_.end() && it->h == mirror.h && it->k == mirror.k &&
+                it->l == mirror.l);
+    partner_.push_back(static_cast<std::size_t>(it - g_.begin()));
+  }
 
   // FFT grid: needs indices in [-2*hmax, 2*hmax] to hold densities (products
   // of two wavefunctions) alias-free; wavefunction-only work uses the same

@@ -46,12 +46,20 @@ class PlaneWaveBasis {
     return grid_index_[i];
   }
 
+  /// The -G partner map: partners()[i] is the index of -G_i. The cutoff
+  /// sphere is closed under inversion, so the map is an involution whose
+  /// only fixed point is G = 0 (index 0).
+  const std::vector<std::size_t>& partners() const noexcept {
+    return partner_;
+  }
+
  private:
   const Crystal* crystal_;
   double ecut_;
   std::vector<GVector> g_;
   std::array<std::size_t, 3> fft_dims_{};
   std::vector<std::size_t> grid_index_;
+  std::vector<std::size_t> partner_;
 };
 
 }  // namespace ndft::dft

@@ -7,6 +7,7 @@
 #include <iterator>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -2052,7 +2053,7 @@ TridiagScales tridiag_lowest_values(const std::vector<double>& d,
 /// land in the rows of `vt` (m x n).
 void tridiag_lowest_vectors(const std::vector<double>& d,
                             const std::vector<double>& e,
-                            const std::vector<double>& eigenvalues,
+                            std::span<const double> eigenvalues,
                             TridiagScales scales, RealMatrix& vt) {
   const std::size_t n = d.size();
   const std::size_t m = eigenvalues.size();
@@ -2708,7 +2709,8 @@ EigenResult syevd_naive(const RealMatrix& symmetric) {
 /// The window solver's scratch: the working copy of the matrix, the
 /// reduction's outputs and per-panel temporaries, the GEMM pack buffers
 /// under both stages, the tridiagonal eigenvectors and the
-/// back-transform's temporaries.
+/// back-transform's temporaries, and what a staged solve carries from
+/// its values stage to its vectors stage.
 struct EigenWorkspace::Buffers {
   RealMatrix reduced;  ///< working copy, reduced in place
   std::vector<double> d;
@@ -2718,6 +2720,9 @@ struct EigenWorkspace::Buffers {
   GemmPacks<double> packs;
   RealMatrix tridiag_vectors;  ///< one per row
   QPanelBuffers q_panels;
+  std::vector<double> values;       ///< the bisected eigenvalues, ascending
+  TridiagScales scales;             ///< the bisection's, for inverse iteration
+  std::optional<EigenResult> full;  ///< a staged solve that ran syevd
 };
 
 EigenWorkspace::EigenWorkspace() : buffers_(std::make_unique<Buffers>()) {}
@@ -2726,22 +2731,72 @@ EigenWorkspace::~EigenWorkspace() = default;
 
 namespace {
 
-/// Full-spectrum answer cut down to the lowest m pairs: the fallback the
-/// partial solver degrades to (and the fast path near the full spectrum).
-EigenResult partial_from_full(const RealMatrix& symmetric, std::size_t m) {
-  const std::size_t n = symmetric.rows();
-  EigenResult full = syevd(symmetric);
-  if (m == n) return full;
-  EigenResult result;
-  result.eigenvalues.assign(
-      full.eigenvalues.begin(),
-      full.eigenvalues.begin() + static_cast<std::ptrdiff_t>(m));
-  result.eigenvectors = RealMatrix(n, m);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* src = full.eigenvectors.row(i);
-    std::copy(src, src + m, result.eigenvectors.row(i));
+/// The first k columns of z.
+RealMatrix first_columns(const RealMatrix& z, std::size_t k) {
+  RealMatrix result(z.rows(), k);
+  for (std::size_t i = 0; i < z.rows(); ++i) {
+    const double* src = z.row(i);
+    std::copy(src, src + k, result.row(i));
   }
   return result;
+}
+
+/// n, after the window solvers' argument checks.
+std::size_t window_size(const RealMatrix& symmetric, std::size_t m) {
+  NDFT_REQUIRE(symmetric.rows() == symmetric.cols(),
+               "syevd_partial: matrix must be square");
+  const std::size_t n = symmetric.rows();
+  NDFT_REQUIRE(m >= 1 && m <= n,
+               "syevd_partial: eigenpair count must be in [1, n]");
+  return n;
+}
+
+/// The window solve's first stage: reduce `symmetric` to tridiagonal form
+/// in ws and bisect its lowest m eigenvalues into ws.values.
+void reduce_and_bisect(const RealMatrix& symmetric, std::size_t m,
+                       EigenWorkspace::Buffers& ws) {
+  // The direct Householder reduction, not the full solver's two-stage
+  // one: swapping band_reduce + the bulge chase into this path (the
+  // chase replayed over the m columns) ran 0.77-0.82x as fast at
+  // n=179, m=24, the dense Si_8 SCF window before the parity split
+  // (4-vCPU AVX-512 Xeon, 1-2 threads). Its callers now are the band
+  // jobs' value-only solves (n=137-179) and the SCF's parity blocks
+  // (n=89-90, m=24), smaller still, where the chase's setup weighs more.
+  ws.full.reset();
+  ws.reduced = symmetric;  // keeps the workspace's storage once warm
+  {
+    StageTimerScope stage(&LinalgStageTimes::reduce_ms);
+    blocked_tridiagonalize(ws.reduced, ws.d, ws.e, ws.tau, ws.reduction,
+                           ws.packs);
+  }
+  StageTimerScope stage(&LinalgStageTimes::tridiag_ms);
+  ws.scales = tridiag_lowest_values(ws.d, ws.e, m, ws.values);
+}
+
+/// The second stage: inverse iteration for the lowest k of ws.values,
+/// then the n x k eigenvector block through the same compact-WY panels
+/// as the full solver — O(n^2 k) instead of O(n^3).
+RealMatrix lowest_vectors(std::size_t k, EigenWorkspace::Buffers& ws) {
+  const std::size_t n = ws.d.size();
+  {
+    StageTimerScope stage(&LinalgStageTimes::tridiag_ms);
+    tridiag_lowest_vectors(ws.d, ws.e,
+                           std::span<const double>(ws.values).first(k),
+                           ws.scales, ws.tridiag_vectors);
+  }
+  RealMatrix z(n, k);
+  StageTimerScope stage(&LinalgStageTimes::backtransform_ms);
+  parallel_for(0, n, eig_grain(k), [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t r = lo; r < hi; ++r) {
+      double* row = z.row(r);
+      for (std::size_t c = 0; c < k; ++c) {
+        row[c] = ws.tridiag_vectors(c, r);
+      }
+    }
+  });
+  apply_q_panels(ws.reduced, ws.tau, z, 1, ws.q_panels,
+                 &ws.packs);  // z <- Q z
+  return z;
 }
 
 /// The lowest-m window solve behind syevd_partial (`vectors`) and
@@ -2754,11 +2809,7 @@ EigenResult window_solve(const RealMatrix& symmetric, std::size_t m,
   LinalgTimerScope timer;
   KernelTimer trace(KernelClass::kSyevd,
                     vectors ? "syevd.partial" : "syevd.partial.values");
-  NDFT_REQUIRE(symmetric.rows() == symmetric.cols(),
-               "syevd_partial: matrix must be square");
-  const std::size_t n = symmetric.rows();
-  NDFT_REQUIRE(m >= 1 && m <= n,
-               "syevd_partial: eigenpair count must be in [1, n]");
+  const std::size_t n = window_size(symmetric, m);
   const SyevdCost cost = syevd_partial_cost(n, m, vectors);
   trace.set_dims(n, m, 0);
   trace.set_work(cost.flops, cost.bytes);
@@ -2770,7 +2821,7 @@ EigenResult window_solve(const RealMatrix& symmetric, std::size_t m,
     note_degradation("syevd_partial:full_fallback");
     const SyevdCost full = syevd_cost(n);
     trace.set_work(full.flops, full.bytes);
-    return partial_from_full(symmetric, m);
+    return syevd_lowest(symmetric, m);
   };
 
   if (fault_fires("solver.syevd_partial")) {
@@ -2783,56 +2834,17 @@ EigenResult window_solve(const RealMatrix& symmetric, std::size_t m,
     // The bisection/back-transform savings vanish near the full spectrum;
     // the full solver is both faster and more robust there (and
     // syevd_partial_cost already prices it as the full solve).
-    return partial_from_full(symmetric, m);
+    return syevd_lowest(symmetric, m);
   }
 
   std::optional<EigenWorkspace> own_workspace;
   if (workspace == nullptr) workspace = &own_workspace.emplace();
   EigenWorkspace::Buffers& ws = workspace->buffers();
   try {
-    // The direct Householder reduction, not the full solver's two-stage
-    // one: swapping band_reduce + the bulge chase into this path (the
-    // chase replayed over the m columns) ran 0.77-0.82x as fast at
-    // n=179, m=24, the Si_8 SCF solve (4-vCPU AVX-512 Xeon, 1-2 threads).
-    // This path can go once the SCF window no longer needs a dense
-    // partial solve every iteration.
-    ws.reduced = symmetric;  // keeps the workspace's storage once warm
-    {
-      StageTimerScope stage(&LinalgStageTimes::reduce_ms);
-      blocked_tridiagonalize(ws.reduced, ws.d, ws.e, ws.tau, ws.reduction,
-                             ws.packs);
-    }
-
+    reduce_and_bisect(symmetric, m, ws);
     EigenResult result;
-    {
-      StageTimerScope stage(&LinalgStageTimes::tridiag_ms);
-      const TridiagScales scales =
-          tridiag_lowest_values(ws.d, ws.e, m, result.eigenvalues);
-      if (vectors) {
-        tridiag_lowest_vectors(ws.d, ws.e, result.eigenvalues, scales,
-                               ws.tridiag_vectors);
-      }
-    }
-
-    if (vectors) {
-      // Assemble the n x m eigenvector block and push it through the same
-      // compact-WY panels as the full solver — O(n^2 m) instead of
-      // O(n^3).
-      RealMatrix z(n, m);
-      StageTimerScope stage(&LinalgStageTimes::backtransform_ms);
-      parallel_for(0, n, eig_grain(m),
-                   [&](std::size_t lo, std::size_t hi) {
-                     for (std::size_t r = lo; r < hi; ++r) {
-                       double* row = z.row(r);
-                       for (std::size_t c = 0; c < m; ++c) {
-                         row[c] = ws.tridiag_vectors(c, r);
-                       }
-                     }
-                   });
-      apply_q_panels(ws.reduced, ws.tau, z, 1, ws.q_panels,
-                     &ws.packs);  // z <- Q z
-      result.eigenvectors = std::move(z);
-    }
+    result.eigenvalues = ws.values;
+    if (vectors) result.eigenvectors = lowest_vectors(m, ws);
     return result;
   } catch (const NdftError&) {
     // The partial path rejected the problem (e.g. a degenerate cluster
@@ -2844,6 +2856,14 @@ EigenResult window_solve(const RealMatrix& symmetric, std::size_t m,
 
 }  // namespace
 
+EigenResult syevd_lowest(const RealMatrix& symmetric, std::size_t m) {
+  EigenResult full = syevd(symmetric);
+  if (m == symmetric.rows()) return full;
+  full.eigenvalues.resize(m);
+  full.eigenvectors = first_columns(full.eigenvectors, m);
+  return full;
+}
+
 EigenResult syevd_partial(const RealMatrix& symmetric, std::size_t m,
                           EigenWorkspace* workspace) {
   return window_solve(symmetric, m, /*vectors=*/true, workspace);
@@ -2854,6 +2874,40 @@ std::vector<double> syevd_partial_values(const RealMatrix& symmetric,
                                          EigenWorkspace* workspace) {
   return window_solve(symmetric, m, /*vectors=*/false, workspace)
       .eigenvalues;
+}
+
+std::vector<double> syevd_window_values(const RealMatrix& symmetric,
+                                        std::size_t m,
+                                        EigenWorkspace& workspace) {
+  LinalgTimerScope timer;
+  const std::size_t n = window_size(symmetric, m);
+  EigenWorkspace::Buffers& ws = workspace.buffers();
+  if (2 * m > n) {
+    ws.full = syevd_lowest(symmetric, m);
+    return ws.full->eigenvalues;
+  }
+  reduce_and_bisect(symmetric, m, ws);
+  return ws.values;
+}
+
+RealMatrix syevd_window_vectors(std::size_t k, EigenWorkspace& workspace) {
+  LinalgTimerScope timer;
+  EigenWorkspace::Buffers& ws = workspace.buffers();
+  const std::size_t m =
+      ws.full ? ws.full->eigenvalues.size() : ws.values.size();
+  NDFT_REQUIRE(k >= 1 && k <= m,
+               "syevd_window_vectors: pair count must be in [1, m]");
+  if (ws.full) return first_columns(ws.full->eigenvectors, k);
+  return lowest_vectors(k, ws);
+}
+
+SyevdCost syevd_window_cost(std::size_t n, std::size_t m,
+                            std::size_t k) noexcept {
+  if (2 * m > n) return syevd_cost(n);
+  const SyevdCost values = syevd_partial_cost(n, m, /*vectors=*/false);
+  const auto nk = static_cast<Flops>(n) * k;
+  return {values.flops + 100 * nk + 2 * nk * n,
+          values.bytes + 2 * nk * sizeof(double)};
 }
 
 SyevdCost syevd_partial_cost(std::size_t n, std::size_t m,

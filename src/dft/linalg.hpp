@@ -16,8 +16,10 @@
 //    GEMM), bisection plus inverse iteration for the m wanted pairs, and
 //    the same compact-WY back-transformation restricted to m columns.
 //    Callers that read no vectors (`syevd_partial_values`) stop after the
-//    bisection; repeated solves can keep their scratch memory in a
-//    caller-owned `EigenWorkspace`.
+//    bisection, callers that take one window across several matrices
+//    run it in two stages (`syevd_window_values`, then
+//    `syevd_window_vectors` for the pairs kept); repeated solves can keep
+//    their scratch memory in a caller-owned `EigenWorkspace`.
 //
 // The serial EISPACK-lineage tred2/tql2 pair is kept as `syevd_naive`,
 // the reference both production paths are tested and benchmarked against.
@@ -154,6 +156,35 @@ EigenResult syevd_partial(const RealMatrix& symmetric, std::size_t m,
 std::vector<double> syevd_partial_values(const RealMatrix& symmetric,
                                          std::size_t m,
                                          EigenWorkspace* workspace = nullptr);
+
+/// The full solver's answer cut to the lowest `m` pairs: what the window
+/// solvers run near the full spectrum and degrade to.
+EigenResult syevd_lowest(const RealMatrix& symmetric, std::size_t m);
+
+/// syevd_partial() in two stages, for a caller that takes one window
+/// across several matrices (the parity blocks of the SCF Hamiltonian):
+/// it reduces and bisects every matrix first, then pays inverse
+/// iteration and the back-transform only for the pairs it keeps.
+/// syevd_window_values() reduces `symmetric` in `workspace` and returns
+/// its lowest `m` eigenvalues (1 <= m <= n); when 2m > n it runs
+/// syevd_lowest() instead and keeps the vectors. syevd_window_vectors()
+/// then returns the n x k eigenvectors of the lowest `k` of those values
+/// (1 <= k <= m) from what the workspace kept. Together they answer
+/// syevd_partial(symmetric, k) bitwise whenever both take the same path
+/// (2m <= n, or 2k > n). Neither draws the `solver.syevd_partial` fault
+/// or records a trace event: the caller owns the fallback and prices its
+/// selection with syevd_window_cost(). Both add to the calling thread's
+/// linalg timer and stage split. One workspace holds one staged solve.
+std::vector<double> syevd_window_values(const RealMatrix& symmetric,
+                                        std::size_t m,
+                                        EigenWorkspace& workspace);
+RealMatrix syevd_window_vectors(std::size_t k, EigenWorkspace& workspace);
+
+/// Analytic cost of syevd_window_values(n, m) followed by
+/// syevd_window_vectors(k): the reduction, m bisected eigenvalues and k
+/// vectors (k = 0: the values stage alone). syevd_cost(n) when 2m > n.
+SyevdCost syevd_window_cost(std::size_t n, std::size_t m,
+                            std::size_t k) noexcept;
 
 /// Result of a Hermitian eigensolve.
 struct HermitianEigenResult {

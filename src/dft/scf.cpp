@@ -6,7 +6,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iterator>
+#include <functional>
 #include <numbers>
+#include <thread>
 #include <utility>
 
 #include "common/cancel.hpp"
@@ -104,6 +106,169 @@ double ScfResult::electron_count(const PlaneWaveBasis& basis) const {
     total += n;
   }
   return total * element;
+}
+
+namespace {
+
+/// 1/sqrt(2), the weight of each partner in a parity basis vector.
+constexpr double kInvSqrt2 = std::numbers::sqrt2 / 2;
+
+/// Runs body(b) for every block b < count: one block per pool thread, or
+/// in series on the calling thread while a trace is active or faults are
+/// armed (kernel events and fault draws then stay on the job thread, as
+/// in the band k-loop). A block solved on a pool worker tallies its
+/// linalg time there; it is credited to the calling thread afterwards.
+void for_each_block(std::size_t count, bool serial,
+                    const std::function<void(std::size_t)>& body) {
+  if (serial) {
+    for (std::size_t b = 0; b < count; ++b) body(b);
+    return;
+  }
+  const std::thread::id caller = std::this_thread::get_id();
+  double worker_ms[2] = {0.0, 0.0};
+  LinalgStageTimes worker_stages[2];
+  parallel_for(0, count, 1, [&](std::size_t lo, std::size_t hi) {
+    const bool worker = std::this_thread::get_id() != caller;
+    for (std::size_t b = lo; b < hi; ++b) {
+      if (worker) linalg_timer_reset();
+      body(b);
+      if (worker) {
+        worker_ms[b] = linalg_timer_ms();
+        worker_stages[b] = linalg_stage_times();
+      }
+    }
+  });
+  for (std::size_t b = 0; b < count; ++b) {
+    linalg_timer_add(worker_ms[b], worker_stages[b]);
+  }
+}
+
+}  // namespace
+
+ParitySolver::ParitySolver(std::span<const std::size_t> partner)
+    : partner_(partner.begin(), partner.end()) {
+  const std::size_t n = partner_.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    NDFT_REQUIRE(partner_[i] < n && partner_[partner_[i]] == i,
+                 "parity: the partner map must be an involution");
+    if (partner_[i] == i) {
+      fixed_.push_back(i);
+    } else if (i < partner_[i]) {
+      pairs_.push_back(i);
+    }
+  }
+}
+
+void ParitySolver::fold(const RealMatrix& symmetric) {
+  // Upper triangles from the rows of the fixed points and of each pair's
+  // lower index: with H(Pi, Pj) = H(i, j), the even block's pair-pair
+  // element is H(i, j) + H(i, Pj) and the odd block's H(i, j) - H(i, Pj).
+  const std::size_t nf = fixed_.size();
+  const std::size_t np = pairs_.size();
+  RealMatrix& even = blocks_[0];
+  RealMatrix& odd = blocks_[1];
+  even.reset(nf + np, nf + np);
+  odd.reset(np, np);
+  for (std::size_t a = 0; a < nf; ++a) {
+    const double* row = symmetric.row(fixed_[a]);
+    for (std::size_t b = a; b < nf; ++b) even(a, b) = row[fixed_[b]];
+    for (std::size_t q = 0; q < np; ++q) {
+      even(a, nf + q) =
+          (row[pairs_[q]] + row[partner_[pairs_[q]]]) * kInvSqrt2;
+    }
+  }
+  for (std::size_t p = 0; p < np; ++p) {
+    const double* row = symmetric.row(pairs_[p]);
+    for (std::size_t q = p; q < np; ++q) {
+      const double direct = row[pairs_[q]];
+      const double crossed = row[partner_[pairs_[q]]];
+      even(nf + p, nf + q) = direct + crossed;
+      odd(p, q) = direct - crossed;
+    }
+  }
+  mirror_upper(even);
+  mirror_upper(odd);
+}
+
+EigenResult ParitySolver::solve(const RealMatrix& symmetric, std::size_t m) {
+  const std::size_t n = partner_.size();
+  NDFT_REQUIRE(symmetric.rows() == n && symmetric.cols() == n,
+               "parity solve: matrix must be n x n over the partner map");
+  NDFT_REQUIRE(m >= 1 && m <= n,
+               "parity solve: eigenpair count must be in [1, n]");
+  // Read before the event opens: an open kernel event hides the recorder.
+  const bool serial = trace_active() || fault_enabled();
+  KernelTimer trace(KernelClass::kSyevd, "syevd.partial");
+  trace.set_dims(n, m, 0);
+  trace.set_io(n * n * sizeof(double), (n * m + m) * sizeof(double));
+  if (fault_fires("solver.syevd_partial")) {
+    // Injected solver fault: the dense full solve, as syevd_partial runs.
+    note_degradation("syevd_partial:full_fallback");
+    const SyevdCost full = syevd_cost(n);
+    trace.set_work(full.flops, full.bytes);
+    return syevd_lowest(symmetric, m);
+  }
+
+  fold(symmetric);
+  const std::size_t count = pairs_.empty() ? 1 : 2;  // odd block empty
+  std::vector<double> values[2];
+  for_each_block(count, serial, [&](std::size_t b) {
+    values[b] = syevd_window_values(
+        blocks_[b], std::min(m, blocks_[b].rows()), workspaces_[b]);
+  });
+
+  // The lowest m values of the union, even first on a tie. The blocks
+  // bisected min(m, size) values each, so together they hold m.
+  std::vector<std::uint8_t> from_odd(m);
+  std::size_t kept[2] = {0, 0};
+  for (std::size_t j = 0; j < m; ++j) {
+    const bool odd = kept[0] == values[0].size() ||
+                     (kept[1] < values[1].size() &&
+                      values[1][kept[1]] < values[0][kept[0]]);
+    from_odd[j] = odd;
+    ++kept[odd];
+  }
+
+  RealMatrix vectors[2];
+  for_each_block(count, serial, [&](std::size_t b) {
+    if (kept[b] > 0) {
+      vectors[b] = syevd_window_vectors(kept[b], workspaces_[b]);
+    }
+  });
+  SyevdCost cost;
+  for (std::size_t b = 0; b < count; ++b) {
+    const SyevdCost block =
+        syevd_window_cost(blocks_[b].rows(), values[b].size(), kept[b]);
+    cost.flops += block.flops;
+    cost.bytes += block.bytes;
+  }
+  trace.set_work(cost.flops, cost.bytes);
+
+  // Back to G-space: c(f) = x_f at a fixed point, c(i) = x/sqrt(2) and
+  // c(Pi) = +-x/sqrt(2) for a pair, the sign its block's parity.
+  const std::size_t nf = fixed_.size();
+  EigenResult result;
+  result.eigenvalues.resize(m);
+  result.eigenvectors.reset(n, m);
+  RealMatrix& z = result.eigenvectors;
+  std::size_t next[2] = {0, 0};
+  for (std::size_t j = 0; j < m; ++j) {
+    const std::size_t b = from_odd[j];
+    const std::size_t c = next[b]++;
+    const RealMatrix& x = vectors[b];
+    result.eigenvalues[j] = values[b][c];
+    const std::size_t offset = b == 0 ? nf : 0;
+    const double sign = b == 0 ? 1.0 : -1.0;
+    if (b == 0) {
+      for (std::size_t a = 0; a < nf; ++a) z(fixed_[a], j) = x(a, c);
+    }
+    for (std::size_t q = 0; q < pairs_.size(); ++q) {
+      const double v = x(offset + q, c) * kInvSqrt2;
+      z(pairs_[q], j) = v;
+      z(partner_[pairs_[q]], j) = sign * v;
+    }
+  }
+  return result;
 }
 
 ScfResult solve_scf(const PlaneWaveBasis& basis, const ScfConfig& config) {
@@ -240,7 +405,7 @@ ScfResult solve_scf(const PlaneWaveBasis& basis, const ScfConfig& config) {
   // Every iteration rewrites the whole Hamiltonian and solves the same
   // window shape, so both keep their memory across the loop.
   RealMatrix hamiltonian(n_g, n_g);
-  EigenWorkspace eigen_workspace;
+  ParitySolver parity(basis.partners());
   GroundState state;
   for (unsigned iteration = 0; iteration < config.max_iterations;
        ++iteration) {
@@ -319,10 +484,10 @@ ScfResult solve_scf(const PlaneWaveBasis& basis, const ScfConfig& config) {
       mirror_upper(hamiltonian);
     }
 
-    // Only the lowest `bands` pairs feed the density and the band window;
-    // the partial solver skips the full-spectrum QL and back-transform.
-    // The solve returns exactly `bands` pairs, n_g x bands vectors.
-    EigenResult eigen = syevd_partial(hamiltonian, bands, &eigen_workspace);
+    // Only the lowest `bands` pairs feed the density and the band window.
+    // H commutes with G -> -G, so they come from its two parity blocks:
+    // exactly `bands` pairs, n_g x bands vectors.
+    EigenResult eigen = parity.solve(hamiltonian, bands);
 
     state.valence_bands = valence;
     state.energies_ha = std::move(eigen.eigenvalues);

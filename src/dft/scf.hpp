@@ -16,6 +16,11 @@
 // iterated with linear density mixing until the density residual drops
 // below tolerance. Each SCF iteration exercises the same kernel families
 // as the LR-TDDFT pipeline (FFT, pointwise products, SYEVD).
+//
+// The cell is inversion-symmetric (real structure factors, real V(G)), so
+// H commutes with the parity G -> -G. Each iteration's window solve
+// therefore runs on H's two half-size parity blocks (ParitySolver), one
+// per pool thread, instead of on the dense n_g x n_g matrix.
 
 #include <span>
 #include <vector>
@@ -86,6 +91,47 @@ double lda_vxc(double n);
 
 /// LDA exchange-correlation energy density epsilon_xc(n) (per electron).
 double lda_exc(double n);
+
+/// Window solves of symmetric matrices that commute with a parity P: an
+/// involution of the basis indices (the -G partner map,
+/// PlaneWaveBasis::partners()) with H(Pi, Pj) = H(i, j). In the basis
+/// e_f (fixed points f = Pf) and (e_i +- e_Pi)/sqrt(2) (one per pair,
+/// i < Pi) such an H is block-diagonal: an even block of
+/// fixed + pairs rows and an odd block of pairs rows (90 and 89 for the
+/// default Si_8 SCF basis of 179). The SCF Hamiltonian is one. Each
+/// block's reduction sweeps about a quarter of the dense matrix and does
+/// an eighth of its flops.
+class ParitySolver {
+ public:
+  /// Throws NdftError unless `partner` is an involution of [0, n).
+  explicit ParitySolver(std::span<const std::size_t> partner);
+
+  /// The lowest `m` eigenpairs of `symmetric` (n x n, 1 <= m <= n), which
+  /// must commute with P: ascending values and n x m orthonormal vectors,
+  /// each of definite parity (c(Pi) = c(i) or -c(i)). Both blocks are
+  /// reduced and bisected (syevd_window_values), the lowest m values of
+  /// the union are kept (even first on a tie), and only their vectors
+  /// are computed (syevd_window_vectors). The blocks run one per pool
+  /// thread, each block's kernels inline, or in series while a trace is
+  /// active or faults are armed; the answer is bitwise the same either
+  /// way and at any pool width. A pool worker's linalg time is credited
+  /// to the calling thread. Records one `syevd.partial` event, dims
+  /// (n, m), priced at the blocks' summed syevd_window_cost(). A
+  /// `solver.syevd_partial` fault, drawn once per call, degrades the
+  /// call to syevd_lowest() on the dense matrix
+  /// (`syevd_partial:full_fallback`, priced at syevd_cost(n)).
+  EigenResult solve(const RealMatrix& symmetric, std::size_t m);
+
+ private:
+  /// Writes the even and odd blocks of `symmetric` into blocks_.
+  void fold(const RealMatrix& symmetric);
+
+  std::vector<std::size_t> partner_;
+  std::vector<std::size_t> fixed_;  ///< fixed points, ascending
+  std::vector<std::size_t> pairs_;  ///< i < partner_[i], ascending
+  RealMatrix blocks_[2];            ///< even, odd
+  EigenWorkspace workspaces_[2];    ///< one per block: they run at once
+};
 
 /// Runs the SCF loop. Throws NdftError on invalid configuration; returns
 /// with `converged == false` if max_iterations is exhausted (callers

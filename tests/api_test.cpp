@@ -223,6 +223,29 @@ TEST(EngineTest, PhysicsFailureIsTaxonomised) {
   EXPECT_FALSE(result.error_message.empty());
 }
 
+TEST(EngineTest, CappedScfJobSaysItDidNotConverge) {
+  // A loop stopped at max_iterations still answers (status ok) but
+  // carries the degradation tag scf:not_converged, through the JSON round
+  // trip too; the default job converges and carries no tag.
+  Engine engine;
+  const JobResult converged = engine.run(ScfJob{});
+  ASSERT_TRUE(converged.ok()) << converged.error_message;
+  ASSERT_TRUE(converged.scf.has_value());
+  EXPECT_TRUE(converged.scf->converged);
+  EXPECT_TRUE(converged.degraded.empty());
+
+  ScfJob capped;
+  capped.scf.max_iterations = 3;
+  const JobResult result = engine.run(capped);
+  ASSERT_TRUE(result.ok()) << result.error_message;
+  ASSERT_TRUE(result.scf.has_value());
+  EXPECT_FALSE(result.scf->converged);
+  EXPECT_EQ(result.degraded, std::vector<std::string>{"scf:not_converged"});
+  const JobResult rebuilt =
+      JobResult::from_json(Json::parse(result.to_json().dump()));
+  EXPECT_EQ(rebuilt.degraded, result.degraded);
+}
+
 // ------------------------------------------------------- JSON round trip
 
 /// Fast sampling so simulation-backed tests stay quick.
@@ -849,6 +872,35 @@ TEST(JobTimingsTest, BandLinalgTimeDoesNotShrinkWithPoolWidth) {
   pool.resize(original);
   EXPECT_GE(wide_ms, 0.75 * serial_ms)
       << "pool width 4: " << wide_ms << " ms, width 1: " << serial_ms
+      << " ms";
+}
+
+TEST(JobTimingsTest, ScfLinalgTimeCountsTheWorkersBlock) {
+  // At pool width 2 the SCF's two parity blocks are solved one per
+  // thread; the block a pool worker solves is credited to the job, so
+  // linalg_ms does not halve against the serial run.
+  if (std::thread::hardware_concurrency() < 2) {
+    GTEST_SKIP() << "needs 2 hardware threads";
+  }
+  ThreadPool& pool = ThreadPool::instance();
+  const std::size_t original = pool.threads();
+  Engine engine(fast_config(/*dispatch_threads=*/0));
+  ScfJob job;
+  job.scf.max_iterations = 4;
+  double serial_ms = std::numeric_limits<double>::infinity();
+  double wide_ms = serial_ms;
+  for (int round = 0; round < 3; ++round) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+      pool.resize(threads);
+      const JobResult result = engine.run(job);
+      ASSERT_TRUE(result.ok()) << result.error_message;
+      double& best = threads == 1 ? serial_ms : wide_ms;
+      best = std::min(best, result.timings.linalg_ms);
+    }
+  }
+  pool.resize(original);
+  EXPECT_GE(wide_ms, 0.75 * serial_ms)
+      << "pool width 2: " << wide_ms << " ms, width 1: " << serial_ms
       << " ms";
 }
 

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
+#include "common/prng.hpp"
 #include "core/cli.hpp"
 #include "core/ndft_system.hpp"
 #include "dft/scf.hpp"
@@ -91,6 +94,206 @@ TEST_F(ScfFixture, RejectsBadConfig) {
   config.mixing = 0.4;
   config.tolerance = -1.0;
   EXPECT_THROW(dft::solve_scf(basis, config), NdftError);
+}
+
+// ------------------------------------------------------ the parity split
+
+/// The SCF Hamiltonian of `density` (n(r) on the basis's FFT grid), built
+/// directly rather than from solve_scf's tables: kinetic + Ashcroft ionic
+/// + Hartree + LDA exchange-correlation, V_eff(G_i - G_j) read off the
+/// FFT grid at the wrapped integer difference. V_eff(G) is even only to
+/// the FFT's rounding, as in the SCF loop.
+dft::RealMatrix scf_hamiltonian(const dft::PlaneWaveBasis& basis,
+                                const std::vector<double>& density,
+                                const dft::ScfConfig& config) {
+  const auto dims = basis.fft_dims();
+  const std::size_t nr = basis.fft_size();
+  const auto& g = basis.gvectors();
+  dft::Grid3 n_of_g(dims[0], dims[1], dims[2]);
+  for (std::size_t i = 0; i < nr; ++i) {
+    n_of_g[i] = dft::Complex{density[i], 0.0};
+  }
+  dft::fft3d(n_of_g, dft::FftDirection::kForward);
+  dft::Grid3 v(dims[0], dims[1], dims[2]);
+  for (std::size_t i = 1; i < g.size(); ++i) {  // G = 0: the background
+    const std::size_t idx = basis.grid_index(i);
+    v[idx] = dft::kFourPi / g[i].g2 * n_of_g[idx] / static_cast<double>(nr);
+  }
+  dft::fft3d(v, dft::FftDirection::kInverse);
+  for (std::size_t i = 0; i < nr; ++i) {
+    v[i] = dft::Complex{v[i].real() * static_cast<double>(nr) +
+                       dft::lda_vxc(density[i]),
+                   0.0};
+  }
+  dft::fft3d(v, dft::FftDirection::kForward);
+  const auto wrap = [](int x, std::size_t n) {
+    const int ni = static_cast<int>(n);
+    return static_cast<std::size_t>(((x % ni) + ni) % ni);
+  };
+  dft::RealMatrix h(g.size(), g.size());
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    for (std::size_t j = i; j < g.size(); ++j) {
+      const std::size_t idx =
+          (wrap(g[i].l - g[j].l, dims[2]) * dims[1] +
+           wrap(g[i].k - g[j].k, dims[1])) *
+              dims[0] +
+          wrap(g[i].h - g[j].h, dims[0]);
+      h(i, j) = v[idx].real() / static_cast<double>(nr) +
+                dft::ashcroft_potential(basis.crystal(), g[i], g[j],
+                                        config.valence_charge,
+                                        config.core_radius_bohr) +
+                (i == j ? 0.5 * g[i].g2 : 0.0);
+      h(j, i) = h(i, j);
+    }
+  }
+  return h;
+}
+
+/// A random symmetric matrix that commutes with `partner`:
+/// H(i, j) = (A(i, j) + A(Pi, Pj)) / 2.
+dft::RealMatrix random_parity_symmetric(
+    const std::vector<std::size_t>& partner, std::uint64_t seed) {
+  const std::size_t n = partner.size();
+  Prng prng(seed);
+  dft::RealMatrix a(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      a(i, j) = a(j, i) = prng.next_double(-1.0, 1.0);
+    }
+  }
+  dft::RealMatrix h(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      h(i, j) = (a(i, j) + a(partner[i], partner[j])) * 0.5;
+    }
+  }
+  return h;
+}
+
+/// i <-> n-1-i: one fixed point in the middle when n is odd.
+std::vector<std::size_t> reversal(std::size_t n) {
+  std::vector<std::size_t> partner(n);
+  for (std::size_t i = 0; i < n; ++i) partner[i] = n - 1 - i;
+  return partner;
+}
+
+/// Holds ParitySolver::solve(h, m) to the dense syevd_partial(h, m):
+/// eigenvalues within 1e-12 ||H||_F, orthonormal vectors whose projector
+/// on the lowest `occupied` agrees within 1e-12, and every vector of
+/// definite parity.
+void expect_parity_solve_matches_dense(
+    const dft::RealMatrix& h, const std::vector<std::size_t>& partner,
+    std::size_t m, std::size_t occupied) {
+  const std::size_t n = h.rows();
+  dft::ParitySolver parity(partner);
+  const dft::EigenResult blocks = parity.solve(h, m);
+  const dft::EigenResult dense = dft::syevd_partial(h, m);
+  ASSERT_EQ(blocks.eigenvalues.size(), m);
+  ASSERT_EQ(blocks.eigenvectors.rows(), n);
+  ASSERT_EQ(blocks.eigenvectors.cols(), m);
+  double norm2 = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) norm2 += h(i, j) * h(i, j);
+  }
+  for (std::size_t k = 0; k < m; ++k) {
+    EXPECT_NEAR(blocks.eigenvalues[k], dense.eigenvalues[k],
+                1e-12 * std::sqrt(norm2))
+        << "pair " << k;
+  }
+  const dft::RealMatrix& z = blocks.eigenvectors;
+  const dft::RealMatrix& d = dense.eigenvectors;
+  double projector = 0.0;
+  double overlap = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      double p_blocks = 0.0;
+      double p_dense = 0.0;
+      for (std::size_t v = 0; v < occupied; ++v) {
+        p_blocks += z(i, v) * z(j, v);
+        p_dense += d(i, v) * d(j, v);
+      }
+      projector = std::max(projector, std::fabs(p_blocks - p_dense));
+    }
+  }
+  for (std::size_t a = 0; a < m; ++a) {
+    for (std::size_t b = 0; b < m; ++b) {
+      double dot = 0.0;
+      for (std::size_t i = 0; i < n; ++i) dot += z(i, a) * z(i, b);
+      overlap = std::max(overlap, std::fabs(dot - (a == b ? 1.0 : 0.0)));
+    }
+  }
+  EXPECT_LE(projector, 1e-12);
+  EXPECT_LE(overlap, 1e-12);
+  for (std::size_t k = 0; k < m; ++k) {
+    bool even = true;
+    bool odd = true;
+    for (std::size_t i = 0; i < n; ++i) {
+      even = even && z(partner[i], k) == z(i, k);
+      odd = odd && z(partner[i], k) == -z(i, k);
+    }
+    EXPECT_NE(even, odd) << "pair " << k << " has no definite parity";
+  }
+}
+
+TEST_F(ScfFixture, PartnerMapIsAnInvolutionFixingOnlyGZero) {
+  const dft::Crystal si16 = dft::Crystal::silicon_supercell(16);
+  const dft::PlaneWaveBasis si8_45(crystal, 4.5 * dft::kHaPerRy);
+  const dft::PlaneWaveBasis si16_45(si16, 4.5 * dft::kHaPerRy);
+  for (const dft::PlaneWaveBasis* b :
+       {&std::as_const(basis), &si8_45, &si16_45}) {
+    const auto& g = b->gvectors();
+    const std::vector<std::size_t>& partner = b->partners();
+    ASSERT_EQ(partner.size(), b->size());
+    for (std::size_t i = 0; i < partner.size(); ++i) {
+      ASSERT_LT(partner[i], partner.size());
+      EXPECT_EQ(partner[partner[i]], i);
+      EXPECT_EQ(partner[i] == i, i == 0) << "index " << i;
+      EXPECT_EQ(g[partner[i]].h, -g[i].h);
+      EXPECT_EQ(g[partner[i]].k, -g[i].k);
+      EXPECT_EQ(g[partner[i]].l, -g[i].l);
+    }
+  }
+  EXPECT_EQ(basis.size(), 147u);
+  EXPECT_EQ(si8_45.size(), 179u);
+}
+
+TEST_F(ScfFixture, ParitySolveMatchesTheDenseWindowOnAnScfHamiltonian) {
+  // The converged Si_8 density's Hamiltonian; 24 pairs, 16 occupied.
+  const dft::ScfConfig config;
+  const dft::ScfResult scf = dft::solve_scf(basis, config);
+  ASSERT_TRUE(scf.converged);
+  const dft::RealMatrix h = scf_hamiltonian(basis, scf.density, config);
+  expect_parity_solve_matches_dense(h, basis.partners(), 24, 16);
+}
+
+TEST_F(ScfFixture, ParitySolveMatchesTheDenseWindowOnRandomMatrices) {
+  // A general parity (fixed point mid-matrix) and the edge cases: an
+  // identity parity (every index fixed: the odd block is empty), a window
+  // wider than the odd block (35 + 5 rows, 8 pairs), and windows past
+  // half of both blocks (21 + 20 rows, 12 pairs: the full solver runs).
+  expect_parity_solve_matches_dense(
+      random_parity_symmetric(reversal(61), 11), reversal(61), 10, 10);
+  std::vector<std::size_t> identity(30);
+  for (std::size_t i = 0; i < identity.size(); ++i) identity[i] = i;
+  expect_parity_solve_matches_dense(
+      random_parity_symmetric(identity, 12), identity, 6, 6);
+  std::vector<std::size_t> five_pairs = identity;
+  for (std::size_t i = 30; i < 40; ++i) five_pairs.push_back(69 - i);
+  expect_parity_solve_matches_dense(
+      random_parity_symmetric(five_pairs, 13), five_pairs, 8, 8);
+  expect_parity_solve_matches_dense(
+      random_parity_symmetric(reversal(41), 14), reversal(41), 12, 12);
+}
+
+TEST_F(ScfFixture, ParitySolverRejectsAMapThatIsNoInvolution) {
+  EXPECT_THROW(dft::ParitySolver(std::vector<std::size_t>{1, 2, 0}),
+               NdftError);
+  EXPECT_THROW(dft::ParitySolver(std::vector<std::size_t>{3}), NdftError);
+  dft::ParitySolver parity(reversal(5));
+  EXPECT_THROW(parity.solve(random_parity_symmetric(reversal(4), 1), 2),
+               NdftError);
+  EXPECT_THROW(parity.solve(random_parity_symmetric(reversal(5), 1), 0),
+               NdftError);
 }
 
 TEST(LdaTest, ExchangeCorrelationLimits) {

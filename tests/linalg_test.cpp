@@ -1084,6 +1084,73 @@ TEST(SyevdPartialTest, WarmSolveOnAWorkspaceMakesNoLargeAllocation) {
   pool.resize(original);
 }
 
+TEST(SyevdPartialTest, StagedWindowMatchesThePartialSolveBitwise) {
+  // syevd_window_values(m) then syevd_window_vectors(k) is
+  // syevd_partial(k) bit for bit when both take the same path: the
+  // bisection path (2m <= n) and the full-solver delegation (2k > n), at
+  // every pool width, on one workspace reused across shapes. A warm
+  // staged solve of the Si_8 SCF's even-block shape allocates nothing
+  // of 64 KiB or more, and neither stage records a trace event.
+  struct Case {
+    std::size_t n, m, k;
+  };
+  const Case cases[] = {{32, 8, 1},  {65, 24, 13}, {90, 24, 13},
+                        {89, 24, 11}, {137, 8, 8},  {20, 12, 11}};
+  ThreadPool& pool = ThreadPool::instance();
+  const std::size_t original = pool.threads();
+  EigenWorkspace workspace;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    pool.resize(threads);
+    for (const Case& c : cases) {
+      const RealMatrix matrix = random_symmetric(c.n, 700 + c.n);
+      const EigenResult reference = syevd_partial(matrix, c.k);
+      const std::vector<double> values =
+          syevd_window_values(matrix, c.m, workspace);
+      ASSERT_EQ(values.size(), c.m);
+      EXPECT_TRUE(std::equal(reference.eigenvalues.begin(),
+                             reference.eigenvalues.end(), values.begin()))
+          << "n=" << c.n << " m=" << c.m << " at " << threads << " threads";
+      const RealMatrix vectors = syevd_window_vectors(c.k, workspace);
+      ASSERT_EQ(vectors.rows(), c.n);
+      ASSERT_EQ(vectors.cols(), c.k);
+      EXPECT_EQ(max_abs_diff(vectors, reference.eigenvectors), 0.0)
+          << "n=" << c.n << " k=" << c.k << " at " << threads << " threads";
+    }
+  }
+  pool.resize(original);
+
+  const RealMatrix even_block = random_symmetric(90, 71);
+  (void)syevd_window_values(even_block, 24, workspace);
+  (void)syevd_window_vectors(13, workspace);
+  TraceRecorder recorder;
+  const std::size_t before = large_allocations.load();
+  {
+    TraceScope scope(recorder);
+    (void)syevd_window_values(even_block, 24, workspace);
+    (void)syevd_window_vectors(13, workspace);
+  }
+  EXPECT_EQ(large_allocations.load() - before, 0u);
+  EXPECT_TRUE(recorder.take().events.empty());
+
+  EXPECT_THROW(syevd_window_values(even_block, 0, workspace), NdftError);
+  EXPECT_THROW(syevd_window_vectors(0, workspace), NdftError);
+  EXPECT_THROW(syevd_window_vectors(25, workspace), NdftError);
+}
+
+TEST(SyevdPartialTest, WindowCostPricesTheStagesItRuns) {
+  // Values alone cost syevd_partial_values; m vectors on top cost what
+  // syevd_partial's vector path adds; a window past half the matrix is
+  // the full solve.
+  const SyevdCost values = syevd_window_cost(90, 24, 0);
+  EXPECT_EQ(values.flops, syevd_partial_cost(90, 24, false).flops);
+  EXPECT_EQ(values.bytes, syevd_partial_cost(90, 24, false).bytes);
+  EXPECT_EQ(syevd_window_cost(90, 24, 24).flops,
+            syevd_partial_cost(90, 24).flops);
+  EXPECT_LT(syevd_window_cost(90, 24, 12).flops,
+            syevd_window_cost(90, 24, 13).flops);
+  EXPECT_EQ(syevd_window_cost(20, 12, 5).flops, syevd_cost(20).flops);
+}
+
 TEST(SyevdPartialTest, RejectsBadWindows) {
   const RealMatrix matrix = random_symmetric(8, 91);
   EXPECT_THROW(syevd_partial(matrix, 0), NdftError);
