@@ -48,9 +48,12 @@
 #                  solvers) under it, plus extensions_test's ScfFixture
 #                  tests (the SCF's two parity blocks solved on two
 #                  threads at once, one workspace each, and the worker's
-#                  linalg time handed back); any sanitizer report fails
-#                  the gate. physics_test stays out: its goldens drift
-#                  under ASan (ROADMAP item 1).
+#                  linalg time handed back) and integration_test's
+#                  RunContractTest tests (each distinct kernel simulated
+#                  on its own machine across the pool, and serially with
+#                  faults armed); any sanitizer report fails the gate.
+#                  physics_test stays out: its goldens drift under ASan
+#                  (ROADMAP item 1).
 #   --tsan         additionally build a ThreadSanitizer tree (build-tsan,
 #                  `cmake --preset tsan`: -fsanitize=thread) and run
 #                  common_test (the thread pool, with its join/close
@@ -59,13 +62,16 @@
 #                  and kpoints_test (the pool's heaviest callers: GEMM row
 #                  blocks and the band k-loop), extensions_test's
 #                  ScfFixture tests (the SCF's parity blocks on two
-#                  threads) and the api, net and
+#                  threads), integration_test's RunContractTest tests
+#                  (a run's distinct kernels simulated across the pool)
+#                  and the api, net and
 #                  shard tiers (the Engine's dispatchers, queue and
 #                  concurrent simulations, the HTTP server's connection
 #                  threads, the client and the scatter workers) under it;
 #                  a race report makes the test exit nonzero and fails the
 #                  gate. The robust tier stays out: its starvation test's
-#                  8 s limit does not hold at TSan speed (ROADMAP item 1).
+#                  8 s limit races TSan speed (it passed in 4 of 4 runs
+#                  once simulations used the pool; ROADMAP item 1).
 #   --portable     additionally build a portable tree (build-portable,
 #                  -DNDFT_NATIVE_ARCH=OFF: no -march=native, so no
 #                  AVX-512 on x86-64) and run the kernel tier under it.
@@ -178,7 +184,8 @@ if [ "$SANITIZE" -eq 1 ]; then
   ctest --test-dir "$SAN_DIR" -R "$UNIT_TESTS" --output-on-failure \
     -j "$JOBS"
   "$SAN_DIR/extensions_test" --gtest_filter='ScfFixture.*'
-  echo "sanitize (api|robust|net|shard + simulator, common, fft, linalg, kpoints unit tests, SCF tests): OK ($SAN_DIR)"
+  "$SAN_DIR/integration_test" --gtest_filter='RunContractTest.*'
+  echo "sanitize (api|robust|net|shard + simulator, common, fft, linalg, kpoints unit tests, SCF and run-contract tests): OK ($SAN_DIR)"
 fi
 
 if [ "$TSAN" -eq 1 ]; then
@@ -188,13 +195,15 @@ if [ "$TSAN" -eq 1 ]; then
   TSAN_DIR="build-tsan"
   cmake --preset tsan
   cmake --build "$TSAN_DIR" -j "$JOBS" --target common_test fft_test \
-    linalg_test kpoints_test extensions_test api_test net_test shard_test
+    linalg_test kpoints_test extensions_test integration_test api_test \
+    net_test shard_test
   ctest --test-dir "$TSAN_DIR" -R '^(common|fft|linalg|kpoints)_test$' \
     --output-on-failure -j "$JOBS"
   "$TSAN_DIR/extensions_test" --gtest_filter='ScfFixture.*'
+  "$TSAN_DIR/integration_test" --gtest_filter='RunContractTest.*'
   ctest --test-dir "$TSAN_DIR" -L 'api|net|shard' --output-on-failure \
     -j "$JOBS"
-  echo "tsan (common, fft, linalg, kpoints, SCF tests + api|net|shard): OK ($TSAN_DIR)"
+  echo "tsan (common, fft, linalg, kpoints, SCF and run-contract tests + api|net|shard): OK ($TSAN_DIR)"
 fi
 
 if [ "$PORTABLE" -eq 1 ]; then

@@ -268,7 +268,7 @@ void Cache::maybe_prefetch(Addr line_addr) {
   // dozens of accesses per region); a stride confirmed twice triggers
   // prefetches `prefetch_degree` strides ahead.
   const Addr page = line_addr / ((128 * 1024) / config_.line_bytes);
-  StrideStream& stream = streams_[page];
+  StrideStream& stream = train_stream(page);
   const std::int64_t stride =
       static_cast<std::int64_t>(line_addr) -
       static_cast<std::int64_t>(stream.last_line);
@@ -291,10 +291,32 @@ void Cache::maybe_prefetch(Addr line_addr) {
       issue_fill(target, /*is_prefetch=*/true);
     }
   }
-  // Bound the stream table.
-  if (streams_.size() > 64) {
-    streams_.erase(streams_.begin());
+}
+
+Cache::StrideStream& Cache::train_stream(Addr page) {
+  ++stream_tick_;
+  StrideStream* found = nullptr;
+  if (stream_count_ > 0 && streams_[last_stream_].page == page) {
+    found = &streams_[last_stream_];
+  } else {
+    StrideStream* oldest = &streams_[0];
+    for (std::size_t i = 0; i < stream_count_; ++i) {
+      if (streams_[i].page == page) {
+        found = &streams_[i];
+        break;
+      }
+      if (streams_[i].trained < oldest->trained) oldest = &streams_[i];
+    }
+    if (found == nullptr) {
+      // A new region: a free slot, else the least recently trained one.
+      found = stream_count_ < kStreams ? &streams_[stream_count_++] : oldest;
+      *found = StrideStream{};
+      found->page = page;
+    }
+    last_stream_ = static_cast<std::size_t>(found - streams_.data());
   }
+  found->trained = stream_tick_;
+  return *found;
 }
 
 void Cache::flush() {
@@ -309,14 +331,7 @@ void Cache::flush() {
     }
     line = Line{};
   }
-  streams_.clear();
-}
-
-void Cache::invalidate_all() {
-  for (Line& line : lines_) {
-    line = Line{};
-  }
-  streams_.clear();
+  stream_count_ = 0;
 }
 
 double Cache::hit_ratio() const noexcept {

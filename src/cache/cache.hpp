@@ -6,9 +6,9 @@
 // through the MemoryPort interface: L1 -> L2 -> L3 -> DRAM, and the same
 // class models every level (only the configuration differs).
 
+#include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/mem_request.hpp"
@@ -71,12 +71,6 @@ class Cache : public sim::SimObject, public mem::MemoryPort {
   /// Invalidates every line, writing back dirty ones.
   void flush();
 
-  /// Drops every line without writebacks. Used between *sampled* kernel
-  /// windows: consecutive windows model independent steady-state slices,
-  /// so carrying one window's full dirty LLC into the next would charge
-  /// the (tiny) sampled window for the whole cache's drain.
-  void invalidate_all();
-
   /// Hit ratio so far (0 when no accesses).
   double hit_ratio() const noexcept;
 
@@ -104,11 +98,16 @@ class Cache : public sim::SimObject, public mem::MemoryPort {
     std::vector<mem::MemRequest> waiters;
   };
 
+  /// One prefetcher stream: the stride trained on one 128 KiB region.
   struct StrideStream {
+    Addr page = 0;
     Addr last_line = 0;
     std::int64_t stride = 0;
     int confidence = 0;
+    std::uint64_t trained = 0;  ///< stream_tick_ of the last training
   };
+  /// Streams the prefetcher tracks at once.
+  static constexpr std::size_t kStreams = 64;
 
   Addr line_of(Addr addr) const noexcept { return addr / config_.line_bytes; }
   unsigned set_of(Addr line) const noexcept {
@@ -132,6 +131,9 @@ class Cache : public sim::SimObject, public mem::MemoryPort {
   void issue_fill(Addr line_addr, bool is_prefetch);
   void complete(mem::MemRequest& req, TimePs at);
   void maybe_prefetch(Addr line_addr);
+  /// The stream of `page`, made in the least recently trained slot when
+  /// the page has none.
+  StrideStream& train_stream(Addr page);
   void retry_blocked();
 
   CacheConfig config_;
@@ -147,7 +149,12 @@ class Cache : public sim::SimObject, public mem::MemoryPort {
   std::vector<std::int32_t> mshr_index_;
   unsigned mshr_shift_ = 0;  // 64 - log2(mshr_index_.size())
   sim::Fifo<mem::MemRequest> blocked_;  // waiting for a free MSHR
-  std::unordered_map<Addr, StrideStream> streams_;  // page -> stream state
+  // Stream table: the first stream_count_ slots are live; last_stream_
+  // is the slot trained last (the next access usually trains it again).
+  std::array<StrideStream, kStreams> streams_{};
+  std::size_t stream_count_ = 0;
+  std::size_t last_stream_ = 0;
+  std::uint64_t stream_tick_ = 0;
   std::uint64_t lru_tick_ = 0;
   CacheCounters counters_;
 };

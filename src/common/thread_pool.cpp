@@ -120,9 +120,10 @@ std::size_t thread_count_from_env(const char* value,
 }
 
 struct ThreadPool::Impl {
-  // One broadcast job at a time: concurrent top-level parallel_for calls
-  // serialize here (workers never touch this mutex, so there is no
-  // deadlock; nested calls already run inline before reaching it).
+  // One broadcast job at a time. Its caller holds this mutex for the
+  // whole region; a top-level call from another thread that finds it
+  // held runs inline instead of waiting (workers never touch it, and
+  // nested calls already run inline before reaching it).
   std::mutex submit_mutex;
   // Broadcast job state. The caller publishes a job and opens it, pulls
   // chunk indices from `next_chunk` until the job is drained, closes it,
@@ -257,7 +258,14 @@ void ThreadPool::parallel_for(
       (range + target_chunks - 1) / target_chunks);
 
   Impl& impl = *impl_;
-  std::lock_guard<std::mutex> submission(impl.submit_mutex);
+  std::unique_lock<std::mutex> submission(impl.submit_mutex,
+                                          std::try_to_lock);
+  if (!submission.owns_lock()) {
+    // Another thread's region holds the pool: run this one on the calling
+    // thread rather than stall behind it. One chunk, as at pool width 1.
+    body(begin, end);
+    return;
+  }
   {
     std::lock_guard<std::mutex> lock(impl.mutex);
     impl.body = &body;

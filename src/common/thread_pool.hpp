@@ -5,13 +5,18 @@
 //
 // Design constraints, in order:
 //  1. Determinism: parallel_for only ever partitions an index range into
-//     disjoint chunks; callers guarantee chunk bodies write disjoint
-//     outputs, so results are bitwise identical for any thread count.
+//     disjoint chunks, and how it partitions a call may depend on other
+//     threads' regions (rule 4). A body must give the same result for
+//     any partition of its range, as at width 1 against width N; callers
+//     guarantee that, so results are bitwise identical for any thread
+//     count and any concurrent load.
 //  2. Small problems stay serial: ranges at or below the caller-supplied
 //     grain run inline on the calling thread with zero synchronisation.
 //  3. Nesting is safe: a parallel_for issued from inside a worker (or from
 //     inside another parallel_for body on the caller thread) runs inline
 //     rather than deadlocking or oversubscribing.
+//  4. No caller waits for another: a top-level call made while another
+//     thread's region holds the pool runs inline on its own thread.
 //
 // The pool size defaults to the hardware concurrency and can be overridden
 // with the NDFT_NUM_THREADS environment variable (checked once, at first
@@ -43,13 +48,15 @@ class ThreadPool {
 
   /// Runs `body(chunk_begin, chunk_end)` over disjoint chunks covering
   /// [begin, end). Serial (inline, no synchronisation) when the range has
-  /// at most `grain` iterations, the pool has one thread, or the call is
-  /// nested inside another parallel region. Chunk boundaries depend only
-  /// on (range, grain, thread count), never on scheduling, so any body
-  /// with disjoint writes is deterministic. The first exception thrown by
-  /// a chunk is rethrown on the calling thread after all chunks finish.
-  /// Thread-safe: concurrent top-level calls from different threads
-  /// serialize, each running its job to completion with the full pool.
+  /// at most `grain` iterations, the pool has one thread, the call is
+  /// nested inside another parallel region, or another thread's region
+  /// holds the pool, so the partition of a call depends on what other
+  /// threads run at that moment. A body must therefore give the same
+  /// result for any partition of its range (one chunk, as at width 1,
+  /// against width N's chunks). The first exception thrown by a chunk is
+  /// rethrown on the calling thread after all chunks finish. Thread-safe:
+  /// one top-level region at a time gets the workers; a concurrent call
+  /// never waits for it.
   void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                     const std::function<void(std::size_t, std::size_t)>& body);
 

@@ -2,10 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <optional>
+#include <string>
+#include <tuple>
 
 #include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
+#include "common/thread_pool.hpp"
 #include "cpu/trace_gen.hpp"
 #include "mem/energy.hpp"
 #include "runtime/pseudo_store.hpp"
@@ -28,23 +33,17 @@ double write_fraction(KernelClass cls) {
   return 0.25;
 }
 
-/// Per-run mutable state. One RunArena lives on the stack of each run_*
-/// call, which is what makes NdftSystem safe to share across concurrent
-/// jobs: nothing a run writes outlives or escapes it.
-struct RunArena {
-  Addr next_base = 0;  ///< simulated-address cursor for trace placement
-};
-
-/// Builds one trace per core for a kernel, splitting work evenly. All
-/// traces share the same sampling scale. The arena cursor advances past
-/// the data. `llc_share` is the per-core slice of the machine's last-level
-/// cache and `reuse_floor` the smallest footprint that still reuses at LLC
-/// distance (i.e. just above the private levels).
-std::vector<cpu::Trace> make_traces(const dft::KernelWork& kernel,
-                                    unsigned cores, RunArena& arena,
-                                    const SystemConfig& config,
-                                    Bytes block_bytes, Bytes llc_share,
-                                    Bytes reuse_floor) {
+/// Builds one trace stream per core for a kernel, splitting work evenly;
+/// core c's data starts at c working sets from address 0. All streams
+/// share the same sampling scale. `llc_share` is the per-core slice of
+/// the machine's last-level cache and `reuse_floor` the smallest
+/// footprint that still reuses at LLC distance (i.e. just above the
+/// private levels).
+std::vector<cpu::TraceStream> make_traces(const dft::KernelWork& kernel,
+                                          unsigned cores,
+                                          const SystemConfig& config,
+                                          Bytes block_bytes, Bytes llc_share,
+                                          Bytes reuse_floor) {
   NDFT_ASSERT(cores > 0);
   const double wf = write_fraction(kernel.cls);
   const Bytes l1_per_core = std::max<Bytes>(kernel.l1_bytes / cores, 64);
@@ -104,7 +103,7 @@ std::vector<cpu::Trace> make_traces(const dft::KernelWork& kernel,
   }
   const Bytes ws_aligned = (ws + 4095) / 4096 * 4096;
 
-  std::vector<cpu::Trace> traces;
+  std::vector<cpu::TraceStream> traces;
   traces.reserve(cores);
   for (unsigned c = 0; c < cores; ++c) {
     cpu::TraceParams params;
@@ -114,38 +113,36 @@ std::vector<cpu::Trace> make_traces(const dft::KernelWork& kernel,
     params.pattern = kernel.pattern;
     params.working_set = ws;
     params.stride_bytes = kernel.stride_bytes;
-    params.base_addr = arena.next_base + static_cast<Addr>(c) * ws_aligned;
+    params.base_addr = static_cast<Addr>(c) * ws_aligned;
     params.seed = 0x5eed0000 + c;
     params.max_mem_ops = ops;
     params.block_bytes = block_bytes;
-    traces.push_back(cpu::generate_trace(params));
+    traces.emplace_back(params);
   }
-  arena.next_base += static_cast<Addr>(cores) * ws_aligned;
   return traces;
-}
-
-std::vector<const cpu::Trace*> pointers(
-    const std::vector<cpu::Trace>& traces) {
-  std::vector<const cpu::Trace*> ptrs;
-  ptrs.reserve(traces.size());
-  for (const cpu::Trace& t : traces) {
-    ptrs.push_back(&t);
-  }
-  return ptrs;
 }
 
 TimePs scaled(TimePs elapsed, double scale) {
   return static_cast<TimePs>(static_cast<double>(elapsed) * scale + 0.5);
 }
 
-/// Rolls the full per-instance StatSet tree into RunReport::stats: one
-/// bounded key per (component class, counter) pair. Counters sum across
-/// instances; *_peak counters keep the maximum seen on any instance.
-/// The allowlist keeps the payload size independent of the machine size
-/// (a 16-stack machine has 128 DRAM channels — nobody wants 128 rows of
-/// "row_hits" in a job result).
-void roll_up_stats(const sim::StatSet& all,
-                   std::map<std::string, double>& out) {
+/// Adds one counter to a roll-up: *_peak keys keep the maximum, every
+/// other key sums.
+void add_stat(std::map<std::string, double>& out, const std::string& key,
+              double value) {
+  double& slot = out[key];
+  if (key.size() > 5 && key.compare(key.size() - 5, 5, "_peak") == 0) {
+    slot = std::max(slot, value);
+  } else {
+    slot += value;
+  }
+}
+
+/// Rolls the full per-instance StatSet tree into one bounded key per
+/// (component class, counter) pair. The allowlist keeps the payload size
+/// independent of the machine size (a 16-stack machine has 128 DRAM
+/// channels — nobody wants 128 rows of "row_hits" in a job result).
+std::map<std::string, double> roll_up_stats(const sim::StatSet& all) {
   static const char* const kLeaves[] = {
       // Fabric connection / staging counters (sim/port.hpp).
       "messages", "bytes", "hops", "contention_ps", "backpressure_stalls",
@@ -154,6 +151,7 @@ void roll_up_stats(const sim::StatSet& all,
       "reads", "writes", "row_hits", "row_misses", "row_conflicts",
       "refresh_stall_ps", "refreshes",
   };
+  std::map<std::string, double> out;
   for (const auto& [key, value] : all.snapshot()) {
     const char* group = nullptr;
     if (key.find(".mesh.") != std::string::npos) group = "mesh";
@@ -161,20 +159,174 @@ void roll_up_stats(const sim::StatSet& all,
     else if (key.find(".dram.") != std::string::npos) group = "dram";
     else if (key.find(".spm.") != std::string::npos) group = "spm";
     else continue;  // core/cache counters stay out of the bounded set
-    const std::size_t dot = key.rfind('.');
-    const std::string leaf = key.substr(dot + 1);
+    const std::string leaf = key.substr(key.rfind('.') + 1);
     bool allowed = false;
     for (const char* candidate : kLeaves) {
       if (leaf == candidate) allowed = true;
     }
-    if (!allowed) continue;
-    double& slot = out[std::string(group) + "." + leaf];
-    if (leaf.size() > 5 && leaf.compare(leaf.size() - 5, 5, "_peak") == 0) {
-      slot = std::max(slot, value);
-    } else {
-      slot += value;
-    }
+    if (allowed) add_stat(out, std::string(group) + "." + leaf, value);
   }
+  return out;
+}
+
+/// One kernel simulated alone on a fresh machine.
+struct KernelRun {
+  TimePs time_ps = 0;  ///< scaled up from the sampled window
+  double memory_energy_mj = 0.0;
+  Bytes mesh_bytes = 0;
+  Bytes sharing_bytes = 0;
+  TimePs window_ps = 0;  ///< the sampled window, unscaled
+  std::map<std::string, double> stats;  ///< roll_up_stats of the machine
+};
+
+/// Starts one core per trace on `machine` (a CpuComplex or NdpSystem);
+/// `done` gets the time its last core retires once the queue runs.
+template <typename Machine>
+void start_traces(Machine& machine, std::vector<cpu::TraceStream>& traces,
+                  const sim::EventQueue& queue, std::optional<TimePs>& done) {
+  std::vector<cpu::OpSource*> sources;
+  sources.reserve(traces.size());
+  for (cpu::TraceStream& t : traces) sources.push_back(&t);
+  machine.run(sources, [&done, &queue] { done = queue.now(); });
+}
+
+/// Runs `kernel` on `machine`'s cores until its queue drains; returns
+/// the sampling scale.
+double run_on_cpu(const dft::KernelWork& kernel, cpu::CpuComplex& machine,
+                  sim::EventQueue& queue, const SystemConfig& config) {
+  const cpu::CpuComplexConfig& cpu = machine.config();
+  auto traces = make_traces(kernel, cpu.cores, config, Bytes{128} << 10,
+                            cpu.l3.size_bytes / cpu.cores,
+                            cpu.l2.size_bytes * 3 / 2);
+  std::optional<TimePs> done;
+  start_traces(machine, traces, queue, done);
+  queue.run();
+  NDFT_ASSERT(done.has_value());
+  return traces.front().scale();
+}
+
+/// The CPU baseline's Xeon server running `kernel`.
+KernelRun simulate_on_xeon(const dft::KernelWork& kernel,
+                           const SystemConfig& config) {
+  sim::EventQueue queue;
+  mem::DramSystem dram("xeon.dram", queue, config.xeon_dram);
+  cpu::CpuComplex machine("xeon", queue, config.xeon, dram);
+  const double scale = run_on_cpu(kernel, machine, queue, config);
+
+  KernelRun run;
+  run.time_ps = scaled(queue.now(), scale);
+  run.window_ps = queue.now();
+  // Dynamic energy scales with the sampling factor; background power
+  // burns over the kernel's (already scaled) duration.
+  const mem::DramEnergy ddr4 = mem::DramEnergy::ddr4();
+  const double background_mw =
+      ddr4.background_with_refresh_mw(config.xeon_dram.timing.tCK_ps *
+                                      config.xeon_dram.timing.tREFI) *
+      config.xeon_dram.channels;
+  run.memory_energy_mj =
+      dram.dynamic_energy_nj(ddr4) * scale * 1e-6 +
+      background_mw * static_cast<double>(run.time_ps) * 1e-12;
+  sim::StatSet stats;
+  dram.collect_stats("xeon.dram", stats);
+  run.stats = roll_up_stats(stats);
+  return run;
+}
+
+/// The CPU-NDP machine running `kernel` on its host CPU (`on_host`) or on
+/// its NDP cores. Under the co-design, a pseudopotential kernel on the
+/// NDP cores also streams the shared blocks between stacks.
+KernelRun simulate_on_ndp_machine(const dft::KernelWork& kernel,
+                                  bool on_host, bool co_design,
+                                  const SystemConfig& config) {
+  sim::EventQueue queue;
+  ndp::NdpSystem ndp("ndp", queue, config.ndp);
+  KernelRun run;
+  double scale = 1.0;
+  if (on_host) {
+    cpu::CpuComplex host("host", queue, config.host_cpu, ndp.cpu_port());
+    scale = run_on_cpu(kernel, host, queue, config);
+    run.time_ps = scaled(queue.now(), scale);
+  } else {
+    const unsigned stacks = ndp.stack_count();
+    auto traces = make_traces(kernel, config.ndp.total_cores(), config,
+                              Bytes{16} << 10, config.ndp.stack.l1.size_bytes,
+                              4096);
+    // Fabric traffic that overlaps the computation: Alltoall exchange
+    // between stacks, and (under the co-design) the pseudopotential
+    // shared-block streaming filtered by the per-stack arbiters.
+    Bytes per_pair_bytes = 0;
+    if (kernel.cls == KernelClass::kAlltoall) {
+      per_pair_bytes = kernel.comm_volume / (stacks * stacks);
+    } else if (co_design && kernel.cls == KernelClass::kPseudopotential) {
+      per_pair_bytes = kernel.dram_bytes / (stacks * stacks);
+      if (!config.shared_memory.hierarchical) {
+        // Flat mode: every worker process fetches its own remote copy.
+        per_pair_bytes *=
+            std::max(1u, config.processes.ndp_processes / stacks);
+      }
+      run.sharing_bytes =
+          static_cast<Bytes>(stacks) * (stacks - 1) * per_pair_bytes;
+    }
+    std::optional<TimePs> trace_done;
+    start_traces(ndp, traces, queue, trace_done);
+    TimePs mesh_done = 0;
+    if (per_pair_bytes > 0) {
+      for (unsigned s = 0; s < stacks; ++s) {
+        for (unsigned d = 0; d < stacks; ++d) {
+          if (s == d) continue;
+          ndp.mesh().send(s, d, per_pair_bytes,
+                          [&mesh_done, &queue](TimePs) {
+                            mesh_done = queue.now();
+                          });
+        }
+      }
+    }
+    queue.run();
+    NDFT_ASSERT(trace_done.has_value());
+    scale = traces.front().scale();
+    run.time_ps = std::max(scaled(*trace_done, scale), mesh_done);
+  }
+  run.window_ps = queue.now();
+  // DRAM command energy in the window scales with the sampling factor;
+  // mesh messages were issued at full volume; background power burns
+  // over the kernel's (already scaled) duration.
+  run.memory_energy_mj =
+      ndp.dram_dynamic_energy_nj() * scale * 1e-6 +
+      ndp.mesh().energy_nj() * 1e-6 +
+      ndp.dram_background_mw() * static_cast<double>(run.time_ps) * 1e-12;
+  run.mesh_bytes = ndp.mesh().bytes_sent();
+  sim::StatSet stats;
+  ndp.collect_stats("ndp", stats);
+  run.stats = roll_up_stats(stats);
+  return run;
+}
+
+/// One kernel's simulation: a pure function of its descriptor, device,
+/// mode and config. The CPU baseline runs every kernel on the Xeon.
+KernelRun simulate_kernel(const dft::KernelWork& kernel, DeviceKind device,
+                          ExecMode mode, const SystemConfig& config) {
+  if (mode == ExecMode::kCpuBaseline) return simulate_on_xeon(kernel, config);
+  return simulate_on_ndp_machine(kernel, device == DeviceKind::kCpu,
+                                 mode == ExecMode::kNdft, config);
+}
+
+/// True when two kernels simulate alike: every descriptor field but the
+/// name is equal.
+bool same_work(const dft::KernelWork& a, const dft::KernelWork& b) {
+  const auto fields = [](const dft::KernelWork& k) {
+    return std::tie(k.cls, k.flops, k.l1_bytes, k.dram_bytes, k.pattern,
+                    k.stride_bytes, k.comm_volume, k.input_bytes,
+                    k.output_bytes);
+  };
+  return fields(a) == fields(b);
+}
+
+/// Every kernel on one device, no crossings.
+runtime::ExecutionPlan all_on(DeviceKind device, std::size_t kernels) {
+  runtime::ExecutionPlan plan;
+  plan.placements.assign(kernels, runtime::Placement{});
+  for (runtime::Placement& p : plan.placements) p.device = device;
+  return plan;
 }
 
 }  // namespace
@@ -205,75 +357,18 @@ RunReport NdftSystem::run(std::size_t atoms, ExecMode mode) const {
 RunReport NdftSystem::run(const dft::Workload& workload,
                           ExecMode mode) const {
   switch (mode) {
-    case ExecMode::kCpuBaseline: return run_cpu_baseline(workload);
+    case ExecMode::kCpuBaseline:
+    case ExecMode::kNdpOnly:
+      return run_simulated(
+          workload,
+          all_on(mode == ExecMode::kCpuBaseline ? DeviceKind::kCpu
+                                                : DeviceKind::kNdp,
+                 workload.kernels.size()),
+          mode);
     case ExecMode::kGpuBaseline: return run_gpu_baseline(workload);
-    case ExecMode::kNdpOnly: return run_ndp(workload, /*co_design=*/false);
-    case ExecMode::kNdft: return run_ndp(workload, /*co_design=*/true);
+    case ExecMode::kNdft: return run_simulated(workload, plan(workload), mode);
   }
   throw NdftError("unknown execution mode");
-}
-
-RunReport NdftSystem::run_cpu_baseline(const dft::Workload& workload) const {
-  sim::EventQueue queue;
-  mem::DramSystem dram("xeon.dram", queue, config_.xeon_dram);
-  cpu::CpuComplex machine("xeon", queue, config_.xeon, dram);
-
-  RunReport report;
-  report.mode = ExecMode::kCpuBaseline;
-  report.dims = workload.dims;
-
-  const Bytes xeon_llc_share =
-      config_.xeon.l3.size_bytes / config_.xeon.cores;
-  const Bytes xeon_reuse_floor = config_.xeon.l2.size_bytes * 3 / 2;
-  RunArena arena;
-  for (const dft::KernelWork& kernel : workload.kernels) {
-    // Stage boundary: one simulated kernel (event batch) at a time.
-    cancel_point();
-    fault_point("sim.mem");
-    const auto traces =
-        make_traces(kernel, config_.xeon.cores, arena, config_,
-                    Bytes{128} << 10, xeon_llc_share, xeon_reuse_floor);
-    const auto ptrs = pointers(traces);
-    const TimePs start = queue.now();
-    const double energy_before =
-        dram.dynamic_energy_nj(mem::DramEnergy::ddr4());
-    bool finished = false;
-    machine.run(ptrs, [&finished] { finished = true; });
-    queue.run();
-    NDFT_ASSERT(finished);
-    const TimePs elapsed = scaled(queue.now() - start,
-                                  traces.front().scale);
-    report.kernels.push_back(
-        KernelTime{kernel.name, kernel.cls, DeviceKind::kCpu, elapsed});
-    // Dynamic energy scales with the sampling factor; background power
-    // burns over the kernel's (already scaled) duration.
-    const double background_mw =
-        mem::DramEnergy::ddr4().background_with_refresh_mw(
-            config_.xeon_dram.timing.tCK_ps *
-            config_.xeon_dram.timing.tREFI) *
-        config_.xeon_dram.channels;
-    report.memory_energy_mj +=
-        (dram.dynamic_energy_nj(mem::DramEnergy::ddr4()) - energy_before) *
-            traces.front().scale * 1e-6 +
-        background_mw * static_cast<double>(elapsed) * 1e-12;
-    machine.invalidate_caches();
-    queue.run();
-  }
-
-  sim::StatSet all_stats;
-  dram.collect_stats("xeon.dram", all_stats);
-  roll_up_stats(all_stats, report.stats);
-  if (queue.now() > 0) {
-    // GB/s (decimal) is 1e-3 bytes/ps.
-    report.stats["dram.channel_utilization"] =
-        report.stats["dram.bytes"] /
-        (config_.xeon_dram.peak_gbps() * 1e-3 *
-         static_cast<double>(queue.now()));
-  }
-
-  const runtime::PseudoStore store(workload, config_.processes);
-  report.pseudo = store.on_cpu(config_.cpu_capacity);
-  return report;
 }
 
 RunReport NdftSystem::run_gpu_baseline(const dft::Workload& workload) const {
@@ -308,15 +403,17 @@ RunReport NdftSystem::run_gpu_baseline(const dft::Workload& workload) const {
     if (kernel.cls == KernelClass::kAlltoall) {
       t.kernel += model.peer_transfer(kernel.comm_volume);
     }
-    report.kernels.push_back(KernelTime{kernel.name, kernel.cls,
-                                        DeviceKind::kGpu, t.total()});
     // Memory-system energy: device HBM at ~4 pJ/bit, PCIe at ~10 pJ/bit
     // (1 pJ = 1e-9 mJ), plus ~20 W of HBM background across both devices.
-    report.memory_energy_mj +=
+    const double energy_mj =
         (static_cast<double>(kernel.dram_bytes) * 8.0 * 4.0 +
          static_cast<double>(h2d + d2h) * 8.0 * 10.0) *
             1e-9 +
         20000.0 * static_cast<double>(t.total()) * 1e-12;
+    report.kernels.push_back(KernelTime{kernel.name, kernel.cls,
+                                        DeviceKind::kGpu, t.total(),
+                                        energy_mj, 0, 0});
+    report.memory_energy_mj += energy_mj;
   }
 
   const runtime::PseudoStore store(workload, config_.processes);
@@ -328,156 +425,103 @@ RunReport NdftSystem::run_gpu_baseline(const dft::Workload& workload) const {
   return report;
 }
 
-RunReport NdftSystem::run_ndp(const dft::Workload& workload,
-                              bool co_design) const {
-  runtime::ExecutionPlan plan;
-  if (co_design) {
-    plan = this->plan(workload);
-  } else {
-    plan.placements.assign(workload.kernels.size(), runtime::Placement{});
-    for (auto& p : plan.placements) {
-      p.device = DeviceKind::kNdp;
-    }
-  }
-  return run_hybrid(workload, plan,
-                    co_design ? ExecMode::kNdft : ExecMode::kNdpOnly,
-                    co_design);
-}
-
 RunReport NdftSystem::run_planned(const dft::Workload& workload,
                                   const runtime::ExecutionPlan& plan) const {
-  return run_hybrid(workload, plan, ExecMode::kNdft, /*co_design=*/true);
+  return run_simulated(workload, plan, ExecMode::kNdft);
 }
 
-RunReport NdftSystem::run_hybrid(const dft::Workload& workload,
-                                 const runtime::ExecutionPlan& plan,
-                                 ExecMode mode, bool co_design) const {
-  sim::EventQueue queue;
-  ndp::NdpSystem ndp("ndp", queue, config_.ndp);
-  cpu::CpuComplex host("host", queue, config_.host_cpu, ndp.cpu_port());
-
-  NDFT_REQUIRE(plan.placements.size() == workload.kernels.size(),
+RunReport NdftSystem::run_simulated(const dft::Workload& workload,
+                                    const runtime::ExecutionPlan& plan,
+                                    ExecMode mode) const {
+  const std::vector<dft::KernelWork>& kernels = workload.kernels;
+  NDFT_REQUIRE(plan.placements.size() == kernels.size(),
                "plan must cover every kernel of the workload");
+  const auto device_of = [&plan](std::size_t i) {
+    return plan.placements[i].device;
+  };
+
+  // Each distinct (descriptor, device) is simulated once: kernel i reads
+  // runs[slot[i]], and firsts[s] is the first kernel of slot s.
+  std::vector<std::size_t> slot(kernels.size());
+  std::vector<std::size_t> firsts;
+  for (std::size_t i = 0; i < kernels.size(); ++i) {
+    std::size_t s = 0;
+    while (s < firsts.size() &&
+           !(device_of(firsts[s]) == device_of(i) &&
+             same_work(kernels[firsts[s]], kernels[i]))) {
+      ++s;
+    }
+    if (s == firsts.size()) firsts.push_back(i);
+    slot[i] = s;
+  }
+  std::vector<KernelRun> runs(firsts.size());
+  const auto simulate = [&](std::size_t s) {
+    runs[s] = simulate_kernel(kernels[firsts[s]], device_of(firsts[s]), mode,
+                              config_);
+  };
+  // Armed faults keep every simulation on the job thread, in kernel order
+  // (below), so a spec's fault draws replay bitwise.
+  const bool serial = fault_enabled();
+  if (!serial) {
+    // cancel_point() checks the job's token on the job thread and is a
+    // null check on a pool worker.
+    parallel_for(0, firsts.size(), 1, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t s = lo; s < hi; ++s) {
+        cancel_point();
+        simulate(s);
+      }
+    });
+  }
 
   RunReport report;
   report.mode = mode;
   report.dims = workload.dims;
-
-  const unsigned stacks = ndp.stack_count();
-  const unsigned ndp_cores = config_.ndp.total_cores();
-  const runtime::PseudoStore store(workload, config_.processes);
-
-  RunArena arena;
-  for (std::size_t i = 0; i < workload.kernels.size(); ++i) {
-    // Stage boundary: one simulated kernel (event batch) at a time.
+  TimePs windows_ps = 0;
+  for (std::size_t i = 0; i < kernels.size(); ++i) {
+    // Stage boundary: one simulated kernel at a time, on the job thread.
     cancel_point();
     fault_point("sim.mem");
-    const dft::KernelWork& kernel = workload.kernels[i];
+    if (serial && firsts[slot[i]] == i) simulate(slot[i]);
+    const KernelRun& run = runs[slot[i]];
     const runtime::Placement& placement = plan.placements[i];
-    if (co_design && placement.crossing) {
+    if (mode == ExecMode::kNdft && placement.crossing) {
       report.sched_overhead_ps +=
           placement.transfer_in_ps + placement.switch_in_ps;
     }
-
-    const TimePs start = queue.now();
-    TimePs elapsed = 0;
-    const double dram_energy_before = ndp.dram_dynamic_energy_nj();
-    const double mesh_energy_before = ndp.mesh().energy_nj();
-    double kernel_scale = 1.0;
-
-    if (placement.device == DeviceKind::kCpu) {
-      const auto traces = make_traces(
-          kernel, config_.host_cpu.cores, arena, config_, Bytes{128} << 10,
-          config_.host_cpu.l3.size_bytes / config_.host_cpu.cores,
-          config_.host_cpu.l2.size_bytes * 3 / 2);
-      const auto ptrs = pointers(traces);
-      bool finished = false;
-      host.run(ptrs, [&finished] { finished = true; });
-      queue.run();
-      NDFT_ASSERT(finished);
-      elapsed = scaled(queue.now() - start, traces.front().scale);
-      kernel_scale = traces.front().scale;
-    } else {
-      const auto traces =
-          make_traces(kernel, ndp_cores, arena, config_, Bytes{16} << 10,
-                      config_.ndp.stack.l1.size_bytes, 4096);
-      const auto ptrs = pointers(traces);
-
-      // Fabric traffic that overlaps the computation: Alltoall exchange
-      // between stacks, and (under the co-design) the pseudopotential
-      // shared-block streaming filtered by the per-stack arbiters.
-      Bytes per_pair_bytes = 0;
-      if (kernel.cls == KernelClass::kAlltoall) {
-        per_pair_bytes = kernel.comm_volume / (stacks * stacks);
-      } else if (co_design &&
-                 kernel.cls == KernelClass::kPseudopotential) {
-        per_pair_bytes = kernel.dram_bytes / (stacks * stacks);
-        if (!config_.shared_memory.hierarchical) {
-          // Flat mode: every worker process fetches its own remote copy.
-          per_pair_bytes *=
-              std::max(1u, config_.processes.ndp_processes / stacks);
-        }
-        report.sharing_bytes +=
-            static_cast<Bytes>(stacks) * (stacks - 1) * per_pair_bytes;
-      }
-
-      TimePs trace_done = start;
-      TimePs mesh_done = start;
-      bool finished = false;
-      ndp.run(ptrs, [&finished, &trace_done, &queue] {
-        finished = true;
-        trace_done = queue.now();
-      });
-      if (per_pair_bytes > 0) {
-        for (unsigned s = 0; s < stacks; ++s) {
-          for (unsigned d = 0; d < stacks; ++d) {
-            if (s == d) continue;
-            ndp.mesh().send(s, d, per_pair_bytes,
-                            [&mesh_done, &queue](TimePs) {
-                              mesh_done = queue.now();
-                            });
-          }
-        }
-      }
-      queue.run();
-      NDFT_ASSERT(finished);
-      elapsed = std::max(scaled(trace_done - start, traces.front().scale),
-                         mesh_done - start);
-      kernel_scale = traces.front().scale;
+    report.kernels.push_back(KernelTime{
+        kernels[i].name, kernels[i].cls, placement.device, run.time_ps,
+        run.memory_energy_mj, run.mesh_bytes, run.sharing_bytes});
+    report.memory_energy_mj += run.memory_energy_mj;
+    report.mesh_bytes += run.mesh_bytes;
+    report.sharing_bytes += run.sharing_bytes;
+    windows_ps += run.window_ps;
+    for (const auto& [key, value] : run.stats) {
+      add_stat(report.stats, key, value);
     }
-
-    // DRAM command energy in the window scales with the sampling factor;
-    // mesh messages were issued at full volume; background power burns
-    // over the kernel's (already scaled) duration.
-    report.memory_energy_mj +=
-        (ndp.dram_dynamic_energy_nj() - dram_energy_before) * kernel_scale *
-            1e-6 +
-        (ndp.mesh().energy_nj() - mesh_energy_before) * 1e-6 +
-        ndp.dram_background_mw() * static_cast<double>(elapsed) * 1e-12;
-
-    report.kernels.push_back(
-        KernelTime{kernel.name, kernel.cls, placement.device, elapsed});
-    host.invalidate_caches();
-    ndp.invalidate_caches();
-    queue.run();
   }
-
-  sim::StatSet all_stats;
-  ndp.collect_stats("ndp", all_stats);
-  roll_up_stats(all_stats, report.stats);
-  if (queue.now() > 0) {
-    // GB/s (decimal) is 1e-3 bytes/ps; peak aggregates over all stacks.
+  if (windows_ps > 0) {
+    // Bytes moved over peak bandwidth x the summed sampled windows; GB/s
+    // (decimal) is 1e-3 bytes/ps, and the NDP peak aggregates all stacks.
+    const double peak_gbps =
+        mode == ExecMode::kCpuBaseline
+            ? config_.xeon_dram.peak_gbps()
+            : config_.ndp.stack.dram.peak_gbps() * config_.ndp.stacks();
     report.stats["dram.channel_utilization"] =
         report.stats["dram.bytes"] /
-        (config_.ndp.stack.dram.peak_gbps() * stacks * 1e-3 *
-         static_cast<double>(queue.now()));
+        (peak_gbps * 1e-3 * static_cast<double>(windows_ps));
   }
 
-  report.mesh_bytes = ndp.mesh().bytes_sent();
-  report.pseudo = co_design
-                      ? store.on_ndft(config_.ndp_capacity)
-                      : store.on_ndp(runtime::PseudoLayout::kReplicated,
-                                     config_.ndp_capacity);
+  const runtime::PseudoStore store(workload, config_.processes);
+  switch (mode) {
+    case ExecMode::kCpuBaseline:
+      report.pseudo = store.on_cpu(config_.cpu_capacity);
+      break;
+    case ExecMode::kNdpOnly:
+      report.pseudo = store.on_ndp(runtime::PseudoLayout::kReplicated,
+                                   config_.ndp_capacity);
+      break;
+    default: report.pseudo = store.on_ndft(config_.ndp_capacity); break;
+  }
   return report;
 }
 

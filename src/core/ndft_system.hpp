@@ -17,13 +17,19 @@
 namespace ndft::core {
 
 /// The simulated-machine template of the framework. Thread-safe: the
-/// instance itself is immutable after construction, and every run()
-/// builds its complete simulation state (event queue, machines, trace
-/// arena) locally — see RunArena in ndft_system.cpp — so any number of
-/// concurrent runs may share one instance. ndft::api::Engine relies on
-/// this to execute concurrent SimulateJobs against a single template;
-/// prefer entering through the Engine rather than using this class
-/// directly.
+/// instance itself is immutable after construction, and each kernel of a
+/// run is simulated on a machine (event queue, caches, DRAM, fabric)
+/// built for it alone, so any number of concurrent runs may share one
+/// instance. ndft::api::Engine relies on this to execute concurrent
+/// SimulateJobs against a single template; prefer entering through the
+/// Engine rather than using this class directly.
+///
+/// A kernel's simulated time, energy, traffic and counters are a function
+/// of its descriptor (every KernelWork field but the name), its device,
+/// the mode and the SystemConfig alone: never of the kernels around it.
+/// A run simulates each distinct (descriptor, device) once, the distinct
+/// kernels spread over the thread pool, and assembles the report in
+/// kernel order.
 class NdftSystem {
  public:
   explicit NdftSystem(SystemConfig config = SystemConfig::paper_default());
@@ -43,7 +49,9 @@ class NdftSystem {
       runtime::Granularity granularity =
           runtime::Granularity::kFunction) const;
 
-  /// Simulates one iteration of `workload` on the chosen machine.
+  /// Simulates one iteration of `workload` on the chosen machine. While a
+  /// fault spec is armed the kernels run serially on the calling thread,
+  /// in kernel order.
   RunReport run(const dft::Workload& workload, ExecMode mode) const;
 
   /// Convenience: workload_for(atoms) + run().
@@ -57,12 +65,12 @@ class NdftSystem {
   const SystemConfig& config() const noexcept { return config_; }
 
  private:
-  RunReport run_cpu_baseline(const dft::Workload& workload) const;
   RunReport run_gpu_baseline(const dft::Workload& workload) const;
-  RunReport run_ndp(const dft::Workload& workload, bool co_design) const;
-  RunReport run_hybrid(const dft::Workload& workload,
-                       const runtime::ExecutionPlan& plan, ExecMode mode,
-                       bool co_design) const;
+  /// The trace-driven modes: the kernels on the devices `plan` names
+  /// (the Xeon for every kernel in the CPU baseline).
+  RunReport run_simulated(const dft::Workload& workload,
+                          const runtime::ExecutionPlan& plan,
+                          ExecMode mode) const;
 
   SystemConfig config_;
 };

@@ -32,6 +32,9 @@ struct KernelTime {
   KernelClass cls = KernelClass::kOther;
   DeviceKind device = DeviceKind::kCpu;
   TimePs time_ps = 0;
+  double memory_energy_mj = 0.0;  ///< this kernel's share of the total
+  Bytes mesh_bytes = 0;           ///< NDP fabric traffic it caused
+  Bytes sharing_bytes = 0;        ///< pseudopotential sharing traffic
 };
 
 /// Result of simulating one LR-TDDFT iteration on one machine.
@@ -41,19 +44,21 @@ struct RunReport {
   std::vector<KernelTime> kernels;
   TimePs sched_overhead_ps = 0;  ///< Eq. 1 crossings (NDFT only)
   runtime::PseudoFootprint pseudo;
-  Bytes mesh_bytes = 0;      ///< NDP fabric traffic
+  Bytes mesh_bytes = 0;      ///< NDP fabric traffic, summed over kernels
   Bytes sharing_bytes = 0;   ///< pseudopotential sharing traffic (NDFT)
   /// Memory-system energy (DRAM + fabric; GPU: HBM + PCIe) in millijoules,
-  /// scaled up from the sampled windows like the kernel times.
+  /// scaled up from the sampled windows like the kernel times; the sum of
+  /// the kernels' shares in kernel order.
   double memory_energy_mj = 0.0;
   /// Bounded roll-up of the simulated components' StatSet counters,
   /// aggregated per component class ("mesh.hops", "dram.row_hits",
-  /// "serdes.backpressure_stall_ps", ...): counters sum across instances,
-  /// *_peak keys take the maximum, and "dram.channel_utilization" is the
-  /// derived fraction of aggregate DRAM peak bandwidth used over the
-  /// simulated span. The key set is fixed by an allowlist (never one key
-  /// per channel/core), so payload size does not scale with the machine.
-  /// Empty for the analytic GPU baseline.
+  /// "serdes.backpressure_stall_ps", ...): counters sum across instances
+  /// and kernels (a repeated kernel counts once per occurrence), *_peak
+  /// keys take the maximum, and "dram.channel_utilization" is the derived
+  /// fraction of aggregate DRAM peak bandwidth used over the kernels'
+  /// summed sampled windows. The key set is fixed by an allowlist (never
+  /// one key per channel/core), so payload size does not scale with the
+  /// machine. Empty for the analytic GPU baseline.
   std::map<std::string, double> stats;
 
   /// Total simulated time including scheduling overhead.

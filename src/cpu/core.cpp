@@ -41,35 +41,43 @@ Core::Core(std::string name, sim::EventQueue& queue, const CoreConfig& config,
       clock_(config.freq_mhz),
       port_(&port) {}
 
-void Core::run_trace(const Trace* trace, std::function<void()> on_done) {
+void Core::run_trace(OpSource& ops, std::function<void()> on_done) {
   NDFT_REQUIRE(!busy(), "core is already executing a trace");
-  NDFT_ASSERT(trace != nullptr);
-  trace_ = trace;
+  ops_ = &ops;
   on_done_ = std::move(on_done);
-  pc_ = 0;
+  has_op_ = false;
+  exhausted_ = false;
   outstanding_ = 0;
   issue_time_ = now();
   last_completion_ = now();
   advance();
 }
 
+bool Core::fetch() {
+  if (!has_op_ && !exhausted_) {
+    has_op_ = ops_->next(op_);
+    exhausted_ = !has_op_;
+  }
+  return has_op_;
+}
+
 void Core::advance() {
-  if (trace_ == nullptr) {
+  if (ops_ == nullptr) {
     return;
   }
   issue_time_ = std::max(issue_time_, now());
   const TimePs issue_cost =
       std::max<TimePs>(1, clock_.period_ps() / config_.issue_width);
 
-  while (pc_ < trace_->ops.size()) {
-    const TraceOp& op = trace_->ops[pc_];
+  while (fetch()) {
+    const TraceOp& op = op_;
     if (op.kind == OpKind::kCompute) {
       const double cycles_needed = static_cast<double>(op.flops) /
                                    config_.flops_per_cycle;
       issue_time_ += static_cast<TimePs>(
           std::ceil(cycles_needed * static_cast<double>(clock_.period_ps())));
       counters_.flops += static_cast<double>(op.flops);
-      ++pc_;
+      has_op_ = false;
       continue;
     }
 
@@ -97,7 +105,7 @@ void Core::advance() {
                             issue(addr, size, is_write);
                           });
     }
-    ++pc_;
+    has_op_ = false;
   }
   try_finish();
 }
@@ -118,11 +126,11 @@ void Core::issue(Addr addr, Bytes size, bool is_write) {
 }
 
 void Core::try_finish() {
-  if (trace_ == nullptr || pc_ < trace_->ops.size() || outstanding_ != 0) {
+  if (ops_ == nullptr || !exhausted_ || outstanding_ != 0) {
     return;
   }
   const TimePs end = std::max({issue_time_, last_completion_, now()});
-  trace_ = nullptr;
+  ops_ = nullptr;
   auto done = std::move(on_done_);
   on_done_ = nullptr;
   queue().schedule_at(end, [done = std::move(done)] {

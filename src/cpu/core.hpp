@@ -53,13 +53,13 @@ class Core : public sim::SimObject {
   Core(std::string name, sim::EventQueue& queue, const CoreConfig& config,
        mem::MemoryPort& port);
 
-  /// Begins executing `trace`; `on_done` fires (as an event) when the last
-  /// operation has retired. The trace must outlive execution. A core runs
-  /// one trace at a time.
-  void run_trace(const Trace* trace, std::function<void()> on_done);
+  /// Begins executing the operations `ops` yields; `on_done` fires (as an
+  /// event) when the last one has retired. `ops` must outlive execution.
+  /// A core runs one sequence at a time.
+  void run_trace(OpSource& ops, std::function<void()> on_done);
 
-  /// True while a trace is executing.
-  bool busy() const noexcept { return trace_ != nullptr; }
+  /// True while a sequence is executing.
+  bool busy() const noexcept { return ops_ != nullptr; }
 
   /// Raw execution counters.
   const CoreCounters& counters() const noexcept { return counters_; }
@@ -71,6 +71,8 @@ class Core : public sim::SimObject {
 
  private:
   void advance();
+  /// Pulls the next operation into op_; false once the sequence is done.
+  bool fetch();
   /// Sends one memory operation into the port; its completion resumes
   /// advance().
   void issue(Addr addr, Bytes size, bool is_write);
@@ -79,9 +81,11 @@ class Core : public sim::SimObject {
   CoreConfig config_;
   Clock clock_;
   mem::MemoryPort* port_;
-  const Trace* trace_ = nullptr;
+  OpSource* ops_ = nullptr;
   std::function<void()> on_done_;
-  std::size_t pc_ = 0;
+  TraceOp op_;              ///< the operation due next, when has_op_
+  bool has_op_ = false;
+  bool exhausted_ = false;  ///< ops_ has yielded its last operation
   unsigned outstanding_ = 0;
   TimePs issue_time_ = 0;       ///< core-local front-end time
   TimePs last_completion_ = 0;  ///< latest memory completion

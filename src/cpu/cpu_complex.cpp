@@ -50,7 +50,7 @@ CpuComplex::CpuComplex(const std::string& name, sim::EventQueue& queue,
   }
 }
 
-void CpuComplex::run(const std::vector<const Trace*>& traces,
+void CpuComplex::run(std::span<OpSource* const> traces,
                      std::function<void()> on_done) {
   NDFT_REQUIRE(traces.size() <= cores_.size(),
                "more traces than cores in the complex");
@@ -60,7 +60,7 @@ void CpuComplex::run(const std::vector<const Trace*>& traces,
   running_ = static_cast<unsigned>(traces.size());
   for (std::size_t i = 0; i < traces.size(); ++i) {
     NDFT_ASSERT(traces[i] != nullptr);
-    cores_[i]->run_trace(traces[i], [this] {
+    cores_[i]->run_trace(*traces[i], [this] {
       NDFT_ASSERT(running_ > 0);
       if (--running_ == 0 && on_done_) {
         auto done = std::move(on_done_);
@@ -69,14 +69,6 @@ void CpuComplex::run(const std::vector<const Trace*>& traces,
       }
     });
   }
-}
-
-void CpuComplex::invalidate_caches() {
-  for (auto& hierarchy : private_) {
-    hierarchy->l1().invalidate_all();
-    hierarchy->l2().invalidate_all();
-  }
-  l3_->invalidate_all();
 }
 
 void CpuComplex::collect_stats(const std::string& prefix,

@@ -7,6 +7,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -40,14 +41,10 @@ class CpuComplex {
   CpuComplex(const std::string& name, sim::EventQueue& queue,
              const CpuComplexConfig& config, mem::MemoryPort& memory);
 
-  /// Runs one trace per core (traces beyond `cores` are rejected; fewer
-  /// traces leave the remaining cores idle). `on_done` fires when every
-  /// trace has retired. Traces must outlive the run.
-  void run(const std::vector<const Trace*>& traces,
-           std::function<void()> on_done);
-
-  /// Drops all cached lines without writebacks (between sampled windows).
-  void invalidate_caches();
+  /// Runs one op sequence per core (sequences beyond `cores` are
+  /// rejected; fewer leave the remaining cores idle). `on_done` fires when
+  /// every sequence has retired. The sources must outlive the run.
+  void run(std::span<OpSource* const> traces, std::function<void()> on_done);
 
   unsigned core_count() const noexcept {
     return static_cast<unsigned>(cores_.size());

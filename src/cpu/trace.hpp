@@ -1,8 +1,9 @@
 #pragma once
 // The abstract operation trace that couples the functional DFT kernels to
 // the timing models. A kernel slice is rendered as a sequence of compute
-// bundles and line-granularity memory accesses; the same trace can be
-// replayed on a CPU core, an NDP core, or fed to the analytical GPU model.
+// bundles and line-granularity memory accesses, which a CPU or NDP core
+// pulls one at a time from an OpSource: a TraceStream generates them on
+// demand (trace_gen.hpp), a TraceReplay reads a materialized Trace.
 
 #include <vector>
 
@@ -46,6 +47,30 @@ struct Trace {
     }
     return total;
   }
+};
+
+/// A sequence of trace operations, pulled one at a time by a core.
+class OpSource {
+ public:
+  virtual ~OpSource() = default;
+  /// Stores the next operation in `op`; false once the sequence is done.
+  virtual bool next(TraceOp& op) = 0;
+};
+
+/// Replays a materialized Trace; the trace must outlive the replay.
+class TraceReplay final : public OpSource {
+ public:
+  explicit TraceReplay(const Trace& trace) : trace_(&trace) {}
+
+  bool next(TraceOp& op) override {
+    if (pc_ == trace_->ops.size()) return false;
+    op = trace_->ops[pc_++];
+    return true;
+  }
+
+ private:
+  const Trace* trace_;
+  std::size_t pc_ = 0;
 };
 
 }  // namespace ndft::cpu

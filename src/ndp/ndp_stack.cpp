@@ -31,12 +31,6 @@ NdpStack::NdpStack(const std::string& name, sim::EventQueue& queue,
   }
 }
 
-void NdpStack::invalidate_caches() {
-  for (auto& l1 : l1s_) {
-    l1->invalidate_all();
-  }
-}
-
 void NdpStack::collect_stats(const std::string& prefix,
                              sim::StatSet& out) const {
   dram_->collect_stats(prefix + ".dram", out);

@@ -45,9 +45,6 @@ class NdpStack {
   Spm& spm() noexcept { return *spm_; }
   const NdpStackConfig& config() const noexcept { return config_; }
 
-  /// Drops all cached lines without writebacks (between sampled windows).
-  void invalidate_caches();
-
   /// Aggregates statistics under `prefix`.
   void collect_stats(const std::string& prefix, sim::StatSet& out) const;
 

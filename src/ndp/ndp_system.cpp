@@ -163,7 +163,7 @@ void NdpSystem::complete_transaction(std::uint32_t transaction) {
   if (callback) callback(queue_->now());
 }
 
-void NdpSystem::run(const std::vector<const cpu::Trace*>& traces,
+void NdpSystem::run(std::span<cpu::OpSource* const> traces,
                     std::function<void()> on_done) {
   NDFT_REQUIRE(!traces.empty(), "no traces to run");
   NDFT_REQUIRE(traces.size() <= config_.total_cores(),
@@ -179,7 +179,7 @@ void NdpSystem::run(const std::vector<const cpu::Trace*>& traces,
     const unsigned core_in_stack =
         static_cast<unsigned>(i) / stack_count() %
         stacks_[stack]->core_count();
-    stacks_[stack]->core(core_in_stack).run_trace(traces[i], [this] {
+    stacks_[stack]->core(core_in_stack).run_trace(*traces[i], [this] {
       NDFT_ASSERT(running_ > 0);
       if (--running_ == 0 && on_done_) {
         auto done = std::move(on_done_);
@@ -187,12 +187,6 @@ void NdpSystem::run(const std::vector<const cpu::Trace*>& traces,
         done();
       }
     });
-  }
-}
-
-void NdpSystem::invalidate_caches() {
-  for (auto& stack : stacks_) {
-    stack->invalidate_caches();
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/json.hpp"
@@ -64,9 +65,9 @@ class NdpSystem {
   /// Port the host CPU's L3 misses go into (SerDes + mesh + stack DRAM).
   mem::MemoryPort& cpu_port() noexcept { return *cpu_port_; }
 
-  /// Runs one trace per NDP core (round-robin across stacks so work and
-  /// data spread evenly); `on_done` fires when all traces retired.
-  void run(const std::vector<const cpu::Trace*>& traces,
+  /// Runs one op sequence per NDP core (round-robin across stacks so work
+  /// and data spread evenly); `on_done` fires when all have retired.
+  void run(std::span<cpu::OpSource* const> traces,
            std::function<void()> on_done);
 
   unsigned stack_count() const noexcept {
@@ -80,9 +81,6 @@ class NdpSystem {
   unsigned stack_of_core(unsigned global_core) const noexcept {
     return global_core % stack_count();
   }
-
-  /// Drops all cached lines without writebacks (between sampled windows).
-  void invalidate_caches();
 
   /// Aggregates statistics from stacks and mesh under `prefix`.
   void collect_stats(const std::string& prefix, sim::StatSet& out) const;

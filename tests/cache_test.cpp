@@ -1,6 +1,6 @@
 // Unit tests for the cache model: hits/misses, LRU, write-back and
 // write-validate paths, MSHR coalescing and stalls, the stride prefetcher
-// and invalidation semantics.
+// and its stream table, and flush semantics.
 
 #include <gtest/gtest.h>
 
@@ -192,15 +192,6 @@ TEST_F(CacheFixture, FlushWritesBackAndEmpties) {
   EXPECT_EQ(memory.reads.size(), 1u);
 }
 
-TEST_F(CacheFixture, InvalidateDropsWithoutWriteback) {
-  write(0);
-  cache.invalidate_all();
-  queue.run();
-  EXPECT_EQ(memory.writes.size(), 0u);  // dirty data silently dropped
-  read(0);
-  EXPECT_EQ(memory.reads.size(), 1u);  // miss after invalidate
-}
-
 TEST_F(CacheFixture, HitRatioTracksAccesses) {
   read(0);
   read(0);
@@ -280,6 +271,44 @@ TEST(CachePrefetchTest, RandomStreamDoesNotPrefetch) {
     queue.run();
   }
   EXPECT_LT(cache.counters().prefetches, 8u);
+}
+
+TEST(CachePrefetchTest, FullStreamTableEvictsTheLeastRecentlyTrained) {
+  sim::EventQueue queue;
+  RecordingMemory memory(queue, 80000);
+  CacheConfig config;
+  config.size_bytes = 256 * 1024;
+  config.ways = 8;
+  config.hit_latency_ps = 1000;
+  config.mshrs = 24;
+  config.prefetch = true;
+  config.prefetch_degree = 4;
+  Cache cache("l2", queue, config, memory);
+  const auto touch = [&](Addr line) {
+    mem::MemRequest req;
+    req.addr = line * 64;
+    req.size = 64;
+    req.on_complete = [](TimePs) {};
+    cache.access(std::move(req));
+    queue.run();
+  };
+  // One stream per 128 KiB region (2048 lines); four unit-stride accesses
+  // confirm a stream, so each later access prefetches.
+  constexpr Addr kRegion = 2048;
+  const Addr a = 1 * kRegion;
+  const Addr b = 2 * kRegion;
+  for (Addr i = 0; i < 4; ++i) touch(a + i);
+  for (Addr i = 0; i < 4; ++i) touch(b + i);
+  for (Addr r = 3; r < 65; ++r) touch(r * kRegion + 5);  // 64 streams now
+  touch(a + 4);         // a is the most recently trained, b the least
+  touch(65 * kRegion);  // a new region takes b's slot
+
+  std::uint64_t before = cache.counters().prefetches;
+  touch(a + 5);
+  EXPECT_GT(cache.counters().prefetches, before) << "a's stream was lost";
+  before = cache.counters().prefetches;
+  touch(b + 4);
+  EXPECT_EQ(cache.counters().prefetches, before) << "b's stream survived";
 }
 
 TEST(CacheConfigTest, PresetsMatchTableIII) {

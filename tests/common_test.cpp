@@ -10,6 +10,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -363,12 +364,12 @@ TEST(ThreadPoolTest, JoinCloseStressKeepsEveryContract) {
           << grain;
     }
 
-    // Three top-level callers at once: their regions serialize, so no
-    // chunk of one caller's job runs while a chunk of another's does.
+    // Three top-level callers at once: one region at a time gets the
+    // workers and the others run inline, so every index of every caller's
+    // regions still runs exactly once.
     constexpr int kCallers = 3;
-    std::array<std::atomic<int>, kCallers> in_flight{};
-    std::atomic<int> overlaps{0};
     std::atomic<int> miscounted{0};
+    std::atomic<int> regions{0};
     std::vector<std::thread> callers;
     for (int caller = 0; caller < kCallers; ++caller) {
       callers.emplace_back([&, caller] {
@@ -378,25 +379,19 @@ TEST(ThreadPoolTest, JoinCloseStressKeepsEveryContract) {
           const std::size_t range = grain * (2 + caller_rng.next_below(24));
           std::vector<unsigned char> hits(range, 0);
           parallel_for(0, range, grain, [&](std::size_t lo, std::size_t hi) {
-            in_flight[caller].fetch_add(1);
-            for (int other = 0; other < kCallers; ++other) {
-              if (other != caller && in_flight[other].load() != 0) {
-                overlaps.fetch_add(1);
-              }
-            }
             for (std::size_t i = lo; i < hi; ++i) ++hits[i];
-            in_flight[caller].fetch_sub(1);
           });
           if (!std::all_of(hits.begin(), hits.end(),
                            [](unsigned char h) { return h == 1; })) {
             miscounted.fetch_add(1);
           }
+          regions.fetch_add(1);
         }
       });
     }
     for (std::thread& caller : callers) caller.join();
-    EXPECT_EQ(overlaps.load(), 0);
     EXPECT_EQ(miscounted.load(), 0);
+    EXPECT_EQ(regions.load(), kCallers * 60);
 
     // resize() straight after a burst of tiny regions, while workers the
     // burst woke may still be on their way back to sleep.
@@ -413,6 +408,45 @@ TEST(ThreadPoolTest, JoinCloseStressKeepsEveryContract) {
     EXPECT_EQ(pool.threads(), width / 2);
   }
   pool.resize(original_threads);
+}
+
+TEST(ThreadPoolTest, SecondCallerCompletesWhileFirstRegionIsBlocked) {
+  // The first caller's region holds the pool until the latch opens; a
+  // second caller's region must complete meanwhile instead of waiting for
+  // it.
+  ThreadPool& pool = ThreadPool::instance();
+  const std::size_t original_threads = pool.threads();
+  pool.resize(2);
+  std::promise<void> entered;
+  std::promise<void> latch;
+  std::shared_future<void> open = latch.get_future().share();
+  std::atomic<bool> entered_once{false};
+  std::thread first([&] {
+    parallel_for(0, 8, 1, [&](std::size_t, std::size_t) {
+      if (!entered_once.exchange(true)) entered.set_value();
+      open.wait();
+    });
+  });
+  entered.get_future().wait();
+
+  std::promise<void> second_done;
+  std::future<void> second_finished = second_done.get_future();
+  std::vector<unsigned char> hits(64, 0);
+  std::thread second([&] {
+    parallel_for(0, hits.size(), 1, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) ++hits[i];
+    });
+    second_done.set_value();
+  });
+  const bool completed = second_finished.wait_for(std::chrono::seconds(30)) ==
+                         std::future_status::ready;
+  latch.set_value();
+  first.join();
+  second.join();
+  pool.resize(original_threads);
+  EXPECT_TRUE(completed) << "the second region waited for the first";
+  EXPECT_TRUE(std::all_of(hits.begin(), hits.end(),
+                          [](unsigned char h) { return h == 1; }));
 }
 
 #if defined(__linux__)

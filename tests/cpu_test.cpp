@@ -182,7 +182,8 @@ TEST(CoreTest, ComputeBoundTimeMatchesPeakRate) {
   trace.ops.push_back(op);
 
   bool done = false;
-  core.run_trace(&trace, [&] { done = true; });
+  TraceReplay replay(trace);
+  core.run_trace(replay, [&] { done = true; });
   queue.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(queue.now(), 1000 * kPsPerNs);
@@ -204,7 +205,8 @@ TEST(CoreTest, MemoryLatencyBoundWithUnitMlp) {
     op.size = 64;
     trace.ops.push_back(op);
   }
-  core.run_trace(&trace, [] {});
+  TraceReplay replay(trace);
+  core.run_trace(replay, [] {});
   queue.run();
   // 10 serialised loads of 100 ns each.
   EXPECT_GE(queue.now(), 10 * 100000u);
@@ -227,7 +229,8 @@ TEST(CoreTest, MlpOverlapsMisses) {
       op.size = 64;
       trace.ops.push_back(op);
     }
-    core.run_trace(&trace, [] {});
+    TraceReplay replay(trace);
+    core.run_trace(replay, [] {});
     queue.run();
     return queue.now();
   };
@@ -244,9 +247,11 @@ TEST(CoreTest, RejectsConcurrentTraces) {
   TraceOp op;
   op.kind = OpKind::kLoad;
   trace.ops.push_back(op);
-  core.run_trace(&trace, [] {});
+  TraceReplay first(trace);
+  core.run_trace(first, [] {});
   EXPECT_TRUE(core.busy());
-  EXPECT_THROW(core.run_trace(&trace, [] {}), NdftError);
+  TraceReplay second(trace);
+  EXPECT_THROW(core.run_trace(second, [] {}), NdftError);
   queue.run();
   EXPECT_FALSE(core.busy());
 }
@@ -268,7 +273,8 @@ TEST(CoreTest, CountersTrackWork) {
   store.kind = OpKind::kStore;
   store.size = 64;
   trace.ops.push_back(store);
-  core.run_trace(&trace, [] {});
+  TraceReplay replay(trace);
+  core.run_trace(replay, [] {});
   queue.run();
   EXPECT_EQ(core.counters().loads, 1u);
   EXPECT_EQ(core.counters().stores, 1u);
@@ -303,8 +309,9 @@ TEST(CpuComplexTest, BarrierWaitsForAllCores) {
       traces[c].ops.push_back(op);
     }
   }
-  std::vector<const Trace*> ptrs{&traces[0], &traces[1], &traces[2],
-                                 &traces[3]};
+  std::vector<TraceReplay> replays(traces.begin(), traces.end());
+  std::vector<OpSource*> ptrs{&replays[0], &replays[1], &replays[2],
+                              &replays[3]};
   bool done = false;
   complex.run(ptrs, [&] { done = true; });
   queue.run();
@@ -319,7 +326,8 @@ TEST(CpuComplexTest, RejectsTooManyTraces) {
   config.cores = 2;
   CpuComplex complex("cpu", queue, config, dram);
   Trace trace;
-  std::vector<const Trace*> ptrs{&trace, &trace, &trace};
+  TraceReplay replay(trace);
+  std::vector<OpSource*> ptrs{&replay, &replay, &replay};
   EXPECT_THROW(complex.run(ptrs, [] {}), NdftError);
 }
 
@@ -331,33 +339,6 @@ TEST(CpuComplexTest, ConfigPresetsMatchPaper) {
   EXPECT_EQ(xeon.cores, 24u);
   EXPECT_EQ(xeon.core.freq_mhz, 2400u);
   EXPECT_NEAR(xeon.peak_gflops(), 921.6, 1.0);
-}
-
-TEST(CpuComplexTest, InvalidateCachesDropsState) {
-  sim::EventQueue queue;
-  mem::DramSystem dram("d", queue, mem::DramConfig::xeon_ddr4());
-  CpuComplexConfig config = CpuComplexConfig::xeon_baseline();
-  config.cores = 1;
-  CpuComplex complex("cpu", queue, config, dram);
-
-  Trace trace;
-  for (int i = 0; i < 16; ++i) {
-    TraceOp op;
-    op.kind = OpKind::kLoad;
-    op.addr = Addr(i) * 64;
-    op.size = 64;
-    trace.ops.push_back(op);
-  }
-  std::vector<const Trace*> ptrs{&trace};
-  complex.run(ptrs, [] {});
-  queue.run();
-  complex.invalidate_caches();
-
-  // Re-running the same trace misses everything again: DRAM sees fills.
-  const Bytes before = dram.bytes_transferred();
-  complex.run(ptrs, [] {});
-  queue.run();
-  EXPECT_GT(dram.bytes_transferred(), before);
 }
 
 }  // namespace

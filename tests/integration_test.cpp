@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/fault.hpp"
+#include "common/thread_pool.hpp"
 #include "core/ndft_system.hpp"
 
 namespace ndft::core {
@@ -140,35 +143,33 @@ struct ReportPin {
 // timing fails here, while RunsAreDeterministic, which compares two runs
 // of one binary, cannot see it. Doubles are compared with ==.
 const ReportPin kCpuPin{
-    {63781807418u, 22526562878u, 42665130776u, 22596987903u, 14424256151u,
-     22768935661u, 10411792998u, 314989959966u},
-    0u, 0u, 0u, 2189.1792031924315,
+    {63781807418u, 22113681076u, 38077408562u, 22113681076u, 15046624185u, 22113681076u, 9171769828u, 392777940360u},
+    0u, 0u, 0u, 2261.6896080108222,
     {
-        {"dram.bytes", 12868288},
-        {"dram.channel_utilization", 0.44121131962348048},
+        {"dram.bytes", 12871488},
+        {"dram.channel_utilization", 0.43170554010217638},
         {"dram.queue_peak", 1},
-        {"dram.reads", 201067},
-        {"dram.refresh_stall_ps", 55627740},
-        {"dram.refreshes", 188},
-        {"dram.row_conflicts", 87522},
-        {"dram.row_hits", 113417},
-        {"dram.row_misses", 128},
+        {"dram.reads", 201117},
+        {"dram.refresh_stall_ps", 53178720},
+        {"dram.refreshes", 172},
+        {"dram.row_conflicts", 86563},
+        {"dram.row_hits", 113554},
+        {"dram.row_misses", 1000},
         {"dram.writes", 0},
     }};
 const ReportPin kNdpOnlyPin{
-    {8550221680u, 1949594880u, 7162595432u, 1885096480u, 22589701807u,
-     1977834720u, 1431502258u, 249288542303u},
-    0u, 1606533120u, 0u, 2727.8743442008481,
+    {8550221680u, 1819203520u, 6715067880u, 1819203520u, 22552105250u, 1819203520u, 1423293360u, 249179922725u},
+    0u, 1606533120u, 0u, 2720.2712955554753,
     {
         {"dram.bytes", 19614336},
-        {"dram.channel_utilization", 0.0030036161706382186},
+        {"dram.channel_utilization", 0.0030064937902063555},
         {"dram.queue_peak", 1},
         {"dram.reads", 283778},
-        {"dram.refresh_stall_ps", 510120000},
-        {"dram.refreshes", 51200},
-        {"dram.row_conflicts", 191160},
-        {"dram.row_hits", 111218},
-        {"dram.row_misses", 4096},
+        {"dram.refresh_stall_ps", 461760000},
+        {"dram.refreshes", 2367},
+        {"dram.row_conflicts", 169780},
+        {"dram.row_hits", 112221},
+        {"dram.row_misses", 24473},
         {"dram.writes", 22696},
         {"mesh.bytes", 1606533120},
         {"mesh.contention_ps", 94158044088},
@@ -177,26 +178,25 @@ const ReportPin kNdpOnlyPin{
         {"mesh.queue_peak", 1},
     }};
 const ReportPin kNdftPin{
-    {8550221680u, 1949594880u, 7162595432u, 1885096480u, 15676182467u,
-     1887961604u, 1449899980u, 297376785766u},
-    4968433408u, 1846182624u, 237040800u, 3230.0669369123279,
+    {8550221680u, 1819203520u, 6715067880u, 1819203520u, 15816667541u, 1819203520u, 1423293360u, 277275413019u},
+    4968433408u, 1846182624u, 237040800u, 2967.7480015830351,
     {
         {"dram.bytes", 14289280},
-        {"dram.channel_utilization", 0.0028492450838283321},
+        {"dram.channel_utilization", 0.0028530459385970224},
         {"dram.queue_peak", 1},
         {"dram.reads", 200574},
-        {"dram.refresh_stall_ps", 421720000},
-        {"dram.refreshes", 39940},
-        {"dram.row_conflicts", 151501},
-        {"dram.row_hits", 67673},
-        {"dram.row_misses", 4096},
+        {"dram.refresh_stall_ps", 298480000},
+        {"dram.refreshes", 2019},
+        {"dram.row_conflicts", 126949},
+        {"dram.row_hits", 74144},
+        {"dram.row_misses", 22177},
         {"dram.writes", 22696},
         {"mesh.bytes", 1846182624},
-        {"mesh.contention_ps", 108052947825},
+        {"mesh.contention_ps", 108052601509},
         {"mesh.hops", 49200},
         {"mesh.messages", 47544},
         {"mesh.queue_peak", 1},
-        {"serdes.contention_ps", 2807703},
+        {"serdes.contention_ps", 2806198},
         {"serdes.queue_peak", 1},
     }};
 
@@ -253,91 +253,87 @@ SystemConfig small_sampling() {
 // sampling; scripts/verify.sh --bench-smoke compares those with the
 // committed BENCH_paper.json.
 const ReportPin kFig7CpuSi64Pin{
-    {96905643910u, 23793525797u, 51502825567u, 22616368932u, 26076231161u,
-     23669614548u, 11927403606u, 265156461400u},
-    0u, 0u, 0u, 2227.7435225745157,
+    {96905643910u, 23948414859u, 60238568621u, 23948414859u, 26175360194u, 23948414859u, 13202632435u, 258539150947u},
+    0u, 0u, 0u, 2204.8800458662299,
     {
         {"dram.bytes", 311808},
-        {"dram.channel_utilization", 0.54164522908549584},
+        {"dram.channel_utilization", 0.52882851750445259},
         {"dram.queue_peak", 1},
         {"dram.reads", 4872},
         {"dram.refresh_stall_ps", 0},
         {"dram.refreshes", 0},
-        {"dram.row_conflicts", 1709},
-        {"dram.row_hits", 3035},
-        {"dram.row_misses", 128},
+        {"dram.row_conflicts", 1095},
+        {"dram.row_hits", 3108},
+        {"dram.row_misses", 669},
         {"dram.writes", 0},
     }};
 const ReportPin kFig7GpuSi64Pin{
-    {41673254756u, 6205683284u, 73719398368u, 6205683284u, 12215379829u,
-     6205683284u, 5843637495u, 139501583562u},
+    {41673254756u, 6205683284u, 73719398368u, 6205683284u, 12215379829u, 6205683284u, 5843637495u, 139501583562u},
     0u, 0u, 0u, 6823.3361502959997,
-    {}};
+    {
+    }};
 const ReportPin kFig7NdftSi64Pin{
-    {7196365400u, 1754530800u, 7043399600u, 1876554800u, 23569179648u,
-     1841690800u, 1757136902u, 339010838755u},
-    4968433408u, 1843683232u, 237040800u, 3645.6995730108301,
+    {7196365400u, 1486078000u, 6620673600u, 1486078000u, 21889727775u, 1486078000u, 1328309400u, 247289665271u},
+    4968433408u, 1843683232u, 237040800u, 2969.9743962577968,
     {
         {"dram.bytes", 1029120},
-        {"dram.channel_utilization", 0.00021748527511075789},
+        {"dram.channel_utilization", 0.00021755604458017323},
         {"dram.queue_peak", 1},
         {"dram.reads", 16080},
-        {"dram.refresh_stall_ps", 63960000},
-        {"dram.refreshes", 37888},
-        {"dram.row_conflicts", 10265},
-        {"dram.row_hits", 1891},
-        {"dram.row_misses", 3924},
+        {"dram.refresh_stall_ps", 0},
+        {"dram.refreshes", 0},
+        {"dram.row_conflicts", 2842},
+        {"dram.row_hits", 2084},
+        {"dram.row_misses", 11154},
         {"dram.writes", 0},
         {"mesh.bytes", 1843683232},
-        {"mesh.contention_ps", 108050988910},
+        {"mesh.contention_ps", 108050770935},
         {"mesh.hops", 4560},
         {"mesh.messages", 2912},
         {"mesh.queue_peak", 1},
-        {"serdes.contention_ps", 686806},
+        {"serdes.contention_ps", 617546},
         {"serdes.queue_peak", 1},
     }};
 const ReportPin kFig7CpuSi1024Pin{
-    {1297241573600u, 394086775296u, 914883911392u, 401521600176u,
-     422779308595u, 384669330448u, 224625378818u, 424125528865u},
-    0u, 0u, 0u, 16503.247776766882,
+    {1297241573600u, 453565374336u, 739422044224u, 453565374336u, 368455521472u, 453565374336u, 203782909350u, 567894091843u},
+    0u, 0u, 0u, 16509.621195027619,
     {
         {"dram.bytes", 311808},
-        {"dram.channel_utilization", 0.50702561453981754},
+        {"dram.channel_utilization", 0.45366460077245507},
         {"dram.queue_peak", 1},
         {"dram.reads", 4872},
         {"dram.refresh_stall_ps", 0},
         {"dram.refreshes", 0},
-        {"dram.row_conflicts", 1714},
-        {"dram.row_hits", 3030},
-        {"dram.row_misses", 128},
+        {"dram.row_conflicts", 1367},
+        {"dram.row_hits", 2806},
+        {"dram.row_misses", 699},
         {"dram.writes", 0},
     }};
 const ReportPin kFig7GpuSi1024Pin{
-    {666635221333u, 99142887365u, 1179383630061u, 99142887365u, 195299928205u,
-     99142887365u, 93349959919u, 234680222222u},
+    {666635221333u, 99142887365u, 1179383630061u, 99142887365u, 195299928205u, 99142887365u, 93349959919u, 234680222222u},
     0u, 0u, 0u, 61638.425742171996,
-    {}};
+    {
+    }};
 const ReportPin kFig7NdftSi1024Pin{
-    {115925085938u, 29467633875u, 137366868750u, 30192819375u, 374233918541u,
-     27794128875u, 28661195730u, 388090803235u},
-    74180412160u, 29497798912u, 3792652800u, 14570.275351753322,
+    {115925085938u, 27403644375u, 133824616500u, 27403644375u, 350626698355u, 27403644375u, 21697875313u, 357145417008u},
+    74180412160u, 29497798912u, 3792652800u, 14063.527423465403,
     {
         {"dram.bytes", 1029120},
-        {"dram.channel_utilization", 1.3625949843162047e-05},
+        {"dram.channel_utilization", 1.3626037426589329e-05},
         {"dram.queue_peak", 1},
         {"dram.reads", 16080},
-        {"dram.refresh_stall_ps", 29120000},
-        {"dram.refreshes", 605056},
-        {"dram.row_conflicts", 10180},
-        {"dram.row_hits", 1917},
-        {"dram.row_misses", 3983},
+        {"dram.refresh_stall_ps", 0},
+        {"dram.refreshes", 0},
+        {"dram.row_conflicts", 2970},
+        {"dram.row_hits", 2115},
+        {"dram.row_misses", 10995},
         {"dram.writes", 0},
         {"mesh.bytes", 29497798912},
-        {"mesh.contention_ps", 1728889249740},
+        {"mesh.contention_ps", 1728889230873},
         {"mesh.hops", 4560},
         {"mesh.messages", 2912},
         {"mesh.queue_peak", 1},
-        {"serdes.contention_ps", 623909},
+        {"serdes.contention_ps", 606390},
         {"serdes.queue_peak", 1},
     }};
 
@@ -348,13 +344,13 @@ struct ScalePin {
   TimePs ndft_ps;
 };
 const ScalePin kFig8Pins[] = {
-    {16, 22082304122u, 12857955967u, 7999326022u},
-    {32, 158121160180u, 94990935233u, 79526898014u},
-    {64, 521648074921u, 291570303862u, 389018130113u},
-    {128, 966512150847u, 538752015259u, 506971910095u},
-    {256, 1609297121260u, 842753808297u, 644239487286u},
-    {1024, 4463933407190u, 2666777623835u, 1205912866479u},
-    {2048, 9064512019932u, 6198073121448u, 2516727747381u},
+    {16, 22848863656u, 12857955967u, 7640544998u},
+    {32, 148999998288u, 94990935233u, 72916376016u},
+    {64, 526906600684u, 291570303862u, 293751408854u},
+    {128, 1034533170418u, 538752015259u, 454086609228u},
+    {256, 1540309713298u, 842753808297u, 551245741687u},
+    {1024, 4537492263497u, 2666777623835u, 1135611038399u},
+    {2048, 8964024243806u, 6198073121448u, 1971032729649u},
 };
 
 TEST(PaperLedgerTest, Fig7AndFig8SimulationsArePinned) {
@@ -378,6 +374,156 @@ TEST(PaperLedgerTest, Fig7AndFig8SimulationsArePinned) {
       expect_pinned(ndft, kFig7NdftSi1024Pin);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The run contract: a kernel's simulation depends on its descriptor,
+// device, mode and config alone. scripts/verify.sh runs these under ASan
+// and TSan by the RunContractTest name.
+
+class RunContractTest : public NdftSystemFixture {};
+
+/// The simulated outputs of one kernel entry, compared with ==.
+void expect_same_kernel(const KernelTime& a, const KernelTime& b) {
+  EXPECT_EQ(a.cls, b.cls) << a.name;
+  EXPECT_EQ(a.device, b.device) << a.name;
+  EXPECT_EQ(a.time_ps, b.time_ps) << a.name;
+  EXPECT_EQ(a.memory_energy_mj, b.memory_energy_mj) << a.name;
+  EXPECT_EQ(a.mesh_bytes, b.mesh_bytes) << a.name;
+  EXPECT_EQ(a.sharing_bytes, b.sharing_bytes) << a.name;
+}
+
+/// Every simulated field of two reports, compared with ==.
+void expect_same_report(const RunReport& a, const RunReport& b) {
+  ASSERT_EQ(a.kernels.size(), b.kernels.size());
+  for (std::size_t i = 0; i < a.kernels.size(); ++i) {
+    EXPECT_EQ(a.kernels[i].name, b.kernels[i].name);
+    expect_same_kernel(a.kernels[i], b.kernels[i]);
+  }
+  EXPECT_EQ(a.sched_overhead_ps, b.sched_overhead_ps);
+  EXPECT_EQ(a.mesh_bytes, b.mesh_bytes);
+  EXPECT_EQ(a.sharing_bytes, b.sharing_bytes);
+  EXPECT_EQ(a.memory_energy_mj, b.memory_energy_mj);
+  EXPECT_EQ(a.pseudo.total, b.pseudo.total);
+  EXPECT_EQ(a.stats, b.stats);
+}
+
+TEST_F(RunContractTest, ReversedKernelOrderSimulatesEachKernelAlike) {
+  const dft::Workload forward = system.workload_for(64);
+  dft::Workload reversed = forward;
+  std::reverse(reversed.kernels.begin(), reversed.kernels.end());
+  // The NDFT run keeps each kernel's device: the reversed plan is the
+  // forward plan reversed.
+  const runtime::ExecutionPlan plan = system.plan(forward);
+  runtime::ExecutionPlan reversed_plan = plan;
+  std::reverse(reversed_plan.placements.begin(),
+               reversed_plan.placements.end());
+  const std::vector<std::pair<RunReport, RunReport>> pairs = {
+      {system.run(forward, ExecMode::kCpuBaseline),
+       system.run(reversed, ExecMode::kCpuBaseline)},
+      {system.run_planned(forward, plan),
+       system.run_planned(reversed, reversed_plan)},
+  };
+  for (const auto& [ahead, behind] : pairs) {
+    SCOPED_TRACE(to_string(ahead.mode));
+    const std::size_t n = ahead.kernels.size();
+    ASSERT_EQ(behind.kernels.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(ahead.kernels[i].name, behind.kernels[n - 1 - i].name);
+      expect_same_kernel(ahead.kernels[i], behind.kernels[n - 1 - i]);
+    }
+  }
+}
+
+TEST_F(RunContractTest, DuplicateDescriptorsGetIdenticalEntries) {
+  // Si_64's three Alltoalls share one descriptor under three names; a
+  // renamed copy of the GEMM appended to the workload is a fourth pair.
+  dft::Workload w = system.workload_for(64);
+  const std::size_t gemm = 4;
+  ASSERT_EQ(w.kernels[gemm].cls, KernelClass::kGemm);
+  w.kernels.push_back(w.kernels[gemm]);
+  w.kernels.back().name = "GEMM(copy)";
+  for (const ExecMode mode : {ExecMode::kCpuBaseline, ExecMode::kNdpOnly}) {
+    SCOPED_TRACE(to_string(mode));
+    const RunReport report = system.run(w, mode);
+    std::vector<const KernelTime*> alltoalls;
+    for (const KernelTime& k : report.kernels) {
+      if (k.cls == KernelClass::kAlltoall) alltoalls.push_back(&k);
+    }
+    ASSERT_EQ(alltoalls.size(), 3u);
+    expect_same_kernel(*alltoalls[0], *alltoalls[1]);
+    expect_same_kernel(*alltoalls[0], *alltoalls[2]);
+    EXPECT_EQ(report.kernels.back().name, "GEMM(copy)");
+    expect_same_kernel(report.kernels[gemm], report.kernels.back());
+    // Totals count every occurrence.
+    Bytes mesh = 0;
+    for (const KernelTime& k : report.kernels) mesh += k.mesh_bytes;
+    EXPECT_EQ(report.mesh_bytes, mesh);
+  }
+}
+
+TEST_F(RunContractTest, ReportsAreBitwiseAcrossPoolWidths) {
+  ThreadPool& pool = ThreadPool::instance();
+  const std::size_t original_threads = pool.threads();
+  const NdftSystem small(small_sampling());
+  for (const std::size_t atoms : {16u, 64u}) {
+    const dft::Workload w = small.workload_for(atoms);
+    for (const ExecMode mode :
+         {ExecMode::kCpuBaseline, ExecMode::kNdpOnly, ExecMode::kNdft}) {
+      SCOPED_TRACE(std::string(to_string(mode)) + " Si_" +
+                   std::to_string(atoms));
+      pool.resize(1);
+      const RunReport serial = small.run(w, mode);
+      for (const std::size_t width : {2u, 8u}) {
+        SCOPED_TRACE("width " + std::to_string(width));
+        pool.resize(width);
+        expect_same_report(serial, small.run(w, mode));
+      }
+    }
+  }
+  pool.resize(original_threads);
+}
+
+TEST_F(RunContractTest, ArmedZeroProbabilityFaultsLeaveTheReportUnchanged) {
+  // An armed spec runs the kernels serially on this thread in kernel
+  // order; at probability 0 nothing fires, so the report must equal the
+  // parallel run's.
+  const dft::Workload w = system.workload_for(16);
+  for (const ExecMode mode : {ExecMode::kCpuBaseline, ExecMode::kNdft}) {
+    SCOPED_TRACE(to_string(mode));
+    const RunReport plain = system.run(w, mode);
+    fault_install(FaultSpec::parse("seed=3;*=0"));
+    const RunReport armed = system.run(w, mode);
+    fault_clear();
+    expect_same_report(plain, armed);
+  }
+}
+
+TEST_F(RunContractTest, FiringPortFaultsReplayBitwiseAtAnyPoolWidth) {
+  // sim.port draws come from one sequence per site, so the report
+  // replays only if the kernels draw in kernel order on one thread, at
+  // any pool width.
+  ThreadPool& pool = ThreadPool::instance();
+  const std::size_t original_threads = pool.threads();
+  const dft::Workload w = system.workload_for(16);
+  const auto run_armed = [&](std::size_t width) {
+    pool.resize(width);
+    fault_install(FaultSpec::parse("seed=3;sim.port=0.3"));
+    const RunReport report = system.run(w, ExecMode::kNdft);
+    fault_clear();
+    return report;
+  };
+  const RunReport serial = run_armed(1);
+  double delays = 0.0;
+  for (const auto& [key, value] : serial.stats) {
+    if (key.ends_with(".fault_delays")) delays += value;
+  }
+  EXPECT_GT(delays, 0.0);
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    SCOPED_TRACE(repeat);
+    expect_same_report(serial, run_armed(4));
+  }
+  pool.resize(original_threads);
 }
 
 TEST_F(NdftSystemFixture, SharingTrafficOnlyUnderCoDesign) {
@@ -429,8 +575,10 @@ TEST(SystemConfigTest, PaperDefaultsMatchTableIII) {
 TEST(SpeedupTest, RejectsZeroRuntime) {
   RunReport a;
   RunReport b;
-  a.kernels.push_back(KernelTime{"x", KernelClass::kOther,
-                                 DeviceKind::kCpu, 100});
+  KernelTime kernel;
+  kernel.name = "x";
+  kernel.time_ps = 100;
+  a.kernels.push_back(kernel);
   EXPECT_THROW(speedup(a, b), NdftError);
   EXPECT_DOUBLE_EQ(speedup(a, a), 1.0);
 }

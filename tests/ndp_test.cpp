@@ -165,8 +165,9 @@ TEST(NdpSystemTest, RunsTracesAcrossStacks) {
       traces[t].ops.push_back(op);
     }
   }
-  std::vector<const cpu::Trace*> ptrs;
-  for (const auto& trace : traces) ptrs.push_back(&trace);
+  std::vector<cpu::TraceReplay> replays(traces.begin(), traces.end());
+  std::vector<cpu::OpSource*> ptrs;
+  for (auto& replay : replays) ptrs.push_back(&replay);
   bool done = false;
   ndp.run(ptrs, [&done] { done = true; });
   queue.run();
@@ -210,7 +211,8 @@ TEST(NdpSystemTest, RejectsTooManyTraces) {
   sim::EventQueue queue;
   NdpSystem ndp("ndp", queue, NdpSystemConfig::table3());
   cpu::Trace trace;
-  std::vector<const cpu::Trace*> ptrs(257, &trace);
+  cpu::TraceReplay replay(trace);
+  std::vector<cpu::OpSource*> ptrs(257, &replay);
   EXPECT_THROW(ndp.run(ptrs, [] {}), NdftError);
 }
 
